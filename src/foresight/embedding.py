@@ -9,6 +9,7 @@ for disjoint ones (up to rare bucket collisions).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 
@@ -23,9 +24,13 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _token_hash(token: str) -> int:
+    return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:4], "big")
+
+
 def _bucket(token: str, dim: int) -> int:
-    digest = hashlib.sha256(token.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big") % dim
+    return _token_hash(token) % dim
 
 
 def embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:

@@ -43,7 +43,7 @@ from foresight.metrics import (
     merge_verdicts,
 )
 from foresight.oracles import OracleBackends
-from foresight.prediction import CandidateQueue, enqueue, filter_candidates, generate_candidates
+from foresight.prediction import CandidateQueue, filter_candidates, generate_candidates
 from foresight.scenarios import Scenario
 
 logger = logging.getLogger(__name__)
@@ -114,7 +114,8 @@ def _run_idle_window(
     else:
         candidates = backends.unguided(history, memory)
     candidates = filter_candidates(candidates, memory, pcfg)
-    queue = enqueue(CandidateQueue(), candidates)
+    queue = CandidateQueue()
+    queue.extend(candidates)
 
     budget = BudgetState(k=cfg.budget_k, queries_per_search=cfg.queries_per_search)
     artifacts: list[KnowledgeArtifact] = []

@@ -6,6 +6,14 @@ check at a configurable threshold. Near-duplicates are arbitrated by a
 pluggable backend into skip, replace, or merge. All mutations are atomic
 with respect to arbitration failures: if the arbiter raises or returns an
 unknown action, the store is left untouched.
+
+Every similarity read (``vector_search``, ``coverage_check``, the
+weak-support scan in ``detect_gaps``, and the artifact topics read by
+``prediction.filter_candidates``) goes through a ``SimilarityIndex``,
+which scores all active records in one NumPy call. The index only picks
+candidates; each score a read compares or returns is computed by the
+scalar ``cosine``, so reads return exactly what a loop of ``cosine`` calls
+over every active record would.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +38,21 @@ EMOTION_LABELS = ("surprise", "anger", "sadness", "joy", "fear", "neutral", "dis
 
 DEFAULT_NEAR_DUP_THRESHOLD = 0.88
 DEFAULT_COVERAGE_THRESHOLD = 0.80
+
+# Building the index handles this many vectors per NumPy call, keeping each
+# temporary block small (64 KB at the default dimension).
+BLOCK_ROWS = 32
+
+# Up to this many records, scoring every one with ``cosine`` costs about as
+# much as the index's fixed NumPy work per query, and leaving the arrays
+# unbuilt saves their upkeep on every add.
+PREFILTER_MIN_ROWS = 4
+
+# Index scores and ``cosine`` differ only by rounding, far below 1e-12 for
+# vectors of a few hundred dimensions. Records whose index score lies
+# within this margin of a cut are rescored with ``cosine`` before the cut
+# is applied.
+PREFILTER_MARGIN = 1e-9
 
 
 class ArbitrationError(RuntimeError):
@@ -134,6 +157,144 @@ class TemporalResult:
     closest: Optional[MemoryRecord]
 
 
+def artifact_topic(record: MemoryRecord) -> str:
+    """The topic of an artifact record: the first line of its content."""
+    return record.content.split("\n", 1)[0]
+
+
+def _embedding_of(record: MemoryRecord) -> np.ndarray:
+    return record.embedding
+
+
+def _topic_embedding_of(record: MemoryRecord) -> np.ndarray:
+    return embed(artifact_topic(record))
+
+
+class SimilarityIndex:
+    """Candidate prefilter for cosine similarity over the records of a store.
+
+    Rows are keyed by record id, in insertion order; ``vector_of(record)``
+    gives a row's vector. Each vector is kept as its nonzero buckets,
+    scaled to unit length, in flat (row, bucket, value) arrays: a hashed
+    bag-of-tokens embedding fills a few dozen of its buckets at most. One
+    weighted ``np.bincount`` then scores a query against every row, giving
+    cosine up to rounding.
+
+    The arrays are built in one pass by the first query that finds more
+    than ``PREFILTER_MIN_ROWS`` rows, and kept up to date from then on.
+    Until then the index holds only the keys and offers every one of them.
+    """
+
+    __slots__ = ("_records", "_vector_of", "_keys", "_rows", "_buckets", "_values", "_size")
+
+    # Shared by every index until it reserves room: nothing writes into
+    # an array of length zero.
+    _NO_INTS = np.empty(0, dtype=np.intp)
+    _NO_FLOATS = np.empty(0, dtype=np.float64)
+
+    def __init__(
+        self,
+        records: dict[str, MemoryRecord],
+        vector_of: Callable[[MemoryRecord], np.ndarray],
+        keys: Sequence[str] = (),
+    ) -> None:
+        self._records = records
+        self._vector_of = vector_of
+        self._keys: list[str] = list(keys)  # row -> key
+        self._rows: Optional[np.ndarray] = None  # None until built
+        self._buckets = self._NO_INTS
+        self._values = self._NO_FLOATS
+        self._size = 0  # entries in use; the arrays hold spare room after them
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def _build(self) -> None:
+        records, vector_of, keys = self._records, self._vector_of, self._keys
+        self._rows = self._NO_INTS
+        end = 0
+        for first in range(0, len(keys), BLOCK_ROWS):
+            block = np.stack([vector_of(records[key]) for key in keys[first : first + BLOCK_ROWS]])
+            flat = np.flatnonzero(block != 0)
+            nonzero = block.ravel()[flat]
+            row, bucket = np.divmod(flat, block.shape[1])
+            norms = np.sqrt(np.bincount(row, weights=nonzero * nonzero, minlength=len(block)))
+            start, end = end, end + len(flat)
+            # Room for every row at the density of the first block.
+            self._reserve(max(end, len(flat) * len(keys) // len(block)))
+            self._rows[start:end] = row + first
+            self._buckets[start:end] = bucket
+            self._values[start:end] = nonzero / norms[row]
+            self._size = end
+
+    def _reserve(self, size: int) -> None:
+        """Makes room for ``size`` entries, plus an eighth for later additions."""
+        if size > len(self._values):
+            room = size + size // 8
+            grown = []
+            for old in (self._rows, self._buckets, self._values):
+                new = np.empty(room, dtype=old.dtype)
+                new[: self._size] = old[: self._size]
+                grown.append(new)
+            self._rows, self._buckets, self._values = grown
+
+    def add(self, key: str) -> None:
+        self._keys.append(key)
+        if self._rows is None:
+            return
+        vec = self._vector_of(self._records[key])
+        buckets = np.flatnonzero(vec != 0)
+        start, end = self._size, self._size + len(buckets)
+        self._reserve(end)
+        self._rows[start:end] = len(self._keys) - 1
+        self._buckets[start:end] = buckets
+        self._values[start:end] = vec[buckets] / np.linalg.norm(vec)
+        self._size = end
+
+    def remove(self, key: str) -> None:
+        row = self._keys.index(key)
+        del self._keys[row]
+        if self._rows is None:
+            return
+        # Rows ascend along the entries, so the row's entries are [lo, hi).
+        size = self._size
+        lo, hi = np.searchsorted(self._rows[:size], (row, row + 1))
+        end = size - (hi - lo)
+        for a in (self._rows, self._buckets, self._values):
+            a[lo:end] = a[hi:size]
+        self._rows[lo:end] -= 1
+        self._size = end
+
+    def candidates(self, query: np.ndarray, threshold: float, k: Optional[int] = None) -> list[str]:
+        """Keys whose cosine with ``query`` may reach ``threshold``, in row order.
+
+        With ``k``, keys that cannot be among the ``k`` best are dropped
+        too. Every key whose exact cosine puts it among the ``k`` best at
+        or above ``threshold`` is returned.
+        """
+        n = len(self._keys)
+        if self._rows is None:
+            if n <= PREFILTER_MIN_ROWS:
+                return list(self._keys)
+            self._build()
+        norm = float(np.linalg.norm(query))
+        if norm == 0.0:
+            scores = np.zeros(n)
+        else:
+            size = self._size
+            weights = query[self._buckets[:size]]
+            weights *= self._values[:size]
+            scores = np.bincount(self._rows[:size], weights=weights, minlength=n) / norm
+        cut = threshold - PREFILTER_MARGIN
+        if k is not None and 0 < k < n:
+            # k rows score at least kth - margin exactly; a row below
+            # kth - 2 * margin is beaten by all of them.
+            kth = float(np.partition(scores, n - k)[n - k])
+            cut = max(cut, kth - 2 * PREFILTER_MARGIN)
+        keys = self._keys
+        return [keys[row] for row in np.flatnonzero(scores >= cut)]
+
+
 class LogicalClock:
     """Deterministic timestamp source: fixed epoch, fixed step per tick."""
 
@@ -167,6 +328,8 @@ class MemoryState:
         self.profile: dict[str, str] = {}
         self.rolling_summary: str = ""
         self._counter = 0
+        self._index = SimilarityIndex(self.records, _embedding_of)
+        self._topics: Optional[SimilarityIndex] = None  # built on first use
 
     # -- identity ---------------------------------------------------------
 
@@ -211,11 +374,13 @@ class MemoryState:
         if verdict.action == "replace":
             # In-place rewrite; step 1 guarantees the new digest is unindexed.
             del self.hash_index[neighbor.content_hash]
+            self._unindex(neighbor)
             neighbor.content = content
             neighbor.content_hash = digest
             neighbor.embedding = embed(content)
             neighbor.updated_at = self.clock.tick()
             self.hash_index[digest] = neighbor.id
+            self._reindex(neighbor)
             return AddResult(AddOutcome.REPLACED, neighbor.id)
 
         merged_content = verdict.merged_content if verdict.merged_content else f"{neighbor.content}\n{content}"
@@ -251,6 +416,7 @@ class MemoryState:
         )
         self.records[record.id] = record
         self.hash_index[digest] = record.id
+        self._reindex(record)
         return record
 
     def _retire(self, record: MemoryRecord, into: Optional[str]) -> None:
@@ -258,15 +424,39 @@ class MemoryState:
         record.merged_into = into
         record.updated_at = self.clock.tick()
         self.hash_index.pop(record.content_hash, None)
+        self._unindex(record)
+
+    # -- similarity indexes -----------------------------------------------
+
+    def _reindex(self, record: MemoryRecord) -> None:
+        self._index.add(record.id)
+        if self._topics is not None and record.kind == "artifact":
+            self._topics.add(record.id)
+
+    def _unindex(self, record: MemoryRecord) -> None:
+        self._index.remove(record.id)
+        if self._topics is not None and record.kind == "artifact":
+            self._topics.remove(record.id)
 
     # -- read paths -------------------------------------------------------
 
     def vector_search(
         self, query: str, k: int = 5, threshold: float = 0.0
     ) -> list[tuple[MemoryRecord, float]]:
-        """Top-k active records by cosine, ties broken by ascending id."""
+        """Top-k active records by cosine at or above ``threshold``.
+
+        Every returned score is exactly ``cosine(embed(query),
+        record.embedding)``, and ties break by ascending id. The index only
+        selects which records get scored: it drops a record only when its
+        index score, cosine up to rounding, keeps it out of the answer by
+        more than ``PREFILTER_MARGIN``.
+        """
         qvec = embed(query)
-        scored = [(record, cosine(qvec, record.embedding)) for record in self.active_records()]
+        records = self.records
+        scored = [
+            (records[rid], cosine(qvec, records[rid].embedding))
+            for rid in self._index.candidates(qvec, threshold, k)
+        ]
         scored = [(r, s) for r, s in scored if s >= threshold]
         scored.sort(key=lambda pair: (-pair[1], pair[0].id))
         return scored[:k]
@@ -280,6 +470,16 @@ class MemoryState:
         if everything:
             closest = min(everything, key=lambda r: (abs(r.created_at - at), r.created_at, r.id))
         return TemporalResult(in_window=in_window, closest=closest)
+
+    def artifact_topics(self) -> SimilarityIndex:
+        """Index of ``embed(artifact_topic(record))`` by id over active artifacts.
+
+        Built on first use and kept up to date from then on.
+        """
+        if self._topics is None:
+            artifacts = [r.id for r in self.active_records() if r.kind == "artifact"]
+            self._topics = SimilarityIndex(self.records, _topic_embedding_of, artifacts)
+        return self._topics
 
     def coverage_check(self, retrieval_query: str, subtopics: tuple[str, ...] = ()) -> CoverageReport:
         """How much of a retrieval plan existing memory already covers."""
@@ -322,22 +522,26 @@ class MemoryState:
     # -- gap detection ------------------------------------------------------
 
     def detect_gaps(self, now: datetime, staleness: timedelta) -> list[GapCandidate]:
-        """Conservative gap scan: stale, weakly supported, or marked content."""
+        """Conservative gap scan: stale, weakly supported, or marked content.
+
+        Records are scanned by ascending id. A research fact not built by a
+        merge is weakly supported unless another active record reaches
+        ``coverage_threshold`` by exact ``cosine`` with it; the index only
+        selects which records get compared.
+        """
         gaps: list[GapCandidate] = []
-        actives = sorted(self.active_records(), key=lambda r: r.id)
-        for record in actives:
+        threshold = self.coverage_threshold
+        for record in sorted(self.active_records(), key=lambda r: r.id):
             if now - record.updated_at > staleness:
                 gaps.append(GapCandidate(topic=record.content, reason="stale", related_record_ids=(record.id,)))
             if "TBD" in record.content:
                 gaps.append(GapCandidate(topic=record.content, reason="incomplete", related_record_ids=(record.id,)))
             if record.kind == "research_fact" and not record.merged_from:
-                supported = False
-                for other in actives:
-                    if other.id == record.id:
-                        continue
-                    if cosine(record.embedding, other.embedding) >= self.coverage_threshold:
-                        supported = True
-                        break
+                supported = any(
+                    cosine(record.embedding, self.records[rid].embedding) >= threshold
+                    for rid in self._index.candidates(record.embedding, threshold)
+                    if rid != record.id
+                )
                 if not supported:
                     gaps.append(
                         GapCandidate(topic=record.content, reason="weakly_supported", related_record_ids=(record.id,))
@@ -355,7 +559,7 @@ class MemoryState:
                     "kind": record.kind,
                     "content": record.content,
                     "content_hash": record.content_hash,
-                    "embedding": [float(x) for x in record.embedding],
+                    "embedding": record.embedding.tolist(),
                     "created_at": record.created_at.isoformat(),
                     "updated_at": record.updated_at.isoformat(),
                     "status": record.status,
@@ -378,6 +582,7 @@ class MemoryState:
     def from_snapshot(cls, snapshot: dict, **kwargs) -> "MemoryState":
         state = cls(**kwargs)
         highest = 0
+        actives: list[str] = []
         for rd in snapshot["records"]:
             emotion = rd.get("emotion")
             record = MemoryRecord(
@@ -396,9 +601,11 @@ class MemoryState:
             state.records[record.id] = record
             if record.status == "active":
                 state.hash_index[record.content_hash] = record.id
+                actives.append(record.id)
             digits = record.id.lstrip("m")
             if digits.isdigit():
                 highest = max(highest, int(digits))
+        state._index = SimilarityIndex(state.records, _embedding_of, actives)
         state._counter = highest
         state.profile = dict(snapshot.get("profile", {}))
         state.rolling_summary = snapshot.get("rolling_summary", "")
@@ -425,7 +632,11 @@ __all__ = [
     "MEMORY_KINDS",
     "MemoryRecord",
     "MemoryState",
+    "PREFILTER_MARGIN",
+    "PREFILTER_MIN_ROWS",
+    "SimilarityIndex",
     "TemporalResult",
     "TurnUpdate",
+    "artifact_topic",
     "content_hash",
 ]

@@ -16,7 +16,7 @@ from datetime import timedelta
 from typing import Callable, Optional, Sequence
 
 from foresight.embedding import cosine, embed
-from foresight.memory import MemoryState
+from foresight.memory import MemoryState, artifact_topic
 
 logger = logging.getLogger(__name__)
 
@@ -102,30 +102,33 @@ def generate_candidates(
     return candidates
 
 
-def _artifact_topics(memory: MemoryState) -> list:
-    # Artifact records store the candidate topic as their first content line.
-    topics = []
-    for record in memory.active_records():
-        if record.kind == "artifact":
-            topics.append(embed(record.content.split("\n", 1)[0]))
-    return topics
-
-
 def filter_candidates(
     raw: Sequence[CandidateNeed], memory: MemoryState, cfg: Optional[PredictionConfig] = None
 ) -> list[CandidateNeed]:
-    """Confidence gate, stored-artifact dedup, then per-topic collapse."""
+    """Confidence gate, stored-artifact dedup, then per-topic collapse.
+
+    A candidate is dropped as already answered when, for some active
+    artifact, the exact ``cosine(embed(candidate.topic),
+    embed(artifact_topic(record)))`` reaches ``topic_dedup_threshold``.
+    ``memory.artifact_topics()`` only preselects which artifacts get
+    compared, so the result is what comparing every artifact gives.
+    """
     cfg = cfg or PredictionConfig()
     survivors = [c for c in raw if c.confidence >= cfg.confidence_threshold]
 
-    artifact_vecs = _artifact_topics(memory)
-    if artifact_vecs:
+    topics = memory.artifact_topics()
+    if len(topics):
+        topic_vecs = {}  # artifact id -> embedded topic, filled as artifacts get compared
         kept = []
         for candidate in survivors:
             cvec = embed(candidate.topic)
-            if any(cosine(cvec, avec) >= cfg.topic_dedup_threshold for avec in artifact_vecs):
-                continue
-            kept.append(candidate)
+            for rid in topics.candidates(cvec, cfg.topic_dedup_threshold):
+                if rid not in topic_vecs:
+                    topic_vecs[rid] = embed(artifact_topic(memory.records[rid]))
+                if cosine(cvec, topic_vecs[rid]) >= cfg.topic_dedup_threshold:
+                    break
+            else:
+                kept.append(candidate)
         survivors = kept
 
     # Collapse near-identical topics, keeping the max-confidence representative.
@@ -173,18 +176,12 @@ class CandidateQueue:
         return out
 
 
-def enqueue(queue: CandidateQueue, candidates: Sequence[CandidateNeed]) -> CandidateQueue:
-    queue.extend(candidates)
-    return queue
-
-
 __all__ = [
     "CANDIDATE_SOURCES",
     "CandidateNeed",
     "CandidateQueue",
     "PredictionConfig",
     "Predictor",
-    "enqueue",
     "filter_candidates",
     "generate_candidates",
 ]

@@ -1,3 +1,4 @@
+import json
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -372,6 +373,26 @@ def test_snapshot_round_trip(tmp_path):
     # id allocation continues past the restored records
     fresh = loaded.add_knowledge("entity_fact", words("new", 4), no_arbiter)
     assert fresh.record_id not in state.records
+
+
+def test_snapshot_writes_the_same_bytes_as_elementwise_floats(tmp_path):
+    # Snapshots once wrote each embedding as [float(x) for x in embedding];
+    # ``tolist`` must give the same values, so saved files keep their bytes.
+    state = MemoryState()
+    for i in range(3):
+        state.add_knowledge("entity_fact", words(f"s{i}x", 7), no_arbiter)
+    state.add_knowledge("entity_fact", "!!!", no_arbiter)
+    path = tmp_path / "mem.json"
+    state.save(str(path))
+    loaded = MemoryState.load(str(path))
+    loaded.add_knowledge("research_fact", "half of a fraction 1 3 7", no_arbiter)
+    for memory in (state, loaded):
+        snapshot = memory.to_snapshot()
+        old = json.loads(json.dumps(snapshot))
+        for rd in old["records"]:
+            rd["embedding"] = [float(x) for x in memory.records[rd["id"]].embedding]
+        assert all(type(x) is float for rd in snapshot["records"] for x in rd["embedding"])
+        assert json.dumps(snapshot, ensure_ascii=False, indent=2) == json.dumps(old, ensure_ascii=False, indent=2)
 
 
 def test_load_honors_config_kwargs(tmp_path):
