@@ -18,8 +18,9 @@ from foresight.acquisition import (
     gate,
     value_score,
 )
+from foresight.config import Condition
 from foresight.delivery import DeliveryAction, PushAssessment, decide_delivery, push_score
-from foresight.harness import Condition, run_scenario
+from foresight.harness import run_scenario
 from foresight.memory import AddOutcome, MemoryState
 from foresight.metrics import MetricSet, compute_metrics, paired_bootstrap, t_alpha
 from foresight.prediction import CandidateNeed, PredictionConfig, filter_candidates, generate_candidates

@@ -97,13 +97,11 @@ def gate(scores: ValueScores, composite: float, threshold: float = VALUE_THRESHO
 @dataclass
 class BudgetState:
     k: int  # max acquisitions per idle window
-    queries_per_search: int = 1
     k_remaining: int = -1
-    active_tokens_spent: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 0 or self.queries_per_search < 1:
-            raise ConfigurationError(f"invalid budget: k={self.k}, queries_per_search={self.queries_per_search}")
+        if self.k < 0:
+            raise ConfigurationError(f"invalid budget: k={self.k}")
         if self.k_remaining < 0:
             self.k_remaining = self.k
 

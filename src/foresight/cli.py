@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from foresight import backends as backend_mod
-from foresight.config import VALID_BACKENDS, VALID_CONDITIONS, RunConfig
-from foresight.harness import Condition, run_many
+from foresight.config import VALID_BACKENDS, VALID_CONDITIONS, Condition, RunConfig
+from foresight.harness import run_many
 from foresight.http_roles import HttpRoleBackends
 from foresight.metrics import (
     ABSOLUTE_DELTA_METRICS,
@@ -163,7 +163,6 @@ def _check_backend_config(args: argparse.Namespace) -> Optional[str]:
 
 def _make_run_config(args: argparse.Namespace, budget_k: Optional[int] = None) -> RunConfig:
     return RunConfig(
-        scenarios=tuple(args.scenarios),
         conditions=tuple(args.conditions),
         seed=args.seed,
         horizon=args.horizon,
@@ -171,7 +170,6 @@ def _make_run_config(args: argparse.Namespace, budget_k: Optional[int] = None) -
         backend=args.backend,
         endpoint=args.endpoint,
         parallel=args.parallel,
-        out=args.out,
     )
 
 

@@ -1,25 +1,31 @@
-"""Run configuration shared by the harness and the CLI."""
+"""Run configuration and the evaluation conditions, shared by the harness and the CLI."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Optional
 
 from foresight.acquisition import ConfigurationError, Weights
 from foresight.prediction import PredictionConfig
 
-VALID_CONDITIONS = ("reactive", "undirected_idle", "directed_idle")
+
+class Condition(str, Enum):
+    REACTIVE = "reactive"
+    UNDIRECTED_IDLE = "undirected_idle"
+    DIRECTED_IDLE = "directed_idle"
+
+
+VALID_CONDITIONS = tuple(condition.value for condition in Condition)
 VALID_BACKENDS = ("oracle", "http")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenarios: tuple[str, ...] = ()
     conditions: tuple[str, ...] = VALID_CONDITIONS
     seed: int = 42
     horizon: int = 12
     budget_k: int = 3
-    queries_per_search: int = 1
     confidence_threshold: float = 0.6
     value_threshold: float = 60.0
     weights: Weights = field(default_factory=Weights)
@@ -33,7 +39,6 @@ class RunConfig:
     backend: str = "oracle"
     endpoint: Optional[str] = None
     parallel: int = 1
-    out: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.conditions:
@@ -47,8 +52,6 @@ class RunConfig:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if self.budget_k < 0:
             raise ConfigurationError(f"budget_k must be >= 0, got {self.budget_k}")
-        if self.queries_per_search < 1:
-            raise ConfigurationError(f"queries_per_search must be >= 1")
         if self.parallel < 1:
             raise ConfigurationError(f"parallel must be >= 1, got {self.parallel}")
         if not 0.0 <= self.confidence_threshold <= 1.0:
@@ -70,4 +73,4 @@ class RunConfig:
         )
 
 
-__all__ = ["RunConfig", "VALID_BACKENDS", "VALID_CONDITIONS"]
+__all__ = ["Condition", "RunConfig", "VALID_BACKENDS", "VALID_CONDITIONS"]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from foresight.acquisition import (
@@ -31,7 +30,7 @@ from foresight.backends import (
     build_synthesizer_prompt,
     build_value_prompt,
 )
-from foresight.config import RunConfig
+from foresight.config import Condition, RunConfig
 from foresight.delivery import commit_window, decide_delivery
 from foresight.memory import LogicalClock, MemoryState
 from foresight.metrics import (
@@ -47,12 +46,6 @@ from foresight.prediction import CandidateQueue, filter_candidates, generate_can
 from foresight.scenarios import Scenario
 
 logger = logging.getLogger(__name__)
-
-
-class Condition(str, Enum):
-    REACTIVE = "reactive"
-    UNDIRECTED_IDLE = "undirected_idle"
-    DIRECTED_IDLE = "directed_idle"
 
 
 class RunOutcome:
@@ -117,7 +110,7 @@ def _run_idle_window(
     queue = CandidateQueue()
     queue.extend(candidates)
 
-    budget = BudgetState(k=cfg.budget_k, queries_per_search=cfg.queries_per_search)
+    budget = BudgetState(k=cfg.budget_k)
     artifacts: list[KnowledgeArtifact] = []
     assessments = []
     searcher = backends.search

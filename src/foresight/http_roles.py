@@ -34,7 +34,7 @@ from foresight.backends import (
 from foresight.delivery import PushAssessment
 from foresight.memory import ArbiterVerdict, MemoryRecord, MemoryState
 from foresight.metrics import AssistantReply, JudgeVerdict, NeedMark
-from foresight.oracles import extract_fact_ids, undirected_intent_pool
+from foresight.oracles import UNDIRECTED_INTENT_LIMIT, extract_fact_ids, undirected_intent_pool
 from foresight.prediction import CandidateNeed, PredictionConfig
 from foresight.scenarios import Scenario
 
@@ -172,7 +172,7 @@ class HttpRoleBackends:
                 retrieval_query=topic,
                 source="related",
             )
-            for topic, need, reason in undirected_intent_pool(self.scenario.domain)
+            for topic, need, reason in undirected_intent_pool(self.scenario.domain)[:UNDIRECTED_INTENT_LIMIT]
         ]
         self.ledger.record(Role.PREDICTOR, 0, 0)
         return out

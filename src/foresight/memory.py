@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from foresight.embedding import cosine, embed
+from foresight.embedding import DEFAULT_DIM, cosine, embed
 
 logger = logging.getLogger(__name__)
 
@@ -160,6 +160,19 @@ class TemporalResult:
 def artifact_topic(record: MemoryRecord) -> str:
     """The topic of an artifact record: the first line of its content."""
     return record.content.split("\n", 1)[0]
+
+
+def _sparse(vec: np.ndarray) -> dict:
+    """A snapshot's form of an embedding: its nonzero buckets, ascending, and their values."""
+    buckets = np.flatnonzero(vec)
+    return {"buckets": buckets.tolist(), "values": vec[buckets].tolist()}
+
+
+def _dense(sparse: dict) -> np.ndarray:
+    """The embedding ``_sparse`` was made from, bit for bit."""
+    vec = np.zeros(DEFAULT_DIM)
+    vec.put(sparse["buckets"], sparse["values"])
+    return vec
 
 
 def _embedding_of(record: MemoryRecord) -> np.ndarray:
@@ -559,7 +572,7 @@ class MemoryState:
                     "kind": record.kind,
                     "content": record.content,
                     "content_hash": record.content_hash,
-                    "embedding": record.embedding.tolist(),
+                    "embedding": _sparse(record.embedding),
                     "created_at": record.created_at.isoformat(),
                     "updated_at": record.updated_at.isoformat(),
                     "status": record.status,
@@ -590,7 +603,7 @@ class MemoryState:
                 kind=rd["kind"],
                 content=rd["content"],
                 content_hash=rd["content_hash"],
-                embedding=np.asarray(rd["embedding"], dtype=np.float64),
+                embedding=_dense(rd["embedding"]),
                 created_at=datetime.fromisoformat(rd["created_at"]),
                 updated_at=datetime.fromisoformat(rd["updated_at"]),
                 status=rd["status"],

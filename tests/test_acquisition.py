@@ -129,8 +129,6 @@ def test_custom_weights_shift_composite():
 def test_budget_state_validation():
     with pytest.raises(ConfigurationError):
         BudgetState(k=-1)
-    with pytest.raises(ConfigurationError):
-        BudgetState(k=3, queries_per_search=0)
     budget = BudgetState(k=3)
     assert budget.k_remaining == 3
     resumed = BudgetState(k=3, k_remaining=1)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from foresight import http_roles, oracles
 from foresight.backends import (
     ACTIVE_ROLES,
     API_KEY_ENV,
@@ -32,6 +33,9 @@ from foresight.backends import (
     parse_value_response,
     synthetic_tokens,
 )
+from foresight.http_roles import HttpRoleBackends
+from foresight.memory import MemoryState
+from foresight.oracles import UNDIRECTED_INTENT_LIMIT, OracleBackends
 
 
 def ok_body(text="hello", usage=True):
@@ -378,3 +382,20 @@ def test_judge_prompt_renders_sections():
     assert "F01: alpha" in prompt
     assert "reply body" in prompt
     assert "facts_conveyed" in prompt
+
+
+def test_http_unguided_caps_the_intent_pool_like_the_oracle(monkeypatch, finance_scenario):
+    def pool(domain):
+        return [
+            (f"topic {i} of {domain}", f"need {i}", "broad background preparation")
+            for i in range(UNDIRECTED_INTENT_LIMIT + 1)
+        ]
+
+    monkeypatch.setattr(oracles, "undirected_intent_pool", pool)
+    monkeypatch.setattr(http_roles, "undirected_intent_pool", pool)
+    client, transport, _ = make_client([])  # unguided makes no chat call
+    http = HttpRoleBackends(finance_scenario, client).unguided([], MemoryState())
+    oracle = OracleBackends(finance_scenario).unguided([], MemoryState())
+    assert [c.topic for c in http] == [c.topic for c in oracle]
+    assert [c.topic for c in http] == [topic for topic, _, _ in pool(finance_scenario.domain)[:UNDIRECTED_INTENT_LIMIT]]
+    assert transport.calls == []

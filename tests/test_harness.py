@@ -261,3 +261,12 @@ def test_run_config_validation():
     assert dataclasses.asdict(cfg.weights) == {
         "relevance": 0.25, "knowledge_gap": 0.25, "incremental_value": 0.25, "timeliness": 0.25,
     }
+
+
+def test_conditions_vocabulary_is_the_condition_enum():
+    import foresight
+    from foresight import config
+
+    assert foresight.Condition is Condition is config.Condition
+    assert config.VALID_CONDITIONS == ("reactive", "undirected_idle", "directed_idle")
+    assert RunConfig().conditions == tuple(c.value for c in Condition)

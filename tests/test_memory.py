@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from foresight.embedding import cosine, embed
+from foresight.embedding import DEFAULT_DIM, cosine, embed
 from foresight.memory import (
     EMOTION_LABELS,
     MEMORY_KINDS,
@@ -375,24 +375,42 @@ def test_snapshot_round_trip(tmp_path):
     assert fresh.record_id not in state.records
 
 
-def test_snapshot_writes_the_same_bytes_as_elementwise_floats(tmp_path):
-    # Snapshots once wrote each embedding as [float(x) for x in embedding];
-    # ``tolist`` must give the same values, so saved files keep their bytes.
+def test_snapshot_stores_embeddings_as_sparse_buckets(tmp_path):
+    # A snapshot keeps each embedding's nonzero buckets, ascending, with
+    # their exact values; loading scatters them back bit for bit.
+    a, b = _near_pair()
     state = MemoryState()
     for i in range(3):
         state.add_knowledge("entity_fact", words(f"s{i}x", 7), no_arbiter)
     state.add_knowledge("entity_fact", "!!!", no_arbiter)
+    state.add_knowledge("research_fact", a, no_arbiter)
+    state.add_knowledge("research_fact", b, merge_arbiter)
+    assert {r.status for r in state.records.values()} == {"active", "merged"}
     path = tmp_path / "mem.json"
     state.save(str(path))
     loaded = MemoryState.load(str(path))
     loaded.add_knowledge("research_fact", "half of a fraction 1 3 7", no_arbiter)
+    resaved = tmp_path / "again.json"
+    loaded.save(str(resaved))
+    reloaded = MemoryState.load(str(resaved))
+
     for memory in (state, loaded):
-        snapshot = memory.to_snapshot()
-        old = json.loads(json.dumps(snapshot))
-        for rd in old["records"]:
-            rd["embedding"] = [float(x) for x in memory.records[rd["id"]].embedding]
-        assert all(type(x) is float for rd in snapshot["records"] for x in rd["embedding"])
-        assert json.dumps(snapshot, ensure_ascii=False, indent=2) == json.dumps(old, ensure_ascii=False, indent=2)
+        for rd in memory.to_snapshot()["records"]:
+            vec = memory.records[rd["id"]].embedding
+            buckets, values = rd["embedding"]["buckets"], rd["embedding"]["values"]
+            assert buckets == sorted(set(buckets))
+            assert all(type(x) is int for x in buckets) and all(type(x) is float for x in values)
+            assert np.array_equal(np.flatnonzero(vec), buckets)
+            assert vec[buckets].tobytes() == np.array(values).tobytes()
+    (empty,) = [rd for rd in json.loads(path.read_text())["records"] if rd["content"] == "!!!"]
+    assert empty["embedding"] == {"buckets": [], "values": []}
+
+    for before, after in ((state, loaded), (loaded, reloaded)):
+        assert before.records.keys() <= after.records.keys()
+        for rid, record in before.records.items():
+            restored = after.records[rid].embedding
+            assert restored.dtype == np.float64 and restored.shape == (DEFAULT_DIM,)
+            assert restored.tobytes() == record.embedding.tobytes() == embed(record.content).tobytes()
 
 
 def test_load_honors_config_kwargs(tmp_path):

@@ -186,6 +186,28 @@ def test_reads_match_brute_force_over_random_add_sequences(data, near_dup, cover
     assert_reads_match(state, queries, topics)
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), near_dup=st.sampled_from((0.5, 0.88)), steps=st.integers(0, 2 * PREFILTER_MIN_ROWS + 4))
+def test_snapshot_round_trip_restores_embeddings_bit_for_bit(data, near_dup, steps):
+    state = MemoryState(near_dup_threshold=near_dup)
+    for _ in range(steps):
+        kind = data.draw(st.sampled_from(MEMORY_KINDS), label="kind")
+        state.add_knowledge(kind, data.draw(contents, label="content"), draw_arbiter(data, state))
+    snapshot = state.to_snapshot()
+    loaded = MemoryState.from_snapshot(
+        json.loads(json.dumps(snapshot)), clock=state.clock, near_dup_threshold=near_dup
+    )
+    assert loaded.to_snapshot() == snapshot
+    assert loaded.records.keys() == state.records.keys()
+    for rid, record in state.records.items():
+        restored = loaded.records[rid].embedding
+        assert restored.tobytes() == record.embedding.tobytes() == embed(record.content).tobytes()
+    query = data.draw(texts, label="query")
+    assert [(r.id, s) for r, s in loaded.vector_search(query, k=steps + 1)] == [
+        (r.id, s) for r, s in state.vector_search(query, k=steps + 1)
+    ]
+
+
 def test_reads_match_brute_force_on_a_large_loaded_memory():
     rng = random.Random(7)
     words = [f"w{i}" for i in range(60)]
