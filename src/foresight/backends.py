@@ -153,23 +153,6 @@ class TokenLedger:
         }
 
 
-class OracleEchoBackend:
-    """Minimal deterministic backend: echoes the last message back.
-
-    Used by plumbing tests; the full oracle role suite lives in
-    foresight.oracles and does not route through chat requests.
-    """
-
-    def chat(self, request: ChatRequest) -> ChatResponse:
-        prompt_text = "".join(m.text for m in request.messages)
-        text = request.messages[-1].text
-        return ChatResponse(
-            text=text,
-            prompt_tokens=synthetic_tokens(prompt_text),
-            completion_tokens=synthetic_tokens(text),
-        )
-
-
 # Transport: (url, headers, payload, timeout) -> (status_code, parsed_body)
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
 
@@ -578,7 +561,6 @@ __all__ = [
     "DEFAULT_ROLE_MODELS",
     "HttpChatClient",
     "MalformedResponseError",
-    "OracleEchoBackend",
     "RetryExhaustedError",
     "Role",
     "TokenLedger",

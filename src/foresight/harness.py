@@ -22,14 +22,6 @@ from foresight.acquisition import (
     value_score,
 )
 from foresight.acquisition import acquire as acquire_candidate
-from foresight.backends import (
-    build_arbiter_prompt,
-    build_predictor_prompt,
-    build_push_prompt,
-    build_searcher_prompt,
-    build_synthesizer_prompt,
-    build_value_prompt,
-)
 from foresight.config import Condition, RunConfig
 from foresight.delivery import commit_window, decide_delivery
 from foresight.memory import LogicalClock, MemoryState
@@ -68,40 +60,18 @@ def _store_breadcrumb(memory: MemoryState, candidate, arbiter) -> None:
     memory.add_knowledge("research_fact", f"{candidate.topic} | {candidate.need}", arbiter)
 
 
-def _fact_lines(scenario: Scenario) -> list[str]:
-    return [f"{f.id}: {f.content}" for f in scenario.facts]
-
-
-def _memory_notes(memory: MemoryState, limit: int = 20) -> list[str]:
-    records = [r for r in memory.records.values() if r.status == "active"]
-    records.sort(key=lambda r: r.id)
-    return [r.content.splitlines()[0] for r in records[:limit]]
-
-
 def _run_idle_window(
-    scenario: Scenario,
     condition: Condition,
     memory: MemoryState,
     backends,
     cfg: RunConfig,
     history: list[dict],
-    prompt_log: Optional[list[str]],
 ):
     """One idle window: predict, gate, acquire, decide delivery.
 
     Returns (notification, push_verdict, queued_for_next_turn).
     """
     pcfg = cfg.prediction_config()
-    arbiter = backends.arbitrate
-    if prompt_log is not None:
-        inner = backends.arbitrate
-
-        def arbiter(new_content, existing, _inner=inner):
-            prompt_log.append(build_arbiter_prompt(new_content, existing.content))
-            return _inner(new_content, existing)
-
-    if prompt_log is not None:
-        prompt_log.append(build_predictor_prompt(history, memory.profile, _memory_notes(memory)))
     if condition is Condition.DIRECTED_IDLE:
         candidates = generate_candidates(history, memory, backends.predict, pcfg)
     else:
@@ -113,27 +83,8 @@ def _run_idle_window(
     budget = BudgetState(k=cfg.budget_k)
     artifacts: list[KnowledgeArtifact] = []
     assessments = []
-    searcher = backends.search
-    synthesizer = backends.synthesize
-    if prompt_log is not None:
-        fact_lines = _fact_lines(scenario)
-
-        def searcher(query, _inner=backends.search):
-            prompt_log.append(build_searcher_prompt(query, fact_lines))
-            return _inner(query)
-
-        def synthesizer(candidate, evidence, _inner=backends.synthesize):
-            prompt_log.append(
-                build_synthesizer_prompt(candidate.topic, candidate.need, [e.excerpt for e in evidence])
-            )
-            return _inner(candidate, evidence)
-
     while len(queue) and budget.k_remaining > 0:
         candidate = queue.pop()
-        if prompt_log is not None:
-            prompt_log.append(
-                build_value_prompt(candidate.topic, candidate.need, candidate.reason, candidate.retrieval_query)
-            )
         scores = backends.assess_value(candidate)
         composite = value_score(scores, cfg.weights)
         decision = gate(scores, composite, cfg.value_threshold)
@@ -141,30 +92,26 @@ def _run_idle_window(
             outcome = acquire_candidate(
                 candidate,
                 memory,
-                searcher,
-                synthesizer,
-                arbiter,
+                backends.search,
+                backends.synthesize,
+                backends.arbitrate,
                 budget,
                 scores,
                 cfg.search_round_cap,
             )
             if outcome.artifact is not None:
                 artifacts.append(outcome.artifact)
-                if prompt_log is not None:
-                    prompt_log.append(
-                        build_push_prompt(outcome.artifact.candidate.topic, outcome.artifact.preparation_note)
-                    )
                 assessments.append(backends.assess_push(outcome.artifact))
             elif outcome.demoted_to_store:
-                _store_breadcrumb(memory, candidate, arbiter)
+                _store_breadcrumb(memory, candidate, backends.arbitrate)
         elif decision is AcquisitionDecision.STORE_ONLY:
-            _store_breadcrumb(memory, candidate, arbiter)
+            _store_breadcrumb(memory, candidate, backends.arbitrate)
         # QUEUE defers with no persistent state: the candidate regenerates on
         # the next window while the trigger stays covered. DROP discards.
 
     actions = decide_delivery(assessments)
     queued_next: list[KnowledgeArtifact] = []
-    notification = commit_window(memory, actions, artifacts, assessments, queued_next, arbiter)
+    notification = commit_window(memory, actions, artifacts, assessments, queued_next, backends.arbitrate)
     push_verdict: Optional[JudgeVerdict] = None
     if notification is not None:
         artifact = next(a for a in artifacts if a.id == notification.artifact_id)
@@ -177,7 +124,6 @@ def run_scenario(
     condition: Condition,
     cfg: Optional[RunConfig] = None,
     backends=None,
-    prompt_log: Optional[list[str]] = None,
     memory: Optional[MemoryState] = None,
 ) -> RunOutcome:
     """Execute one scenario under one condition and compute its metrics.
@@ -231,7 +177,7 @@ def run_scenario(
                 backends.covered = set(covered)
                 before = backends.ledger.active_total()
                 notification, push_verdict, pending = _run_idle_window(
-                    scenario, condition, memory, backends, cfg, history, prompt_log
+                    condition, memory, backends, cfg, history
                 )
                 idle_spend = backends.ledger.active_total() - before
                 if notification is not None and push_verdict is not None:

@@ -134,7 +134,9 @@ class HttpRoleBackends:
         lines.append(f"user: {user_message}")
         # The assistant is the system under test, not a proactive runtime
         # role; its spend stays out of active tokens by ledger design.
-        request = ChatRequest(role_tag=Role.SIMULATOR, messages=(ChatMessage("user", "\n".join(lines)),))
+        request = ChatRequest(
+            role_tag=Role.SIMULATOR, messages=(ChatMessage("user", "\n".join(lines)),), seed=self.seed
+        )
         response = self.client.chat(request)
         text = response.text
         self._history.append({"user": user_message, "assistant": text})

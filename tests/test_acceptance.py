@@ -39,6 +39,7 @@ from foresight.metrics import (
     t_alpha,
 )
 from foresight.scenarios import composition_stats, parse_scenario, runtime_view, validate_scenario
+from scripted_transport import RUNTIME_ROLES, scripted_backends
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -398,14 +399,18 @@ def test_criterion_7_bootstrap_determinism_and_correctness():
 
 def test_criterion_8_information_hiding_audit():
     with _gate(8, "no gold labels in runtime prompts or runtime view", limit=5.0):
+        # Audit the prompts HttpRoleBackends actually sends, as received by
+        # an in-process transport; only the simulator and judge see gold data.
         scenario = _load("finance_basic_01.json")
-        prompt_log: list[str] = []
-        outcome = run_scenario(scenario, Condition.DIRECTED_IDLE, prompt_log=prompt_log)
+        backends, transport = scripted_backends(scenario)
+        outcome = run_scenario(scenario, Condition.DIRECTED_IDLE, backends=backends)
         assert outcome.result.status == "completed"
-        assert len(prompt_log) > 10
+        assert len(transport.prompts) > 10
+        runtime_prompts = [(role, p) for role, p in transport.prompts if role not in ("simulator", "judge")]
+        assert {role for role, _ in runtime_prompts} == RUNTIME_ROLES
 
         view_json = json.dumps(runtime_view(scenario).to_dict(), sort_keys=True)
-        surfaces = prompt_log + [view_json]
+        surfaces = [p for _, p in runtime_prompts] + [view_json]
 
         forbidden_ids = [n.id for n in scenario.needs] + [g.id for g in scenario.groups]
         forbidden_literals = ["key_fact_ids", "predictable_after", "reveal_group"]

@@ -17,7 +17,6 @@ from foresight.backends import (
     ConfigurationError,
     HttpChatClient,
     MalformedResponseError,
-    OracleEchoBackend,
     RetryExhaustedError,
     Role,
     TokenLedger,
@@ -126,13 +125,6 @@ def test_charge_text_uses_synthetic_counts():
     ledger = TokenLedger()
     ledger.charge_text(Role.SEARCHER, "x" * 9, "y" * 4)
     assert ledger.role_total(Role.SEARCHER) == 3 + 1
-
-
-def test_oracle_echo_backend():
-    backend = OracleEchoBackend()
-    response = backend.chat(request(text="echo me"))
-    assert response.text == "echo me"
-    assert response.prompt_tokens == synthetic_tokens("echo me")
 
 
 def test_client_requires_credential(monkeypatch):

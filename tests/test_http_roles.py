@@ -1,0 +1,76 @@
+"""The whole closed loop through HttpRoleBackends -> HttpChatClient, with an
+in-process scripted transport standing in for the model server."""
+
+import random
+
+import pytest
+
+from conftest import SCENARIO_DIR, make_scenario
+from foresight.config import RunConfig
+from foresight.harness import Condition, run_scenario
+from foresight.scenarios import parse_scenario
+from scripted_transport import ASSISTANT, chat_body, scripted_backends
+
+_BUNDLED = [parse_scenario(p.read_text(encoding="utf-8")) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+_GENERATED = [make_scenario(random.Random(i), f"http_{i:02d}") for i in range(40)]
+
+
+def _turns(outcome):
+    return [
+        (t.target_need_id, t.verdict.to_dict(), [p["topic"] for p in t.pushes]) for t in outcome.result.turns
+    ]
+
+
+def _metrics(outcome):
+    metrics = outcome.metrics.to_dict()
+    del metrics["active_tokens"]  # the two backends charge tokens differently
+    return metrics
+
+
+@pytest.mark.parametrize("budget_k", [1, 3])
+@pytest.mark.parametrize("condition", [c.value for c in Condition])
+def test_http_over_scripted_transport_matches_the_oracle(condition, budget_k):
+    assert len(_BUNDLED) == 2
+    cfg = RunConfig(budget_k=budget_k)
+    for scenario in _BUNDLED + _GENERATED:
+        oracle = run_scenario(scenario, condition, cfg)
+        backends, _ = scripted_backends(scenario, cfg.prediction_config())
+        http = run_scenario(scenario, condition, cfg, backends=backends)
+        assert http.result.status == oracle.result.status == "completed", scenario.scenario_id
+        assert _metrics(http) == _metrics(oracle), scenario.scenario_id
+        assert _turns(http) == _turns(oracle), scenario.scenario_id
+
+
+def test_seed_reaches_every_role_including_the_assistant(finance_scenario):
+    backends, transport = scripted_backends(finance_scenario, seed=7)
+    run_scenario(finance_scenario, "directed_idle", backends=backends)
+    assert ASSISTANT in transport.roles()
+    assert [p.get("seed") for p in transport.payloads] == [7] * len(transport.payloads)
+
+
+def test_non_json_judge_reply_fails_the_unit(finance_scenario):
+    backends, _ = scripted_backends(finance_scenario, replies={"judge": (200, chat_body("not json"))})
+    outcome = run_scenario(finance_scenario, "reactive", backends=backends)
+    assert outcome.result.status == "failed"
+    assert outcome.result.error.startswith("MalformedResponseError:")
+
+
+def test_non_json_predictor_reply_skips_prediction(finance_scenario):
+    backends, transport = scripted_backends(finance_scenario, replies={"predictor": (200, chat_body("[oops"))})
+    outcome = run_scenario(finance_scenario, "directed_idle", backends=backends)
+    assert outcome.result.status == "completed"
+    assert "predictor" in transport.roles()
+    # Only memory-gap candidates can reach the value gate without the predictor.
+    for role, prompt in transport.prompts:
+        if role == "value_assessor":
+            assert "\nRationale: memory gap (" in prompt
+    assert outcome.metrics.anticipated_count == 0
+    assert all(t.pushes == () for t in outcome.result.turns)
+
+
+def test_http_401_fails_the_unit_without_retry(finance_scenario):
+    backends, transport = scripted_backends(finance_scenario, replies={"simulator": (401, {"error": "bad key"})})
+    outcome = run_scenario(finance_scenario, "directed_idle", backends=backends)
+    assert outcome.result.status == "failed"
+    assert outcome.result.error.startswith("AuthenticationError:")
+    assert transport.roles() == ["simulator"]
