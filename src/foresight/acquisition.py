@@ -17,6 +17,7 @@ from datetime import datetime
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
+from foresight.backends import ConfigurationError
 from foresight.memory import Arbiter, MemoryState
 from foresight.prediction import CandidateNeed
 
@@ -25,10 +26,6 @@ logger = logging.getLogger(__name__)
 VALUE_THRESHOLD = 60.0
 SEARCH_ROUND_CAP = 4  # per-candidate cap on iterative search rounds
 WEIGHT_TOLERANCE = 1e-9
-
-
-class ConfigurationError(ValueError):
-    """Invalid scoring or budget configuration."""
 
 
 class AcquisitionDecision(str, Enum):

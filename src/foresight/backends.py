@@ -55,8 +55,8 @@ class BackendError(RuntimeError):
     """Base class for model-call failures."""
 
 
-class ConfigurationError(BackendError):
-    pass
+class ConfigurationError(ValueError):
+    """Invalid configuration: missing credential, retry, scoring or budget settings."""
 
 
 class AuthenticationError(BackendError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -38,7 +39,7 @@ def embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     vec = np.zeros(dim, dtype=np.float64)
     for token in tokenize(text):
         vec[_bucket(token, dim)] += 1.0
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(vec.dot(vec))
     if norm > 0.0:
         vec /= norm
     return vec
@@ -46,8 +47,8 @@ def embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity with a 0.0 guard for zero vectors."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    nu = math.sqrt(u.dot(u))
+    nv = math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))

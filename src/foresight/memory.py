@@ -14,6 +14,12 @@ which scores all active records in one NumPy call. The index only picks
 candidates; each score a read compares or returns is computed by the
 scalar ``cosine``, so reads return exactly what a loop of ``cosine`` calls
 over every active record would.
+
+``load`` / ``from_snapshot`` restore in one pass over the stored sparse
+embeddings: every record's embedding becomes a read-only row of one
+matrix, and when more than ``PREFILTER_MIN_ROWS`` records are active the
+index arrays are filled straight from the stored buckets, as the first
+query would otherwise build them.
 """
 
 from __future__ import annotations
@@ -21,9 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -168,13 +176,6 @@ def _sparse(vec: np.ndarray) -> dict:
     return {"buckets": buckets.tolist(), "values": vec[buckets].tolist()}
 
 
-def _dense(sparse: dict) -> np.ndarray:
-    """The embedding ``_sparse`` was made from, bit for bit."""
-    vec = np.zeros(DEFAULT_DIM)
-    vec.put(sparse["buckets"], sparse["values"])
-    return vec
-
-
 def _embedding_of(record: MemoryRecord) -> np.ndarray:
     return record.embedding
 
@@ -194,8 +195,9 @@ class SimilarityIndex:
     cosine up to rounding.
 
     The arrays are built in one pass by the first query that finds more
-    than ``PREFILTER_MIN_ROWS`` rows, and kept up to date from then on.
-    Until then the index holds only the keys and offers every one of them.
+    than ``PREFILTER_MIN_ROWS`` rows, or filled by ``MemoryState.from_snapshot``,
+    and kept up to date from then on. Until then the index holds only the
+    keys and offers every one of them.
     """
 
     __slots__ = ("_records", "_vector_of", "_keys", "_rows", "_buckets", "_values", "_size")
@@ -224,21 +226,30 @@ class SimilarityIndex:
 
     def _build(self) -> None:
         records, vector_of, keys = self._records, self._vector_of, self._keys
-        self._rows = self._NO_INTS
-        end = 0
+        parts = []
         for first in range(0, len(keys), BLOCK_ROWS):
             block = np.stack([vector_of(records[key]) for key in keys[first : first + BLOCK_ROWS]])
             flat = np.flatnonzero(block != 0)
-            nonzero = block.ravel()[flat]
             row, bucket = np.divmod(flat, block.shape[1])
-            norms = np.sqrt(np.bincount(row, weights=nonzero * nonzero, minlength=len(block)))
-            start, end = end, end + len(flat)
-            # Room for every row at the density of the first block.
-            self._reserve(max(end, len(flat) * len(keys) // len(block)))
-            self._rows[start:end] = row + first
-            self._buckets[start:end] = bucket
-            self._values[start:end] = nonzero / norms[row]
-            self._size = end
+            parts.append((row + first, bucket, block.ravel()[flat]))
+        self._fill(*(np.concatenate(column) for column in zip(*parts)))
+
+    def _fill(self, rows: np.ndarray, buckets: np.ndarray, values: np.ndarray) -> None:
+        """Fills the arrays from each row's nonzero buckets and their values.
+
+        Entries must ascend by row, then by bucket, so each row's norm sums
+        its squares in ascending-bucket order whoever fills the arrays:
+        ``_build`` from the vectors, or ``MemoryState.from_snapshot`` from
+        the stored buckets.
+        """
+        size = len(values)
+        self._rows = self._NO_INTS
+        self._reserve(size)
+        self._rows[:size] = rows
+        self._buckets[:size] = buckets
+        norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=len(self._keys)))
+        np.divide(values, norms[rows], out=self._values[:size])
+        self._size = size
 
     def _reserve(self, size: int) -> None:
         """Makes room for ``size`` entries, plus an eighth for later additions."""
@@ -261,7 +272,7 @@ class SimilarityIndex:
         self._reserve(end)
         self._rows[start:end] = len(self._keys) - 1
         self._buckets[start:end] = buckets
-        self._values[start:end] = vec[buckets] / np.linalg.norm(vec)
+        self._values[start:end] = vec[buckets] / math.sqrt(vec.dot(vec))
         self._size = end
 
     def remove(self, key: str) -> None:
@@ -290,7 +301,7 @@ class SimilarityIndex:
             if n <= PREFILTER_MIN_ROWS:
                 return list(self._keys)
             self._build()
-        norm = float(np.linalg.norm(query))
+        norm = math.sqrt(query.dot(query))
         if norm == 0.0:
             scores = np.zeros(n)
         else:
@@ -594,16 +605,31 @@ class MemoryState:
     @classmethod
     def from_snapshot(cls, snapshot: dict, **kwargs) -> "MemoryState":
         state = cls(**kwargs)
+        stored = snapshot["records"]
+        n = len(stored)
+        sparse = [rd["embedding"] for rd in stored]
+        lengths = np.fromiter((len(e["buckets"]) for e in sparse), dtype=np.intp, count=n)
+        total = int(lengths.sum())
+        buckets = np.fromiter(chain.from_iterable(e["buckets"] for e in sparse), dtype=np.intp, count=total)
+        values = np.fromiter(chain.from_iterable(e["values"] for e in sparse), dtype=np.float64, count=total)
+        rows = np.repeat(np.arange(n), lengths)
+        # One row per record. Read-only, so nothing writes through one
+        # record's embedding into another's; a replaced record gets a
+        # fresh array from ``embed``.
+        matrix = np.zeros((n, DEFAULT_DIM))
+        matrix[rows, buckets] = values
+        matrix.flags.writeable = False
+        active = np.zeros(n, dtype=bool)
         highest = 0
         actives: list[str] = []
-        for rd in snapshot["records"]:
+        for i, rd in enumerate(stored):
             emotion = rd.get("emotion")
             record = MemoryRecord(
                 id=rd["id"],
                 kind=rd["kind"],
                 content=rd["content"],
                 content_hash=rd["content_hash"],
-                embedding=_dense(rd["embedding"]),
+                embedding=matrix[i],
                 created_at=datetime.fromisoformat(rd["created_at"]),
                 updated_at=datetime.fromisoformat(rd["updated_at"]),
                 status=rd["status"],
@@ -615,10 +641,18 @@ class MemoryState:
             if record.status == "active":
                 state.hash_index[record.content_hash] = record.id
                 actives.append(record.id)
+                active[i] = True
             digits = record.id.lstrip("m")
             if digits.isdigit():
                 highest = max(highest, int(digits))
         state._index = SimilarityIndex(state.records, _embedding_of, actives)
+        if len(actives) > PREFILTER_MIN_ROWS:
+            if len(actives) < n:
+                # Drop retired rows' entries and renumber the rest.
+                keep = active[rows]
+                rows = (np.cumsum(active) - 1)[rows[keep]]
+                buckets, values = buckets[keep], values[keep]
+            state._index._fill(rows, buckets, values)
         state._counter = highest
         state.profile = dict(snapshot.get("profile", {}))
         state.rolling_summary = snapshot.get("rolling_summary", "")

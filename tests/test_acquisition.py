@@ -337,3 +337,15 @@ def test_synthesizer_fault_propagates_without_store():
             ValueScores(95, 80, 90, 95),
         )
     assert memory.active_records() == []
+
+
+def test_configuration_error_is_one_value_error_class():
+    from foresight import acquisition, backends, config
+
+    assert acquisition.ConfigurationError is backends.ConfigurationError is config.ConfigurationError
+    assert issubclass(ConfigurationError, ValueError)
+    assert not issubclass(ConfigurationError, backends.BackendError)
+    with pytest.raises(backends.ConfigurationError):
+        BudgetState(k=-1)
+    with pytest.raises(ConfigurationError):
+        backends.HttpChatClient(endpoint="e", api_key="k", max_attempts=0)

@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from foresight.embedding import DEFAULT_DIM, cosine, embed, tokenize
+from foresight.embedding import DEFAULT_DIM, _bucket, cosine, embed, tokenize
 
 
 def test_tokenize_lowercases_and_splits_on_nonalnum():
@@ -65,3 +68,45 @@ def test_brute_force_cosine_agreement():
         u, v = embed(a), embed(b)
         expected = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
         assert cosine(u, v) == pytest.approx(expected, abs=1e-12)
+
+
+# Copies of ``embed`` and ``cosine`` as they were written with
+# ``np.linalg.norm``; the library computes the norm as ``sqrt(v . v)``.
+
+
+def embed_with_linalg_norm(text):
+    vec = np.zeros(DEFAULT_DIM, dtype=np.float64)
+    for token in tokenize(text):
+        vec[_bucket(token, DEFAULT_DIM)] += 1.0
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def cosine_with_linalg_norm(u, v):
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+words = st.lists(st.sampled_from(["w%d" % i for i in range(40)] + ["!!", "The", "4.50%"]), max_size=30)
+vectors = arrays(
+    np.float64,
+    DEFAULT_DIM,
+    elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    fill=st.sampled_from((0.0, 1.0, 0.25)),
+)
+
+
+@given(a=words, b=words, u=vectors, v=vectors)
+def test_norm_is_the_same_float_as_linalg_norm(a, b, u, v):
+    a, b = " ".join(a), " ".join(b)
+    assert embed(a).tobytes() == embed_with_linalg_norm(a).tobytes()
+    pairs = [(embed(a), embed(b)), (u, v), (u, embed(a)), (u, u), (np.zeros(DEFAULT_DIM), v)]
+    for x, y in pairs:
+        got = cosine(x, y)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(cosine_with_linalg_norm(x, y)).tobytes()

@@ -9,6 +9,7 @@ import json
 import random
 from datetime import timedelta
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from foresight.memory import (
     CoverageReport,
     GapCandidate,
     MemoryState,
+    SimilarityIndex,
 )
 from foresight.prediction import CandidateNeed, PredictionConfig, filter_candidates
 
@@ -239,3 +241,110 @@ def test_k_cut_keeps_a_record_the_prefilter_ranks_one_ulp_low():
     assert len(state.active_records()) > PREFILTER_MIN_ROWS
     assert_search_matches(state, query, 1, 0.0)
     assert state.vector_search(query, k=1)[0][0].content == first
+
+
+# -- bulk restore --------------------------------------------------------------
+
+
+def index_arrays(index):
+    size = index._size
+    return index._rows[:size], index._buckets[:size], index._values[:size]
+
+
+def assert_restored_like_build(loaded):
+    """``from_snapshot`` fills the index as ``_build`` would; every embedding is ``embed(content)``."""
+    actives = [r.id for r in loaded.records.values() if r.status == "active"]
+    assert loaded._index._keys == actives
+    if len(actives) <= PREFILTER_MIN_ROWS:
+        assert loaded._index._rows is None
+    else:
+        built = SimilarityIndex(loaded.records, lambda record: record.embedding, actives)
+        built._build()
+        for got, want in zip(index_arrays(loaded._index), index_arrays(built)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    assert_embeddings_intact(loaded)
+
+
+def assert_embeddings_intact(state):
+    for record in state.records.values():
+        assert record.embedding.tobytes() == embed(record.content).tobytes()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), near_dup=st.sampled_from((0.5, 0.88)), steps=st.integers(0, 3 * PREFILTER_MIN_ROWS + 8))
+def test_bulk_restore_fills_the_index_as_build_does(data, near_dup, steps):
+    state = MemoryState(near_dup_threshold=near_dup)
+    for _ in range(steps):
+        kind = data.draw(st.sampled_from(MEMORY_KINDS), label="kind")
+        state.add_knowledge(kind, data.draw(contents, label="content"), draw_arbiter(data, state))
+    loaded = MemoryState.from_snapshot(
+        json.loads(json.dumps(state.to_snapshot())), clock=state.clock, near_dup_threshold=near_dup
+    )
+    assert_restored_like_build(loaded)
+    # Replace and merge on the restored memory: no write reaches another
+    # record's row of the shared matrix.
+    for _ in range(data.draw(st.integers(0, 6), label="more_steps")):
+        kind = data.draw(st.sampled_from(MEMORY_KINDS), label="kind")
+        loaded.add_knowledge(kind, data.draw(contents, label="content"), draw_arbiter(data, loaded))
+        assert_embeddings_intact(loaded)
+    assert_search_matches(loaded, data.draw(texts, label="query"), steps + 1, 0.0)
+
+
+def test_bulk_restore_with_retired_records_between_active_ones():
+    rng = random.Random(11)
+    words = [f"w{i}" for i in range(12)]
+    state = MemoryState(near_dup_threshold=0.5)
+    for i in range(60):
+        state.add_knowledge(
+            MEMORY_KINDS[i % len(MEMORY_KINDS)],
+            " ".join(rng.sample(words, rng.randint(2, 6))),
+            lambda content, record: ArbiterVerdict(rng.choice(("skip", "replace", "merge"))),
+        )
+    ids = sorted(state.records)
+    retired = [rid for rid in ids if state.records[rid].status != "active"]
+    actives = [rid for rid in ids if state.records[rid].status == "active"]
+    assert len(actives) > PREFILTER_MIN_ROWS
+    assert retired and retired[0] < actives[-1] and actives[0] < retired[-1]
+    loaded = MemoryState.from_snapshot(json.loads(json.dumps(state.to_snapshot())), clock=state.clock)
+    assert_restored_like_build(loaded)
+    embedding = loaded.records[actives[0]].embedding
+    with pytest.raises(ValueError):
+        embedding[0] = 1.0
+    for i in range(20):
+        action = ("replace", "merge")[i % 2]
+        content = " ".join(rng.sample(words, rng.randint(2, 6)))
+        loaded.add_knowledge("entity_fact", content, lambda content, record: ArbiterVerdict(action))
+        assert_embeddings_intact(loaded)
+    assert_reads_match(loaded, ["w1 w2", "!!!", "w3 w4 w5"], [("w1 w2", 0.9)])
+
+
+def snapshot_of(contents_and_statuses):
+    records = []
+    for i, (content, status) in enumerate(contents_and_statuses, start=1):
+        state = MemoryState()
+        state.add_knowledge("entity_fact", content, lambda content, record: ArbiterVerdict("skip"))
+        (rd,) = state.to_snapshot()["records"]
+        rd.update(id=f"m{i:06d}", status=status)
+        records.append(rd)
+    return {"records": records, "profile": {}, "rolling_summary": ""}
+
+
+@pytest.mark.parametrize(
+    "entries, built",
+    [
+        ([], False),
+        ([(f"r{i} x", "merged") for i in range(8)], False),
+        ([("!!!", "active")] * 8, True),
+        ([(f"r{i} x", "active") for i in range(PREFILTER_MIN_ROWS)], False),
+        ([(f"r{i} x", "active") for i in range(PREFILTER_MIN_ROWS)] + [("gone", "merged")] * 3, False),
+        ([(f"r{i} x", "active") for i in range(PREFILTER_MIN_ROWS + 1)], True),
+        ([("!!!", "active"), ("r1 x", "merged")] * (PREFILTER_MIN_ROWS + 1), True),
+    ],
+)
+def test_bulk_restore_edge_snapshots(entries, built):
+    loaded = MemoryState.from_snapshot(snapshot_of(entries))
+    assert (loaded._index._rows is not None) == built
+    assert_restored_like_build(loaded)
+    for query in ("r1 x", "!!!"):
+        assert_search_matches(loaded, query, 3, 0.0)
