@@ -1,10 +1,15 @@
 """Deterministic text embeddings.
 
 Hashed bag-of-tokens vectors: each lowercase alphanumeric token is hashed
-into one of ``dim`` buckets, occurrence counts are accumulated, and the
-vector is L2-normalized. The construction is order-free, has no model
-dependency, and gives cosine 1.0 for identical token multisets and near 0
-for disjoint ones (up to rare bucket collisions).
+into one of ``dim`` buckets and the vector holds each bucket's occurrence
+count. The construction is order-free, has no model dependency, and gives
+cosine 1.0 for identical token multisets and near 0 for disjoint ones (up
+to rare bucket collisions).
+
+Counts are small integers, so every dot product and squared norm is an
+integer sum, exact in float64 in any summation order. ``cosine`` rounds
+only in its square root and its division, both correctly rounded under
+IEEE 754, so a score is exact and the same on every machine.
 """
 
 from __future__ import annotations
@@ -35,23 +40,24 @@ def _bucket(token: str, dim: int) -> int:
 
 
 def embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
-    """Embed ``text`` into a normalized float64 vector of length ``dim``."""
+    """The token counts of ``text`` in ``dim`` hashed buckets, as a float64 vector."""
     vec = np.zeros(dim, dtype=np.float64)
     for token in tokenize(text):
         vec[_bucket(token, dim)] += 1.0
-    norm = math.sqrt(vec.dot(vec))
-    if norm > 0.0:
-        vec /= norm
     return vec
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity with a 0.0 guard for zero vectors."""
-    nu = math.sqrt(u.dot(u))
-    nv = math.sqrt(v.dot(v))
-    if nu == 0.0 or nv == 0.0:
+    """``u.v / sqrt((u.u) * (v.v))`` for count vectors, or 0.0 when either is zero.
+
+    One square root of the product, not a product of two roots: for two
+    5-token texts sharing 4 tokens this gives exactly 0.8, where
+    ``dot / (sqrt(na) * sqrt(nb))`` gives 0.7999999999999998.
+    """
+    nn = float(u.dot(u)) * float(v.dot(v))
+    if nn == 0.0:
         return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    return float(u.dot(v)) / math.sqrt(nn)
 
 
 __all__ = ["DEFAULT_DIM", "cosine", "embed", "tokenize"]

@@ -1,4 +1,4 @@
-"""Memory layer: deduplicated knowledge store with vector and temporal recall.
+"""Memory layer: deduplicated knowledge store with similarity recall.
 
 Writes funnel through ``add_knowledge``, which applies a two-stage dedup:
 an exact SHA-256 content hash check, then a nearest-neighbor similarity
@@ -9,17 +9,17 @@ unknown action, the store is left untouched.
 
 Every similarity read (``vector_search``, ``coverage_check``, the
 weak-support scan in ``detect_gaps``, and the artifact topics read by
-``prediction.filter_candidates``) goes through a ``SimilarityIndex``,
-which scores all active records in one NumPy call. The index only picks
-candidates; each score a read compares or returns is computed by the
-scalar ``cosine``, so reads return exactly what a loop of ``cosine`` calls
-over every active record would.
+``prediction.filter_candidates``) is one ``SimilarityIndex.search``, which
+scores all active records in one NumPy pass. Embeddings are integer token
+counts, so the index computes the same exact score as ``cosine``, bit for
+bit: its answer is final, and reads return exactly what a loop of
+``cosine`` calls over every active record would.
 
 ``load`` / ``from_snapshot`` restore in one pass over the stored sparse
-embeddings: every record's embedding becomes a read-only row of one
-matrix, and when more than ``PREFILTER_MIN_ROWS`` records are active the
-index arrays are filled straight from the stored buckets, as the first
-query would otherwise build them.
+counts: every record's embedding becomes a read-only row of one matrix,
+and when more than ``SMALL_INDEX_ROWS`` records are active the index
+arrays are filled straight from the stored buckets, as the first query
+would otherwise build them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -42,8 +41,6 @@ logger = logging.getLogger(__name__)
 
 MEMORY_KINDS = ("profile_attr", "entity_fact", "conversation_summary", "research_fact", "artifact")
 
-EMOTION_LABELS = ("surprise", "anger", "sadness", "joy", "fear", "neutral", "disgust")
-
 DEFAULT_NEAR_DUP_THRESHOLD = 0.88
 DEFAULT_COVERAGE_THRESHOLD = 0.80
 
@@ -54,13 +51,7 @@ BLOCK_ROWS = 32
 # Up to this many records, scoring every one with ``cosine`` costs about as
 # much as the index's fixed NumPy work per query, and leaving the arrays
 # unbuilt saves their upkeep on every add.
-PREFILTER_MIN_ROWS = 4
-
-# Index scores and ``cosine`` differ only by rounding, far below 1e-12 for
-# vectors of a few hundred dimensions. Records whose index score lies
-# within this margin of a cut are rescored with ``cosine`` before the cut
-# is applied.
-PREFILTER_MARGIN = 1e-9
+SMALL_INDEX_ROWS = 4
 
 
 class ArbitrationError(RuntimeError):
@@ -80,18 +71,6 @@ def content_hash(content: str) -> str:
     return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class Emotion:
-    label: str
-    intensity: float
-
-    def __post_init__(self) -> None:
-        if self.label not in EMOTION_LABELS:
-            raise ValueError(f"unknown emotion label {self.label!r}")
-        if not -1.0 <= self.intensity <= 1.0:
-            raise ValueError(f"emotion intensity out of range: {self.intensity}")
-
-
 @dataclass
 class MemoryRecord:
     id: str
@@ -104,7 +83,6 @@ class MemoryRecord:
     status: str = "active"  # active | merged
     merged_into: Optional[str] = None
     merged_from: tuple[str, ...] = ()
-    emotion: Optional[Emotion] = None
 
 
 @dataclass(frozen=True)
@@ -126,26 +104,6 @@ class AddResult:
 
 
 @dataclass(frozen=True)
-class ExtractedFact:
-    entity: str
-    type: str
-    attribute: str
-    relationship: str
-
-    def render(self) -> str:
-        return f"{self.entity} | {self.type} | {self.attribute} | {self.relationship}"
-
-
-@dataclass(frozen=True)
-class TurnUpdate:
-    profile_updates: dict[str, str] = field(default_factory=dict)
-    updated_summary: str = ""
-    key_info: tuple[str, ...] = ()
-    user_sentiment: Optional[Emotion] = None
-    extracted_facts: tuple[ExtractedFact, ...] = ()
-
-
-@dataclass(frozen=True)
 class GapCandidate:
     topic: str
     reason: str  # stale | incomplete | weakly_supported | missing
@@ -159,21 +117,15 @@ class CoverageReport:
     supporting_record_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TemporalResult:
-    in_window: tuple[MemoryRecord, ...]
-    closest: Optional[MemoryRecord]
-
-
 def artifact_topic(record: MemoryRecord) -> str:
     """The topic of an artifact record: the first line of its content."""
     return record.content.split("\n", 1)[0]
 
 
 def _sparse(vec: np.ndarray) -> dict:
-    """A snapshot's form of an embedding: its nonzero buckets, ascending, and their values."""
+    """A snapshot's form of an embedding: its nonzero buckets, ascending, and their counts."""
     buckets = np.flatnonzero(vec)
-    return {"buckets": buckets.tolist(), "values": vec[buckets].tolist()}
+    return {"buckets": buckets.tolist(), "counts": vec[buckets].astype(np.int64).tolist()}
 
 
 def _embedding_of(record: MemoryRecord) -> np.ndarray:
@@ -185,22 +137,23 @@ def _topic_embedding_of(record: MemoryRecord) -> np.ndarray:
 
 
 class SimilarityIndex:
-    """Candidate prefilter for cosine similarity over the records of a store.
+    """Exact cosine search over the records of a store.
 
     Rows are keyed by record id, in insertion order; ``vector_of(record)``
-    gives a row's vector. Each vector is kept as its nonzero buckets,
-    scaled to unit length, in flat (row, bucket, value) arrays: a hashed
-    bag-of-tokens embedding fills a few dozen of its buckets at most. One
-    weighted ``np.bincount`` then scores a query against every row, giving
-    cosine up to rounding.
+    gives a row's token counts. Each vector is kept as its nonzero buckets
+    and their counts in flat (row, bucket, count) arrays, since a hashed
+    bag-of-tokens embedding fills a few dozen of its buckets at most, plus
+    each row's squared norm. One weighted ``np.bincount`` gives a query's
+    dot product with every row; every sum is of integers, so each score is
+    ``cosine``'s exact value.
 
     The arrays are built in one pass by the first query that finds more
-    than ``PREFILTER_MIN_ROWS`` rows, or filled by ``MemoryState.from_snapshot``,
+    than ``SMALL_INDEX_ROWS`` rows, or filled by ``MemoryState.from_snapshot``,
     and kept up to date from then on. Until then the index holds only the
-    keys and offers every one of them.
+    keys and scores each row with ``cosine``.
     """
 
-    __slots__ = ("_records", "_vector_of", "_keys", "_rows", "_buckets", "_values", "_size")
+    __slots__ = ("_records", "_vector_of", "_keys", "_rows", "_buckets", "_counts", "_size", "_sq")
 
     # Shared by every index until it reserves room: nothing writes into
     # an array of length zero.
@@ -218,8 +171,11 @@ class SimilarityIndex:
         self._keys: list[str] = list(keys)  # row -> key
         self._rows: Optional[np.ndarray] = None  # None until built
         self._buckets = self._NO_INTS
-        self._values = self._NO_FLOATS
+        self._counts = self._NO_FLOATS
         self._size = 0  # entries in use; the arrays hold spare room after them
+        # Squared norm per row, 1.0 for a row without tokens: its dot
+        # product is 0, so it scores 0.0 as ``cosine`` says.
+        self._sq = self._NO_FLOATS
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -229,51 +185,41 @@ class SimilarityIndex:
         parts = []
         for first in range(0, len(keys), BLOCK_ROWS):
             block = np.stack([vector_of(records[key]) for key in keys[first : first + BLOCK_ROWS]])
-            flat = np.flatnonzero(block != 0)
+            flat = np.flatnonzero(block)
             row, bucket = np.divmod(flat, block.shape[1])
             parts.append((row + first, bucket, block.ravel()[flat]))
         self._fill(*(np.concatenate(column) for column in zip(*parts)))
 
-    def _fill(self, rows: np.ndarray, buckets: np.ndarray, values: np.ndarray) -> None:
-        """Fills the arrays from each row's nonzero buckets and their values.
-
-        Entries must ascend by row, then by bucket, so each row's norm sums
-        its squares in ascending-bucket order whoever fills the arrays:
-        ``_build`` from the vectors, or ``MemoryState.from_snapshot`` from
-        the stored buckets.
-        """
-        size = len(values)
-        self._rows = self._NO_INTS
-        self._reserve(size)
+    def _fill(self, rows: np.ndarray, buckets: np.ndarray, counts: np.ndarray) -> None:
+        """Fills the arrays from each row's nonzero buckets and their counts, ascending by row."""
+        size = len(counts)
+        self._rows = _room(self._NO_INTS, 0, size)
+        self._buckets = _room(self._NO_INTS, 0, size)
+        self._counts = _room(self._NO_FLOATS, 0, size)
         self._rows[:size] = rows
         self._buckets[:size] = buckets
-        norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=len(self._keys)))
-        np.divide(values, norms[rows], out=self._values[:size])
+        self._counts[:size] = counts
         self._size = size
-
-    def _reserve(self, size: int) -> None:
-        """Makes room for ``size`` entries, plus an eighth for later additions."""
-        if size > len(self._values):
-            room = size + size // 8
-            grown = []
-            for old in (self._rows, self._buckets, self._values):
-                new = np.empty(room, dtype=old.dtype)
-                new[: self._size] = old[: self._size]
-                grown.append(new)
-            self._rows, self._buckets, self._values = grown
+        self._sq = np.bincount(rows, weights=counts * counts, minlength=len(self._keys))
+        self._sq[self._sq == 0.0] = 1.0
 
     def add(self, key: str) -> None:
         self._keys.append(key)
         if self._rows is None:
             return
+        row = len(self._keys) - 1
         vec = self._vector_of(self._records[key])
-        buckets = np.flatnonzero(vec != 0)
+        buckets = np.flatnonzero(vec)
         start, end = self._size, self._size + len(buckets)
-        self._reserve(end)
-        self._rows[start:end] = len(self._keys) - 1
+        self._rows, self._buckets, self._counts = (
+            _room(a, start, end) for a in (self._rows, self._buckets, self._counts)
+        )
+        self._rows[start:end] = row
         self._buckets[start:end] = buckets
-        self._values[start:end] = vec[buckets] / math.sqrt(vec.dot(vec))
+        self._counts[start:end] = vec[buckets]
         self._size = end
+        self._sq = _room(self._sq, row, row + 1)
+        self._sq[row] = vec.dot(vec) or 1.0
 
     def remove(self, key: str) -> None:
         row = self._keys.index(key)
@@ -284,39 +230,56 @@ class SimilarityIndex:
         size = self._size
         lo, hi = np.searchsorted(self._rows[:size], (row, row + 1))
         end = size - (hi - lo)
-        for a in (self._rows, self._buckets, self._values):
+        for a in (self._rows, self._buckets, self._counts):
             a[lo:end] = a[hi:size]
         self._rows[lo:end] -= 1
         self._size = end
-
-    def candidates(self, query: np.ndarray, threshold: float, k: Optional[int] = None) -> list[str]:
-        """Keys whose cosine with ``query`` may reach ``threshold``, in row order.
-
-        With ``k``, keys that cannot be among the ``k`` best are dropped
-        too. Every key whose exact cosine puts it among the ``k`` best at
-        or above ``threshold`` is returned.
-        """
         n = len(self._keys)
-        if self._rows is None:
-            if n <= PREFILTER_MIN_ROWS:
-                return list(self._keys)
-            self._build()
-        norm = math.sqrt(query.dot(query))
-        if norm == 0.0:
-            scores = np.zeros(n)
-        else:
-            size = self._size
-            weights = query[self._buckets[:size]]
-            weights *= self._values[:size]
-            scores = np.bincount(self._rows[:size], weights=weights, minlength=n) / norm
-        cut = threshold - PREFILTER_MARGIN
-        if k is not None and 0 < k < n:
-            # k rows score at least kth - margin exactly; a row below
-            # kth - 2 * margin is beaten by all of them.
-            kth = float(np.partition(scores, n - k)[n - k])
-            cut = max(cut, kth - 2 * PREFILTER_MARGIN)
+        self._sq[row:n] = self._sq[row + 1 : n + 1]
+
+    def search(self, query: np.ndarray, threshold: float, k: Optional[int] = None) -> list[tuple[str, float]]:
+        """``(key, cosine)`` of the ``k`` best rows at or above ``threshold``.
+
+        Best first, ties by ascending key; every row that qualifies when
+        ``k`` is None.
+        """
         keys = self._keys
-        return [keys[row] for row in np.flatnonzero(scores >= cut)]
+        if self._rows is None and len(keys) <= SMALL_INDEX_ROWS:
+            records, vector_of = self._records, self._vector_of
+            scored = [(key, cosine(query, vector_of(records[key]))) for key in keys]
+            hits = [hit for hit in scored if hit[1] >= threshold]
+        else:
+            scores = self._scores(query)
+            rows = np.flatnonzero(scores >= threshold)
+            if k is not None and 0 < k < len(rows):
+                # Rows below the k-th best score cannot be among the k best.
+                passing = scores[rows]
+                rows = rows[passing >= np.partition(passing, len(rows) - k)[len(rows) - k]]
+            hits = zip([keys[row] for row in rows.tolist()], scores[rows].tolist())
+        return sorted(hits, key=lambda hit: (-hit[1], hit[0]))[:k]
+
+    def _scores(self, query: np.ndarray) -> np.ndarray:
+        if self._rows is None:
+            self._build()
+        n = len(self._keys)
+        qq = float(query.dot(query))
+        if qq == 0.0:
+            return np.zeros(n)
+        size = self._size
+        weights = query[self._buckets[:size]]
+        weights *= self._counts[:size]
+        dots = np.bincount(self._rows[:size], weights=weights, minlength=n)
+        return dots / np.sqrt(self._sq[:n] * qq)
+
+
+def _room(array: np.ndarray, used: int, size: int) -> np.ndarray:
+    """``array`` if it holds ``size`` items, else a copy of its first ``used``
+    items with room for ``size`` plus an eighth for later additions."""
+    if size <= len(array):
+        return array
+    grown = np.empty(size + size // 8, dtype=array.dtype)
+    grown[:used] = array[:used]
+    return grown
 
 
 class LogicalClock:
@@ -467,33 +430,10 @@ class MemoryState:
     def vector_search(
         self, query: str, k: int = 5, threshold: float = 0.0
     ) -> list[tuple[MemoryRecord, float]]:
-        """Top-k active records by cosine at or above ``threshold``.
-
-        Every returned score is exactly ``cosine(embed(query),
-        record.embedding)``, and ties break by ascending id. The index only
-        selects which records get scored: it drops a record only when its
-        index score, cosine up to rounding, keeps it out of the answer by
-        more than ``PREFILTER_MARGIN``.
-        """
-        qvec = embed(query)
+        """Top-k active records by ``cosine(embed(query), record.embedding)``
+        at or above ``threshold``, best first, ties by ascending id."""
         records = self.records
-        scored = [
-            (records[rid], cosine(qvec, records[rid].embedding))
-            for rid in self._index.candidates(qvec, threshold, k)
-        ]
-        scored = [(r, s) for r, s in scored if s >= threshold]
-        scored.sort(key=lambda pair: (-pair[1], pair[0].id))
-        return scored[:k]
-
-    def temporal_query(self, at: datetime, window: timedelta) -> TemporalResult:
-        """Records created within window/2 of ``at``; closest over all records."""
-        half = window / 2
-        everything = sorted(self.records.values(), key=lambda r: (r.created_at, r.id))
-        in_window = tuple(r for r in everything if abs(r.created_at - at) <= half)
-        closest = None
-        if everything:
-            closest = min(everything, key=lambda r: (abs(r.created_at - at), r.created_at, r.id))
-        return TemporalResult(in_window=in_window, closest=closest)
+        return [(records[rid], score) for rid, score in self._index.search(embed(query), threshold, k)]
 
     def artifact_topics(self) -> SimilarityIndex:
         """Index of ``embed(artifact_topic(record))`` by id over active artifacts.
@@ -526,23 +466,6 @@ class MemoryState:
             level = "partial"
         return CoverageReport(level=level, missing_subtopics=tuple(missing), supporting_record_ids=tuple(supporting))
 
-    # -- turn maintenance ---------------------------------------------------
-
-    def apply_turn_update(self, update: TurnUpdate, arbiter: Arbiter) -> None:
-        for key, value in update.profile_updates.items():
-            self.profile[key] = value
-        summary_record_id: Optional[str] = None
-        if update.updated_summary:
-            self.rolling_summary = update.updated_summary
-            result = self.add_knowledge("conversation_summary", update.updated_summary, arbiter)
-            summary_record_id = result.record_id
-        for item in update.key_info:
-            self.add_knowledge("entity_fact", item, arbiter)
-        for extracted in update.extracted_facts:
-            self.add_knowledge("entity_fact", extracted.render(), arbiter)
-        if update.user_sentiment is not None and summary_record_id is not None:
-            self.records[summary_record_id].emotion = update.user_sentiment
-
     # -- gap detection ------------------------------------------------------
 
     def detect_gaps(self, now: datetime, staleness: timedelta) -> list[GapCandidate]:
@@ -550,8 +473,7 @@ class MemoryState:
 
         Records are scanned by ascending id. A research fact not built by a
         merge is weakly supported unless another active record reaches
-        ``coverage_threshold`` by exact ``cosine`` with it; the index only
-        selects which records get compared.
+        ``coverage_threshold`` by ``cosine`` with it.
         """
         gaps: list[GapCandidate] = []
         threshold = self.coverage_threshold
@@ -561,12 +483,9 @@ class MemoryState:
             if "TBD" in record.content:
                 gaps.append(GapCandidate(topic=record.content, reason="incomplete", related_record_ids=(record.id,)))
             if record.kind == "research_fact" and not record.merged_from:
-                supported = any(
-                    cosine(record.embedding, self.records[rid].embedding) >= threshold
-                    for rid in self._index.candidates(record.embedding, threshold)
-                    if rid != record.id
-                )
-                if not supported:
+                # The record itself is one of the two best hits if it qualifies.
+                hits = self._index.search(record.embedding, threshold, k=2)
+                if all(rid == record.id for rid, _ in hits):
                     gaps.append(
                         GapCandidate(topic=record.content, reason="weakly_supported", related_record_ids=(record.id,))
                     )
@@ -589,11 +508,6 @@ class MemoryState:
                     "status": record.status,
                     "merged_into": record.merged_into,
                     "merged_from": list(record.merged_from),
-                    "emotion": (
-                        {"label": record.emotion.label, "intensity": record.emotion.intensity}
-                        if record.emotion
-                        else None
-                    ),
                 }
             )
         return {"records": records, "profile": dict(self.profile), "rolling_summary": self.rolling_summary}
@@ -611,19 +525,18 @@ class MemoryState:
         lengths = np.fromiter((len(e["buckets"]) for e in sparse), dtype=np.intp, count=n)
         total = int(lengths.sum())
         buckets = np.fromiter(chain.from_iterable(e["buckets"] for e in sparse), dtype=np.intp, count=total)
-        values = np.fromiter(chain.from_iterable(e["values"] for e in sparse), dtype=np.float64, count=total)
+        counts = np.fromiter(chain.from_iterable(e["counts"] for e in sparse), dtype=np.float64, count=total)
         rows = np.repeat(np.arange(n), lengths)
         # One row per record. Read-only, so nothing writes through one
         # record's embedding into another's; a replaced record gets a
         # fresh array from ``embed``.
         matrix = np.zeros((n, DEFAULT_DIM))
-        matrix[rows, buckets] = values
+        matrix[rows, buckets] = counts
         matrix.flags.writeable = False
         active = np.zeros(n, dtype=bool)
         highest = 0
         actives: list[str] = []
         for i, rd in enumerate(stored):
-            emotion = rd.get("emotion")
             record = MemoryRecord(
                 id=rd["id"],
                 kind=rd["kind"],
@@ -635,7 +548,6 @@ class MemoryState:
                 status=rd["status"],
                 merged_into=rd.get("merged_into"),
                 merged_from=tuple(rd.get("merged_from", ())),
-                emotion=Emotion(**emotion) if emotion else None,
             )
             state.records[record.id] = record
             if record.status == "active":
@@ -646,13 +558,13 @@ class MemoryState:
             if digits.isdigit():
                 highest = max(highest, int(digits))
         state._index = SimilarityIndex(state.records, _embedding_of, actives)
-        if len(actives) > PREFILTER_MIN_ROWS:
+        if len(actives) > SMALL_INDEX_ROWS:
             if len(actives) < n:
                 # Drop retired rows' entries and renumber the rest.
                 keep = active[rows]
                 rows = (np.cumsum(active) - 1)[rows[keep]]
-                buckets, values = buckets[keep], values[keep]
-            state._index._fill(rows, buckets, values)
+                buckets, counts = buckets[keep], counts[keep]
+            state._index._fill(rows, buckets, counts)
         state._counter = highest
         state.profile = dict(snapshot.get("profile", {}))
         state.rolling_summary = snapshot.get("rolling_summary", "")
@@ -671,19 +583,13 @@ __all__ = [
     "Arbiter",
     "ArbiterVerdict",
     "CoverageReport",
-    "EMOTION_LABELS",
-    "Emotion",
-    "ExtractedFact",
     "GapCandidate",
     "LogicalClock",
     "MEMORY_KINDS",
     "MemoryRecord",
     "MemoryState",
-    "PREFILTER_MARGIN",
-    "PREFILTER_MIN_ROWS",
+    "SMALL_INDEX_ROWS",
     "SimilarityIndex",
-    "TemporalResult",
-    "TurnUpdate",
     "artifact_topic",
     "content_hash",
 ]

@@ -16,7 +16,7 @@ from datetime import timedelta
 from typing import Callable, Optional, Sequence
 
 from foresight.embedding import cosine, embed
-from foresight.memory import MemoryState, artifact_topic
+from foresight.memory import MemoryState
 
 logger = logging.getLogger(__name__)
 
@@ -108,28 +108,16 @@ def filter_candidates(
     """Confidence gate, stored-artifact dedup, then per-topic collapse.
 
     A candidate is dropped as already answered when, for some active
-    artifact, the exact ``cosine(embed(candidate.topic),
-    embed(artifact_topic(record)))`` reaches ``topic_dedup_threshold``.
-    ``memory.artifact_topics()`` only preselects which artifacts get
-    compared, so the result is what comparing every artifact gives.
+    artifact, ``cosine(embed(candidate.topic), embed(artifact_topic(record)))``
+    reaches ``topic_dedup_threshold``.
     """
     cfg = cfg or PredictionConfig()
     survivors = [c for c in raw if c.confidence >= cfg.confidence_threshold]
 
     topics = memory.artifact_topics()
     if len(topics):
-        topic_vecs = {}  # artifact id -> embedded topic, filled as artifacts get compared
-        kept = []
-        for candidate in survivors:
-            cvec = embed(candidate.topic)
-            for rid in topics.candidates(cvec, cfg.topic_dedup_threshold):
-                if rid not in topic_vecs:
-                    topic_vecs[rid] = embed(artifact_topic(memory.records[rid]))
-                if cosine(cvec, topic_vecs[rid]) >= cfg.topic_dedup_threshold:
-                    break
-            else:
-                kept.append(candidate)
-        survivors = kept
+        threshold = cfg.topic_dedup_threshold
+        survivors = [c for c in survivors if not topics.search(embed(c.topic), threshold, k=1)]
 
     # Collapse near-identical topics, keeping the max-confidence representative.
     survivors.sort(key=lambda c: (-c.confidence, c.topic, c.need))
@@ -168,12 +156,6 @@ class CandidateQueue:
 
     def pop(self) -> CandidateNeed:
         return heapq.heappop(self._heap)[2]
-
-    def drain(self) -> list[CandidateNeed]:
-        out = []
-        while self._heap:
-            out.append(self.pop())
-        return out
 
 
 __all__ = [

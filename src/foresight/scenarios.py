@@ -88,9 +88,6 @@ class Scenario:
     groups: tuple[RevealGroup, ...]
     extra: dict = field(default_factory=dict)
 
-    def fact_by_id(self) -> dict[str, Fact]:
-        return {f.id: f for f in self.facts}
-
     def need_by_id(self) -> dict[str, UserNeed]:
         return {n.id: n for n in self.needs}
 
@@ -165,9 +162,6 @@ class RuntimeView:
             },
             "facts": [{"id": f.id, "category": f.category, "content": f.content} for f in self.facts],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
 
 def _require(obj: dict, key: str, kind: type, path: str) -> Any:

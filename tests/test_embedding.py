@@ -1,12 +1,14 @@
+import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from foresight.embedding import DEFAULT_DIM, _bucket, cosine, embed, tokenize
+from foresight.memory import SMALL_INDEX_ROWS, SimilarityIndex
 
 
 def test_tokenize_lowercases_and_splits_on_nonalnum():
@@ -18,11 +20,13 @@ def test_tokenize_empty():
     assert tokenize("---") == []
 
 
-@pytest.mark.parametrize("text", ["hello world", "a b c d e", "routers route packets"])
-def test_embed_is_unit_norm(text):
+@pytest.mark.parametrize("text", ["hello world", "a b c d e", "routers route packets", "a a b a"])
+def test_embed_returns_integer_token_counts(text):
     vec = embed(text)
-    assert vec.shape == (DEFAULT_DIM,)
-    assert abs(float(np.linalg.norm(vec)) - 1.0) < 1e-12
+    assert vec.shape == (DEFAULT_DIM,) and vec.dtype == np.float64
+    counts = Counter(_bucket(token, DEFAULT_DIM) for token in tokenize(text))
+    assert {int(b): int(vec[b]) for b in np.flatnonzero(vec)} == counts
+    assert np.array_equal(vec, np.round(vec))
 
 
 def test_embed_empty_is_zero_vector():
@@ -70,43 +74,63 @@ def test_brute_force_cosine_agreement():
         assert cosine(u, v) == pytest.approx(expected, abs=1e-12)
 
 
-# Copies of ``embed`` and ``cosine`` as they were written with
-# ``np.linalg.norm``; the library computes the norm as ``sqrt(v . v)``.
+# Reference scores from pure-Python ``int`` counts, with no NumPy reduction:
+# ``cosine`` and the index must give these bits on every machine.
 
 
-def embed_with_linalg_norm(text):
-    vec = np.zeros(DEFAULT_DIM, dtype=np.float64)
-    for token in tokenize(text):
-        vec[_bucket(token, DEFAULT_DIM)] += 1.0
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
-
-
-def cosine_with_linalg_norm(u, v):
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+def reference_cosine(a, b):
+    ca = Counter(_bucket(token, DEFAULT_DIM) for token in tokenize(a))
+    cb = Counter(_bucket(token, DEFAULT_DIM) for token in tokenize(b))
+    na = sum(c * c for c in ca.values())
+    nb = sum(c * c for c in cb.values())
+    if na == 0 or nb == 0:
         return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    dot = sum(c * cb[bucket] for bucket, c in ca.items())
+    return dot / math.sqrt(na * nb)
 
 
-words = st.lists(st.sampled_from(["w%d" % i for i in range(40)] + ["!!", "The", "4.50%"]), max_size=30)
-vectors = arrays(
-    np.float64,
-    DEFAULT_DIM,
-    elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-    fill=st.sampled_from((0.0, 1.0, 0.25)),
+def same_bits(x, y):
+    return type(x) is float and x.hex() == y.hex()
+
+
+# "q1 a1" and "q2 a2" tie exactly against "q1 q2"; "!!!" has no tokens.
+TOKENS = ["w%d" % i for i in range(12)] + ["q1", "q2", "a1", "a2", "The", "4.50%", "!!"]
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=25).map(" ".join),
+    st.sampled_from(("q1 a1", "q2 a2", "q1 q2", "!!!")),
 )
 
 
-@given(a=words, b=words, u=vectors, v=vectors)
-def test_norm_is_the_same_float_as_linalg_norm(a, b, u, v):
-    a, b = " ".join(a), " ".join(b)
-    assert embed(a).tobytes() == embed_with_linalg_norm(a).tobytes()
-    pairs = [(embed(a), embed(b)), (u, v), (u, embed(a)), (u, u), (np.zeros(DEFAULT_DIM), v)]
-    for x, y in pairs:
-        got = cosine(x, y)
-        assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(cosine_with_linalg_norm(x, y)).tobytes()
+@given(a=TEXTS, b=TEXTS)
+def test_cosine_is_the_exact_integer_score(a, b):
+    assert same_bits(cosine(embed(a), embed(b)), reference_cosine(a, b))
+
+
+@given(
+    texts=st.lists(TEXTS, max_size=3 * SMALL_INDEX_ROWS),
+    queries=st.lists(TEXTS, min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_index_scores_are_the_exact_integer_score(texts, queries, data):
+    # Small and built indexes, rows added after the build, rows removed.
+    records = {f"k{i:02d}": text for i, text in enumerate(texts + ["q1 a1", "q2 a2", "!!!"])}
+    keys = sorted(records)
+    split = data.draw(st.integers(0, len(keys)), label="split")
+    index = SimilarityIndex(records, embed, keys[:split])
+
+    def check():
+        for query in queries + ["q1 q2", "!!!"]:
+            hits = index.search(embed(query), 0.0)
+            assert sorted(key for key, _ in hits) == sorted(index._keys)
+            for key, score in hits:
+                assert same_bits(score, reference_cosine(query, records[key]))
+            want = sorted(hits, key=lambda hit: (-reference_cosine(query, records[hit[0]]), hit[0]))
+            assert hits == want
+
+    check()
+    for key in keys[split:]:
+        index.add(key)
+    check()
+    for key in data.draw(st.lists(st.sampled_from(keys), unique=True), label="removed"):
+        index.remove(key)
+    check()

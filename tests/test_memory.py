@@ -7,16 +7,12 @@ import pytest
 
 from foresight.embedding import DEFAULT_DIM, cosine, embed
 from foresight.memory import (
-    EMOTION_LABELS,
     MEMORY_KINDS,
     AddOutcome,
     ArbitrationError,
     ArbiterVerdict,
-    Emotion,
-    ExtractedFact,
     LogicalClock,
     MemoryState,
-    TurnUpdate,
     content_hash,
 )
 
@@ -50,7 +46,6 @@ def test_content_hash_known_digest():
 
 def test_vocabulary_constants():
     assert MEMORY_KINDS == ("profile_attr", "entity_fact", "conversation_summary", "research_fact", "artifact")
-    assert EMOTION_LABELS == ("surprise", "anger", "sadness", "joy", "fear", "neutral", "disgust")
 
 
 def test_add_new_record():
@@ -224,27 +219,6 @@ def test_vector_search_skips_retired_records():
     assert merged.record_id in ids
 
 
-def test_temporal_query_window_and_closest():
-    state = MemoryState()
-    ids = []
-    for i in range(5):
-        ids.append(state.add_knowledge("entity_fact", words(f"t{i}x", 4), no_arbiter).record_id)
-    at = EPOCH + timedelta(seconds=2)
-    result = state.temporal_query(at, timedelta(seconds=2))
-    assert [r.id for r in result.in_window] == ids[1:4]
-    assert result.closest.id == ids[2]
-    # equidistant candidates resolve to the earlier record
-    tie = state.temporal_query(EPOCH + timedelta(seconds=1.5), timedelta(seconds=0))
-    assert tie.in_window == ()
-    assert tie.closest.id == ids[1]
-
-
-def test_temporal_query_empty_state():
-    result = MemoryState().temporal_query(EPOCH, timedelta(seconds=10))
-    assert result.in_window == ()
-    assert result.closest is None
-
-
 def test_coverage_check_levels():
     state = MemoryState()
     r1 = state.add_knowledge("entity_fact", "solar panel permit rules", no_arbiter)
@@ -312,64 +286,21 @@ def test_detect_gaps_merged_research_is_not_weak():
     assert state.detect_gaps(EPOCH + timedelta(seconds=1), timedelta(hours=1)) == []
 
 
-def test_apply_turn_update():
-    state = MemoryState()
-    update = TurnUpdate(
-        profile_updates={"employer": "Innovatech", "age": "23"},
-        updated_summary="user asked about retirement plans",
-        key_info=("match is four percent", "vesting takes three years"),
-        user_sentiment=Emotion("joy", 0.6),
-        extracted_facts=(ExtractedFact("plan", "benefit", "match", "employer offers it"),),
-    )
-    state.apply_turn_update(update, no_arbiter)
-    assert state.profile == {"employer": "Innovatech", "age": "23"}
-    assert state.rolling_summary == "user asked about retirement plans"
-    actives = state.active_records()
-    contents = {r.content for r in actives}
-    assert "user asked about retirement plans" in contents
-    assert "match is four percent" in contents
-    assert "plan | benefit | match | employer offers it" in contents
-    summary = next(r for r in actives if r.kind == "conversation_summary")
-    assert summary.emotion == Emotion("joy", 0.6)
-    facts = [r for r in actives if r.kind == "entity_fact"]
-    assert len(facts) == 3
-
-
-def test_apply_turn_update_sentiment_needs_summary():
-    state = MemoryState()
-    state.apply_turn_update(TurnUpdate(user_sentiment=Emotion("fear", 0.2)), no_arbiter)
-    assert state.active_records() == []
-    assert state.rolling_summary == ""
-
-
-def test_emotion_validation():
-    with pytest.raises(ValueError):
-        Emotion("confused", 0.5)
-    with pytest.raises(ValueError):
-        Emotion("joy", 1.5)
-    assert Emotion("joy", 1.0).intensity == 1.0
-    assert Emotion("neutral", -1.0).intensity == -1.0
-
-
 def test_snapshot_round_trip(tmp_path):
     a, b = _near_pair()
     state = MemoryState()
     state.add_knowledge("research_fact", a, no_arbiter)
     state.add_knowledge("research_fact", b, merge_arbiter)
-    state.apply_turn_update(
-        TurnUpdate(
-            profile_updates={"name": "Sam"},
-            updated_summary="setup conversation so far",
-            user_sentiment=Emotion("surprise", -0.3),
-        ),
-        no_arbiter,
-    )
+    state.add_knowledge("conversation_summary", "setup conversation so far", no_arbiter)
+    state.profile["name"] = "Sam"
+    state.rolling_summary = "setup conversation so far"
     path = tmp_path / "mem.json"
     state.save(str(path))
     loaded = MemoryState.load(str(path))
     assert loaded.to_snapshot() == state.to_snapshot()
     assert loaded.hash_index == state.hash_index
     assert loaded.profile == state.profile
+    assert loaded.rolling_summary == state.rolling_summary
     # id allocation continues past the restored records
     fresh = loaded.add_knowledge("entity_fact", words("new", 4), no_arbiter)
     assert fresh.record_id not in state.records
@@ -377,7 +308,7 @@ def test_snapshot_round_trip(tmp_path):
 
 def test_snapshot_stores_embeddings_as_sparse_buckets(tmp_path):
     # A snapshot keeps each embedding's nonzero buckets, ascending, with
-    # their exact values; loading scatters them back bit for bit.
+    # their token counts as integers; loading scatters them back bit for bit.
     a, b = _near_pair()
     state = MemoryState()
     for i in range(3):
@@ -397,13 +328,16 @@ def test_snapshot_stores_embeddings_as_sparse_buckets(tmp_path):
     for memory in (state, loaded):
         for rd in memory.to_snapshot()["records"]:
             vec = memory.records[rd["id"]].embedding
-            buckets, values = rd["embedding"]["buckets"], rd["embedding"]["values"]
+            assert rd["embedding"].keys() == {"buckets", "counts"}
+            buckets, counts = rd["embedding"]["buckets"], rd["embedding"]["counts"]
             assert buckets == sorted(set(buckets))
-            assert all(type(x) is int for x in buckets) and all(type(x) is float for x in values)
+            assert all(type(x) is int for x in buckets + counts) and all(x > 0 for x in counts)
             assert np.array_equal(np.flatnonzero(vec), buckets)
-            assert vec[buckets].tobytes() == np.array(values).tobytes()
-    (empty,) = [rd for rd in json.loads(path.read_text())["records"] if rd["content"] == "!!!"]
-    assert empty["embedding"] == {"buckets": [], "values": []}
+            assert vec[buckets].tobytes() == np.array(counts, dtype=np.float64).tobytes()
+    stored = json.loads(path.read_text())["records"]
+    (empty,) = [rd for rd in stored if rd["content"] == "!!!"]
+    assert empty["embedding"] == {"buckets": [], "counts": []}
+    assert not any("emotion" in rd for rd in stored)
 
     for before, after in ((state, loaded), (loaded, reloaded)):
         assert before.records.keys() <= after.records.keys()
@@ -495,9 +429,7 @@ def test_identical_operation_sequences_are_deterministic():
         state.add_knowledge("entity_fact", words("d", 20), skip_arbiter)
         state.add_knowledge("entity_fact", words("d", 19, "x9"), merge_arbiter)
         state.add_knowledge("research_fact", words("e", 12), skip_arbiter)
-        state.apply_turn_update(
-            TurnUpdate(profile_updates={"k": "v"}, updated_summary="sum text"), skip_arbiter
-        )
+        state.add_knowledge("conversation_summary", "sum text", skip_arbiter)
         return state.to_snapshot()
 
     assert build() == build()

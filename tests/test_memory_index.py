@@ -13,10 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from foresight.embedding import cosine, embed
+from foresight.embedding import DEFAULT_DIM, _bucket, cosine, embed
 from foresight.memory import (
     MEMORY_KINDS,
-    PREFILTER_MIN_ROWS,
+    SMALL_INDEX_ROWS,
     ArbiterVerdict,
     CoverageReport,
     GapCandidate,
@@ -163,7 +163,7 @@ def draw_arbiter(data, state):
     data=st.data(),
     near_dup=st.sampled_from((0.5, 0.88)),
     coverage=st.sampled_from((0.0, 0.5, 0.8)),
-    steps=st.integers(1, 3 * PREFILTER_MIN_ROWS + 6),
+    steps=st.integers(1, 3 * SMALL_INDEX_ROWS + 6),
 )
 def test_reads_match_brute_force_over_random_add_sequences(data, near_dup, coverage, steps):
     kwargs = {"near_dup_threshold": near_dup, "coverage_threshold": coverage}
@@ -189,7 +189,7 @@ def test_reads_match_brute_force_over_random_add_sequences(data, near_dup, cover
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data(), near_dup=st.sampled_from((0.5, 0.88)), steps=st.integers(0, 2 * PREFILTER_MIN_ROWS + 4))
+@given(data=st.data(), near_dup=st.sampled_from((0.5, 0.88)), steps=st.integers(0, 2 * SMALL_INDEX_ROWS + 4))
 def test_snapshot_round_trip_restores_embeddings_bit_for_bit(data, near_dup, steps):
     state = MemoryState(near_dup_threshold=near_dup)
     for _ in range(steps):
@@ -223,24 +223,26 @@ def test_reads_match_brute_force_on_a_large_loaded_memory():
     queries = [" ".join(rng.sample(words, rng.randint(1, 6))) for _ in range(20)] + ["!!!"]
     topics = [(" ".join(rng.sample(words, 3)), 0.9) for _ in range(10)]
     for memory in (state, loaded):
-        assert len(memory.active_records()) > PREFILTER_MIN_ROWS
+        assert len(memory.active_records()) > SMALL_INDEX_ROWS
         assert_reads_match(memory, queries, topics)
 
 
-def test_k_cut_keeps_a_record_the_prefilter_ranks_one_ulp_low():
-    # Against this query the first record's cosine exceeds the second's by
-    # one ulp, while the index's summation order ranks them the other way
-    # round; only the rescoring margin keeps the first in the top 1.
-    first, second = "t13 t13 t8 t6 t4", "t10 t1 t13 t10 t5"
-    query = "t9 t4 t5"
-    qvec = embed(query)
-    assert cosine(qvec, embed(first)) > cosine(qvec, embed(second))
-    state = MemoryState()
-    for content in (first, second, "x1", "x2", "x3"):
-        state.add_knowledge("entity_fact", content, lambda content, record: ArbiterVerdict("skip"))
-    assert len(state.active_records()) > PREFILTER_MIN_ROWS
-    assert_search_matches(state, query, 1, 0.0)
-    assert state.vector_search(query, k=1)[0][0].content == first
+def test_four_of_five_shared_tokens_score_exactly_four_fifths():
+    # Six tokens in six distinct buckets; the texts share four of them, so
+    # their cosine is exactly 4/5 and meets a 0.80 coverage threshold.
+    record, query = "solar panel permit rules county", "solar panel permit rules fees"
+    assert len({_bucket(token, DEFAULT_DIM) for token in set((record + " " + query).split())}) == 6
+    assert cosine(embed(record), embed(query)) == 0.8
+    fillers = [f"filler{i} x{i}" for i in range(SMALL_INDEX_ROWS + 1)]
+    for extra in ([], fillers):  # scalar path, then built index arrays
+        state = MemoryState(coverage_threshold=0.80)
+        for content in [record] + extra:
+            state.add_knowledge("entity_fact", content, lambda content, record: ArbiterVerdict("skip"))
+        assert (state._index._rows is not None) == bool(extra)
+        report = state.coverage_check(query)
+        assert report.level == "high" and report.supporting_record_ids == ("m000001",)
+        assert [(r.id, s) for r, s in state.vector_search(query, k=1)] == [("m000001", 0.8)]
+        assert_search_matches(state, query, len(extra) + 1, 0.8)
 
 
 # -- bulk restore --------------------------------------------------------------
@@ -248,14 +250,14 @@ def test_k_cut_keeps_a_record_the_prefilter_ranks_one_ulp_low():
 
 def index_arrays(index):
     size = index._size
-    return index._rows[:size], index._buckets[:size], index._values[:size]
+    return index._rows[:size], index._buckets[:size], index._counts[:size], index._sq[: len(index)]
 
 
 def assert_restored_like_build(loaded):
     """``from_snapshot`` fills the index as ``_build`` would; every embedding is ``embed(content)``."""
     actives = [r.id for r in loaded.records.values() if r.status == "active"]
     assert loaded._index._keys == actives
-    if len(actives) <= PREFILTER_MIN_ROWS:
+    if len(actives) <= SMALL_INDEX_ROWS:
         assert loaded._index._rows is None
     else:
         built = SimilarityIndex(loaded.records, lambda record: record.embedding, actives)
@@ -272,7 +274,7 @@ def assert_embeddings_intact(state):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data(), near_dup=st.sampled_from((0.5, 0.88)), steps=st.integers(0, 3 * PREFILTER_MIN_ROWS + 8))
+@given(data=st.data(), near_dup=st.sampled_from((0.5, 0.88)), steps=st.integers(0, 3 * SMALL_INDEX_ROWS + 8))
 def test_bulk_restore_fills_the_index_as_build_does(data, near_dup, steps):
     state = MemoryState(near_dup_threshold=near_dup)
     for _ in range(steps):
@@ -304,7 +306,7 @@ def test_bulk_restore_with_retired_records_between_active_ones():
     ids = sorted(state.records)
     retired = [rid for rid in ids if state.records[rid].status != "active"]
     actives = [rid for rid in ids if state.records[rid].status == "active"]
-    assert len(actives) > PREFILTER_MIN_ROWS
+    assert len(actives) > SMALL_INDEX_ROWS
     assert retired and retired[0] < actives[-1] and actives[0] < retired[-1]
     loaded = MemoryState.from_snapshot(json.loads(json.dumps(state.to_snapshot())), clock=state.clock)
     assert_restored_like_build(loaded)
@@ -336,10 +338,10 @@ def snapshot_of(contents_and_statuses):
         ([], False),
         ([(f"r{i} x", "merged") for i in range(8)], False),
         ([("!!!", "active")] * 8, True),
-        ([(f"r{i} x", "active") for i in range(PREFILTER_MIN_ROWS)], False),
-        ([(f"r{i} x", "active") for i in range(PREFILTER_MIN_ROWS)] + [("gone", "merged")] * 3, False),
-        ([(f"r{i} x", "active") for i in range(PREFILTER_MIN_ROWS + 1)], True),
-        ([("!!!", "active"), ("r1 x", "merged")] * (PREFILTER_MIN_ROWS + 1), True),
+        ([(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS)], False),
+        ([(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS)] + [("gone", "merged")] * 3, False),
+        ([(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS + 1)], True),
+        ([("!!!", "active"), ("r1 x", "merged")] * (SMALL_INDEX_ROWS + 1), True),
     ],
 )
 def test_bulk_restore_edge_snapshots(entries, built):

@@ -28,6 +28,13 @@ def cand(topic, conf, source="scenario", need=None):
 HISTORY = [{"turn": 1, "user": "hello", "assistant": "hi"}]
 
 
+def pop_all(queue):
+    out = []
+    while len(queue):
+        out.append(queue.pop())
+    return out
+
+
 def test_candidate_validation():
     with pytest.raises(ValueError):
         cand("t", 1.2)
@@ -145,7 +152,7 @@ def test_queue_pop_order():
         cand("a topic", 0.8, source="related", need="second need"),
     ]
     queue.extend(items)
-    drained = queue.drain()
+    drained = pop_all(queue)
     assert [(c.topic, c.source, c.need) for c in drained] == [
         ("z topic", "related", "answer about z topic"),
         ("a topic", "scenario", "answer about a topic"),
@@ -170,7 +177,7 @@ def test_queue_matches_sort_oracle():
     ]
     queue = CandidateQueue()
     queue.extend(items)
-    got = queue.drain()
+    got = pop_all(queue)
     rank = {"scenario": 0, "related": 1, "memory_gap": 2}
     expected = sorted(items, key=lambda c: (-c.confidence, rank[c.source], c.topic, c.need))
     assert got == expected
@@ -182,7 +189,7 @@ def test_queue_interleaved_push_pop():
     queue.push(cand("n topic", 0.9))
     assert queue.pop().topic == "n topic"
     queue.push(cand("o topic", 0.7))
-    assert [c.topic for c in queue.drain()] == ["o topic", "m topic"]
+    assert [c.topic for c in pop_all(queue)] == ["o topic", "m topic"]
 
 
 def test_scenario_candidates_outrank_memory_gaps():

@@ -159,7 +159,7 @@ def test_stratify_levels(finance_scenario, sweep_scenario):
 
 def test_runtime_view_hides_gold_labels(finance_scenario):
     view = runtime_view(finance_scenario)
-    payload = view.to_json()
+    payload = json.dumps(view.to_dict(), ensure_ascii=False)
     assert "key_fact_ids" not in payload
     assert "predictable_after" not in payload
     assert "reveal_group" not in payload
