@@ -1,8 +1,13 @@
 """Command-line surface: validate, stats, run, sweep, ci, report.
 
 Exit codes: 0 success, 1 validation or metric failure, 2 I/O or
-configuration error. JSON outputs use UTF-8 with sorted keys and are
-written via temp-file-then-rename so readers never see partial files.
+configuration error. JSON outputs use UTF-8 with sorted keys. Whole-file
+outputs (``detailed_results.json``, ``summary.json``, ``sweep.json``,
+``ci.json``) are written via temp-file-then-rename so readers never see
+partial files. ``run`` also appends each finished unit to two JSON Lines
+files as it goes, its memory to ``memory.jsonl`` and then its row to the
+journal ``detailed_results.jsonl``, so a killed batch resumes where it
+stopped; see ``cmd_run``.
 """
 
 from __future__ import annotations
@@ -12,13 +17,12 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from foresight import backends as backend_mod
 from foresight.config import VALID_BACKENDS, VALID_CONDITIONS, Condition, RunConfig
-from foresight.harness import run_many
+from foresight.harness import RunOutcome, run_many
 from foresight.http_roles import HttpRoleBackends
 from foresight.metrics import (
     ABSOLUTE_DELTA_METRICS,
@@ -71,18 +75,80 @@ def _load_scenarios(paths: Sequence[str]) -> list[tuple[Path, Scenario]]:
     return loaded
 
 
-def _write_json(path: Path, payload: object) -> None:
+def _write_text(path: Path, text: str) -> None:
+    """Replaces ``path`` by ``text`` atomically, with the mode ``open`` gives a new file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(path: Path, payload: object) -> None:
+    _write_text(path, json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
+
+
+# One compact line per row or memory. MemoryState.save writes the same text.
+_encode_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+
+JOURNAL_NAME = "detailed_results.jsonl"
+MEMORY_NAME = "memory.jsonl"
+
+UnitKey = tuple[str, str]  # (scenario_id, condition)
+
+
+def _lines(path: Path) -> list[str]:
+    # Not splitlines: with ensure_ascii=False a line may hold U+2028 or U+0085.
+    return path.read_text(encoding="utf-8").split("\n")
+
+
+def _parse_lines(lines: Iterable[str]) -> dict[UnitKey, tuple[str, dict]]:
+    """The JSON lines by unit; a torn (unparsable) line is skipped, the last line of a unit wins."""
+    by_key: dict[UnitKey, tuple[str, dict]] = {}
+    for line in lines:
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        by_key[(doc["scenario_id"], doc["condition"])] = (line, doc)
+    return by_key
+
+
+def _resume(out_dir: Path, wanted: set[UnitKey]) -> tuple[dict[UnitKey, str], dict[UnitKey, str]]:
+    """Row and memory lines of the wanted units an earlier run completed.
+
+    Rows come from the journal when a killed run left one, else from the
+    roll-up. Rows are re-encoded canonically; failed rows are dropped, so
+    their units rerun. Memory lines are kept only for the kept rows.
+    """
+    journal = out_dir / JOURNAL_NAME
+    detailed = out_dir / "detailed_results.json"
+    if journal.exists():
+        docs = [doc for _, doc in _parse_lines(_lines(journal)).values()]
+    elif detailed.exists():
+        docs = json.loads(detailed.read_text(encoding="utf-8"))
+    else:
+        return {}, {}
+    rows: dict[UnitKey, str] = {}
+    for doc in docs:
+        key = (doc["scenario_id"], doc["condition"])
+        if key in wanted and doc["status"] != "failed":
+            rows[key] = _encode_line(doc)
+    memory_path = out_dir / MEMORY_NAME
+    memories: dict[UnitKey, str] = {}
+    if memory_path.exists():
+        parsed = _parse_lines(_lines(memory_path))
+        memories = {key: line for key, (line, _) in parsed.items() if key in rows}
+    return rows, memories
+
+
+def _join_lines(lines: Iterable[str]) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -216,45 +282,74 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _make_run_config(args)
     out_dir = Path(args.out)
     detailed_path = out_dir / "detailed_results.json"
+    journal_path = out_dir / JOURNAL_NAME
+    memory_path = out_dir / MEMORY_NAME
 
-    # Resume support: completed units are kept verbatim, failures rerun.
-    kept_rows: list[dict] = []
-    skip: set[tuple[str, str]] = set()
+    # Resume: completed units are kept, failures rerun. The journal and
+    # memory.jsonl restart from the kept lines, in unit order.
     wanted = {(s.scenario_id, c) for _, s in loaded for c in cfg.conditions}
-    if detailed_path.exists():
-        for row in json.loads(detailed_path.read_text(encoding="utf-8")):
-            key = (row["scenario_id"], row["condition"])
-            if key in wanted and row["status"] != "failed":
-                kept_rows.append(row)
-                skip.add(key)
+    kept_rows, kept_memories = _resume(out_dir, wanted)
+    _write_text(journal_path, _join_lines(kept_rows[key] for key in sorted(kept_rows)))
+    _write_text(memory_path, _join_lines(kept_memories[key] for key in sorted(kept_memories)))
 
     scenarios = [s for _, s in loaded]
-    conditions = [Condition(c) for c in cfg.conditions]
-    outcomes = run_many(scenarios, conditions, cfg, _backends_factory(cfg), skip=skip)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    memory_dir = out_dir / "memory"
-    for outcome in outcomes:
-        if outcome.memory is not None:
-            memory_dir.mkdir(parents=True, exist_ok=True)
-            outcome.memory.save(
-                str(memory_dir / f"{outcome.result.scenario_id}__{outcome.result.condition}.json")
-            )
-
-    rows = kept_rows + [o.to_dict() for o in outcomes]
-    rows.sort(key=lambda r: (r["scenario_id"], r["condition"]))
-    _write_json(detailed_path, rows)
-
     facet_by_id = {s.scenario_id: _facets(s) for s in scenarios}
     agg_rows = [
         AggregateRow(
-            scenario_id=row["scenario_id"],
-            condition=row["condition"],
-            metrics=MetricSet.from_dict(row["metrics"]),
-            **facet_by_id[row["scenario_id"]],
+            scenario_id=key[0],
+            condition=key[1],
+            metrics=MetricSet.from_dict(json.loads(line)["metrics"]),
+            **facet_by_id[key[0]],
         )
-        for row in rows
+        for key, line in kept_rows.items()
     ]
+    row_lines = dict(kept_rows)
+    failed: list[tuple[UnitKey, Optional[str]]] = []
+
+    def record(outcome: RunOutcome) -> None:
+        # The memory line goes first: the row line commits the unit.
+        result = outcome.result
+        key = (result.scenario_id, result.condition)
+        if outcome.memory is not None:
+            memory_fh.write(
+                _encode_line(
+                    {
+                        "condition": result.condition,
+                        "memory": outcome.memory.to_snapshot(),
+                        "scenario_id": result.scenario_id,
+                    }
+                )
+                + "\n"
+            )
+            memory_fh.flush()
+        line = _encode_line(outcome.to_dict())
+        journal_fh.write(line + "\n")
+        journal_fh.flush()
+        row_lines[key] = line
+        agg_rows.append(
+            AggregateRow(
+                scenario_id=key[0], condition=key[1], metrics=outcome.metrics, **facet_by_id[key[0]]
+            )
+        )
+        if result.status == "failed":
+            failed.append((key, result.error))
+
+    conditions = [Condition(c) for c in cfg.conditions]
+    with open(journal_path, "a", encoding="utf-8") as journal_fh, open(
+        memory_path, "a", encoding="utf-8"
+    ) as memory_fh:
+        run_many(
+            scenarios, conditions, cfg, _backends_factory(cfg), skip=set(kept_rows), on_outcome=record
+        )
+
+    _write_text(detailed_path, "[\n" + ",\n".join(row_lines[key] for key in sorted(row_lines)) + "\n]\n")
+    if kept_memories:
+        # Kept and rerun units interleave; restore unit order.
+        memories = _parse_lines(_lines(memory_path))
+        _write_text(memory_path, _join_lines(memories[key][0] for key in sorted(memories)))
+    journal_path.unlink()
+
+    agg_rows.sort(key=lambda row: (row.scenario_id, row.condition))
     try:
         summary = aggregate(agg_rows)
     except PairingError as exc:
@@ -270,10 +365,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     _write_json(out_dir / "summary.json", summary)
 
-    failed = [r for r in rows if r["status"] == "failed"]
-    for row in failed:
-        print(f"FAILED {row['scenario_id']}/{row['condition']}: {row.get('error')}", file=sys.stderr)
-    print(f"wrote {detailed_path} ({len(rows)} rows, {len(skip)} resumed) and {out_dir / 'summary.json'}")
+    for (scenario_id, condition), error in failed:
+        print(f"FAILED {scenario_id}/{condition}: {error}", file=sys.stderr)
+    print(
+        f"wrote {detailed_path} ({len(row_lines)} rows, {len(kept_rows)} resumed) "
+        f"and {out_dir / 'summary.json'}"
+    )
     return EXIT_FAIL if failed else EXIT_OK
 
 
@@ -297,15 +394,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table_rows = []
     for k in args.budgets:
         cfg = _make_run_config(args, budget_k=k)
-        outcomes = run_many(scenarios, conditions, cfg, _backends_factory(cfg))
-        by_condition: dict[str, list] = {}
-        for outcome in outcomes:
-            by_condition.setdefault(outcome.result.condition, []).append(outcome)
-        for condition in sorted(by_condition):
-            group = by_condition[condition]
-            row = {"budget_k": k, "condition": condition, "n": len(group)}
-            for name in SWEEP_ENDPOINTS:
-                row[name] = float(sum(getattr(o.metrics, name) for o in group) / len(group))
+        # condition -> [unit count, endpoint sums in unit order]
+        sums: dict[str, list] = {}
+
+        def tally(outcome: RunOutcome) -> None:
+            entry = sums.setdefault(outcome.result.condition, [0] * (1 + len(SWEEP_ENDPOINTS)))
+            entry[0] += 1
+            for i, name in enumerate(SWEEP_ENDPOINTS, start=1):
+                entry[i] += getattr(outcome.metrics, name)
+
+        run_many(scenarios, conditions, cfg, _backends_factory(cfg), on_outcome=tally)
+        for condition in sorted(sums):
+            n, *totals = sums[condition]
+            row = {"budget_k": k, "condition": condition, "n": n}
+            for name, total in zip(SWEEP_ENDPOINTS, totals):
+                row[name] = float(total / n)
             table_rows.append(row)
 
     header = f"{'k':>3}  {'condition':<16}" + "".join(f"  {name:>19}" for name in SWEEP_ENDPOINTS)

@@ -230,32 +230,45 @@ def run_many(
     cfg: Optional[RunConfig] = None,
     backends_factory: Optional[BackendsFactory] = None,
     skip: Optional[set] = None,
-) -> list[RunOutcome]:
+    on_outcome: Optional[Callable[[RunOutcome], None]] = None,
+) -> Optional[list[RunOutcome]]:
     """All (scenario, condition) units, optionally in parallel.
 
-    Each unit gets a fresh memory state and backend session. Results come
-    back in deterministic (scenario_id, condition) order regardless of
-    scheduling; failures are recorded per unit and do not stop the batch.
+    Each unit gets a fresh memory state and backend session. Units run in
+    (scenario_id, condition) order; failures are recorded per unit and do
+    not stop the batch. With ``on_outcome``, each outcome is handed to it on
+    the calling thread as soon as it and every unit before it have finished,
+    and nothing is kept: the return value is None. Without it, the outcomes
+    come back as a list in unit order.
     """
     cfg = cfg or RunConfig()
-    units = [
-        (scenario, Condition(condition))
-        for scenario in sorted(scenarios, key=lambda s: s.scenario_id)
-        for condition in conditions
-        if skip is None or (scenario.scenario_id, Condition(condition).value) not in skip
-    ]
+    units = sorted(
+        (
+            (scenario, Condition(condition))
+            for scenario in scenarios
+            for condition in conditions
+            if skip is None or (scenario.scenario_id, Condition(condition).value) not in skip
+        ),
+        key=lambda unit: (unit[0].scenario_id, unit[1].value),
+    )
 
     def _one(unit) -> RunOutcome:
         scenario, condition = unit
         backends = backends_factory(scenario) if backends_factory else None
         return run_scenario(scenario, condition, cfg, backends=backends)
 
+    outcomes: Optional[list[RunOutcome]] = None
+    if on_outcome is None:
+        outcomes = []
+        on_outcome = outcomes.append
     if cfg.parallel > 1 and len(units) > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-            outcomes = list(pool.map(_one, units))
+            # map yields lazily and in submission order.
+            for outcome in pool.map(_one, units):
+                on_outcome(outcome)
     else:
-        outcomes = [_one(unit) for unit in units]
-    outcomes.sort(key=lambda o: (o.result.scenario_id, o.result.condition))
+        for unit in units:
+            on_outcome(_one(unit))
     return outcomes
 
 

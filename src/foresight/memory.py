@@ -313,7 +313,6 @@ class MemoryState:
         self.records: dict[str, MemoryRecord] = {}
         self.hash_index: dict[str, str] = {}  # digest -> record id, active records only
         self.profile: dict[str, str] = {}
-        self.rolling_summary: str = ""
         self._counter = 0
         self._index = SimilarityIndex(self.records, _embedding_of)
         self._topics: Optional[SimilarityIndex] = None  # built on first use
@@ -510,11 +509,13 @@ class MemoryState:
                     "merged_from": list(record.merged_from),
                 }
             )
-        return {"records": records, "profile": dict(self.profile), "rolling_summary": self.rolling_summary}
+        return {"records": records, "profile": dict(self.profile)}
 
     def save(self, path: str) -> None:
+        """Writes the snapshot as one line of compact JSON with sorted keys."""
+        text = json.dumps(self.to_snapshot(), ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_snapshot(), fh, ensure_ascii=False, indent=2)
+            fh.write(text)
 
     @classmethod
     def from_snapshot(cls, snapshot: dict, **kwargs) -> "MemoryState":
@@ -567,7 +568,6 @@ class MemoryState:
             state._index._fill(rows, buckets, counts)
         state._counter = highest
         state.profile = dict(snapshot.get("profile", {}))
-        state.rolling_summary = snapshot.get("rolling_summary", "")
         return state
 
     @classmethod

@@ -9,11 +9,15 @@ configuration error.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from foresight.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
+from foresight.memory import MemoryState
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FINANCE = str(SCENARIO_DIR / "finance_basic_01.json")
@@ -134,11 +138,11 @@ def test_run_writes_results_and_summary(results_dir):
     assert summary["run"]["budget_k"] == 3
     assert summary["run"]["scenario_count"] == 1
 
-    snapshots = sorted(p.name for p in (results_dir / "memory").iterdir())
-    assert snapshots == [
-        "finance_basic_01__directed_idle.json",
-        "finance_basic_01__reactive.json",
-        "finance_basic_01__undirected_idle.json",
+    memories = [json.loads(line) for line in (results_dir / "memory.jsonl").read_text().splitlines()]
+    assert [(m["scenario_id"], m["condition"]) for m in memories] == [
+        ("finance_basic_01", "directed_idle"),
+        ("finance_basic_01", "reactive"),
+        ("finance_basic_01", "undirected_idle"),
     ]
 
 
@@ -167,6 +171,139 @@ def test_run_resume_reruns_only_failed_rows(tmp_path, capsys):
     assert main(["run", "--scenarios", FINANCE, "--out", str(out)]) == EXIT_OK
     assert "2 resumed" in capsys.readouterr().out
     assert detailed.read_bytes() == pristine
+
+
+RUN_OUTPUTS = ("detailed_results.json", "summary.json", "memory.jsonl")
+BATCH = ["run", "--scenarios", FINANCE, SWEEP]  # 6 units
+
+# Runs a batch in a child process whose backends factory exits the process
+# without any clean-up when unit N + 1 starts, as a kill would.
+KILLER = """
+import os, sys
+from foresight import cli
+
+N = int(sys.argv[1])
+real = cli._backends_factory
+started = 0
+
+def dying(cfg):
+    make = real(cfg)
+    def factory(scenario):
+        global started
+        started += 1
+        if started > N:
+            os._exit(9)
+        return make(scenario)
+    return factory
+
+cli._backends_factory = dying
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _killed_run(out: Path, units_done: int) -> None:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-c", KILLER, str(units_done), *BATCH, "--out", str(out)]
+    assert subprocess.run(argv, env=env, capture_output=True, timeout=120).returncode == 9
+
+
+@pytest.fixture(scope="module")
+def batch_dir(tmp_path_factory) -> Path:
+    """The six-unit batch run without interruption."""
+    out = tmp_path_factory.mktemp("batch") / "out"
+    assert main([*BATCH, "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def _assert_same_outputs(out: Path, reference: Path) -> None:
+    for name in RUN_OUTPUTS:
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+    assert not (out / "detailed_results.jsonl").exists()
+
+
+def test_run_streams_lines_and_removes_journal(batch_dir):
+    rows = json.loads((batch_dir / "detailed_results.json").read_text(encoding="utf-8"))
+    lines = (batch_dir / "detailed_results.json").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "[" and lines[-1] == "]" and len(lines) == len(rows) + 2
+    for line, row in zip(lines[1:-1], rows):
+        assert line.rstrip(",") == json.dumps(row, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    assert not (batch_dir / "detailed_results.jsonl").exists()
+    assert not list(batch_dir.glob("*.tmp"))
+
+    # each memory value is exactly the text MemoryState.save writes
+    memory_lines = (batch_dir / "memory.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(memory_lines) == len(rows)
+    for line, row in zip(memory_lines, rows):
+        doc = json.loads(line)
+        assert (doc["scenario_id"], doc["condition"]) == (row["scenario_id"], row["condition"])
+        path = batch_dir.parent / "one_memory.json"
+        MemoryState.from_snapshot(doc["memory"]).save(str(path))
+        saved = path.read_text(encoding="utf-8")
+        assert line == f'{{"condition":"{doc["condition"]}","memory":{saved},"scenario_id":"{doc["scenario_id"]}"}}'
+
+
+def test_run_killed_batch_resumes_to_same_outputs(batch_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    _killed_run(out, units_done=4)
+    assert not (out / "detailed_results.json").exists()
+    assert len((out / "detailed_results.jsonl").read_text(encoding="utf-8").splitlines()) == 4
+    assert len((out / "memory.jsonl").read_text(encoding="utf-8").splitlines()) == 4
+
+    assert main([*BATCH, "--out", str(out)]) == EXIT_OK
+    assert "4 resumed" in capsys.readouterr().out
+    _assert_same_outputs(out, batch_dir)
+
+
+def test_run_resume_skips_torn_lines(batch_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    _killed_run(out, units_done=3)
+    journal = out / "detailed_results.jsonl"
+    first, second, third = journal.read_text(encoding="utf-8").splitlines()
+    # The first unit failed, so it reruns among the later units; the third
+    # row and a memory line after it were cut short by the kill.
+    first = json.dumps(dict(json.loads(first), status="failed", error="RuntimeError: injected"))
+    journal.write_text(f"{first}\n{second}\n{third[:-40]}", encoding="utf-8")
+    with open(out / "memory.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"condition":"reactive","memory":{"pro')
+
+    assert main([*BATCH, "--out", str(out)]) == EXIT_OK
+    assert "1 resumed" in capsys.readouterr().out
+    _assert_same_outputs(out, batch_dir)
+
+
+def test_run_resume_keeps_lines_with_unicode_line_separators(tmp_path):
+    # Compact lines keep U+2028 and U+0085 unescaped; they must not split a line.
+    doc = json.loads(Path(FINANCE).read_text(encoding="utf-8"))
+    for fact in doc["facts"]:
+        fact["content"] += " \u2028\x85"
+    scenario = tmp_path / "finance.json"
+    scenario.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--scenarios", str(scenario), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert "\u2028" in (out / "memory.jsonl").read_text(encoding="utf-8")
+    pristine = {name: (out / name).read_bytes() for name in RUN_OUTPUTS}
+
+    detailed = out / "detailed_results.json"
+    rows = json.loads(detailed.read_text(encoding="utf-8"))
+    rows[0]["status"] = "failed"
+    detailed.write_text(json.dumps(rows), encoding="utf-8")
+    assert main(argv) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in RUN_OUTPUTS} == pristine
+
+
+def test_run_parallel_writes_same_bytes(batch_dir, tmp_path):
+    out = tmp_path / "out"
+    assert main([*BATCH, "--out", str(out), "--parallel", "2"]) == EXIT_OK
+    _assert_same_outputs(out, batch_dir)
+
+
+def test_run_outputs_get_default_file_mode(batch_dir):
+    plain = batch_dir.parent / "plain.txt"
+    with open(plain, "w", encoding="utf-8") as fh:
+        fh.write("x")
+    for name in RUN_OUTPUTS:
+        assert (batch_dir / name).stat().st_mode == plain.stat().st_mode, name
 
 
 def test_run_reactive_only(tmp_path):

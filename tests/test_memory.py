@@ -293,14 +293,17 @@ def test_snapshot_round_trip(tmp_path):
     state.add_knowledge("research_fact", b, merge_arbiter)
     state.add_knowledge("conversation_summary", "setup conversation so far", no_arbiter)
     state.profile["name"] = "Sam"
-    state.rolling_summary = "setup conversation so far"
     path = tmp_path / "mem.json"
     state.save(str(path))
+    # save writes exactly the compact, sorted-key encoding of the snapshot
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        state.to_snapshot(), ensure_ascii=False, sort_keys=True, separators=(",", ":")
+    )
+    assert state.to_snapshot().keys() == {"records", "profile"}
     loaded = MemoryState.load(str(path))
     assert loaded.to_snapshot() == state.to_snapshot()
     assert loaded.hash_index == state.hash_index
     assert loaded.profile == state.profile
-    assert loaded.rolling_summary == state.rolling_summary
     # id allocation continues past the restored records
     fresh = loaded.add_knowledge("entity_fact", words("new", 4), no_arbiter)
     assert fresh.record_id not in state.records

@@ -329,7 +329,7 @@ def snapshot_of(contents_and_statuses):
         (rd,) = state.to_snapshot()["records"]
         rd.update(id=f"m{i:06d}", status=status)
         records.append(rd)
-    return {"records": records, "profile": {}, "rolling_summary": ""}
+    return {"records": records, "profile": {}}
 
 
 @pytest.mark.parametrize(
