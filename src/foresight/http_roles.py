@@ -176,7 +176,6 @@ class HttpRoleBackends:
             )
             for topic, need, reason in undirected_intent_pool(self.scenario.domain)[:UNDIRECTED_INTENT_LIMIT]
         ]
-        self.ledger.record(Role.PREDICTOR, 0, 0)
         return out
 
     def assess_value(self, candidate: CandidateNeed) -> ValueScores:

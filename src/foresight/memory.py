@@ -71,7 +71,7 @@ def content_hash(content: str) -> str:
     return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryRecord:
     id: str
     kind: str
@@ -529,44 +529,49 @@ class MemoryState:
         counts = np.fromiter(chain.from_iterable(e["counts"] for e in sparse), dtype=np.float64, count=total)
         rows = np.repeat(np.arange(n), lengths)
         # One row per record. Read-only, so nothing writes through one
-        # record's embedding into another's; a replaced record gets a
-        # fresh array from ``embed``.
+        # record's embedding into another's; a replaced record gets the
+        # shared vector from ``embed``.
         matrix = np.zeros((n, DEFAULT_DIM))
         matrix[rows, buckets] = counts
         matrix.flags.writeable = False
-        active = np.zeros(n, dtype=bool)
-        highest = 0
+        records, hash_index = state.records, state.hash_index
+        mask: list[bool] = []
         actives: list[str] = []
-        for i, rd in enumerate(stored):
-            record = MemoryRecord(
-                id=rd["id"],
-                kind=rd["kind"],
-                content=rd["content"],
-                content_hash=rd["content_hash"],
-                embedding=matrix[i],
-                created_at=datetime.fromisoformat(rd["created_at"]),
-                updated_at=datetime.fromisoformat(rd["updated_at"]),
-                status=rd["status"],
-                merged_into=rd.get("merged_into"),
-                merged_from=tuple(rd.get("merged_from", ())),
+        for rd, row in zip(stored, matrix):
+            created = rd["created_at"]
+            updated = rd["updated_at"]
+            created_at = datetime.fromisoformat(created)
+            # Datetimes are immutable, so an unchanged record shares one.
+            updated_at = created_at if updated == created else datetime.fromisoformat(updated)
+            rid, digest, status = rd["id"], rd["content_hash"], rd["status"]
+            records[rid] = MemoryRecord(
+                rid,
+                rd["kind"],
+                rd["content"],
+                digest,
+                row,
+                created_at,
+                updated_at,
+                status,
+                rd.get("merged_into"),
+                tuple(rd.get("merged_from", ())),
             )
-            state.records[record.id] = record
-            if record.status == "active":
-                state.hash_index[record.content_hash] = record.id
-                actives.append(record.id)
-                active[i] = True
-            digits = record.id.lstrip("m")
-            if digits.isdigit():
-                highest = max(highest, int(digits))
+            is_active = status == "active"
+            mask.append(is_active)
+            if is_active:
+                hash_index[digest] = rid
+                actives.append(rid)
         state._index = SimilarityIndex(state.records, _embedding_of, actives)
         if len(actives) > SMALL_INDEX_ROWS:
             if len(actives) < n:
                 # Drop retired rows' entries and renumber the rest.
+                active = np.array(mask)
                 keep = active[rows]
                 rows = (np.cumsum(active) - 1)[rows[keep]]
                 buckets, counts = buckets[keep], counts[keep]
             state._index._fill(rows, buckets, counts)
-        state._counter = highest
+        digits = (rid.lstrip("m") for rid in records)
+        state._counter = max((int(d) for d in digits if d.isdigit()), default=0)
         state.profile = dict(snapshot.get("profile", {}))
         return state
 

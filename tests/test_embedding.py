@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from foresight.embedding import DEFAULT_DIM, _bucket, cosine, embed, tokenize
-from foresight.memory import SMALL_INDEX_ROWS, SimilarityIndex
+from foresight.embedding import DEFAULT_DIM, EMBED_MEMO_SIZE, _bucket, cosine, embed, tokenize
+from foresight.memory import SMALL_INDEX_ROWS, MemoryState, SimilarityIndex
+from foresight.prediction import CandidateNeed, filter_candidates
 
 
 def test_tokenize_lowercases_and_splits_on_nonalnum():
@@ -134,3 +135,61 @@ def test_index_scores_are_the_exact_integer_score(texts, queries, data):
     for key in data.draw(st.lists(st.sampled_from(keys), unique=True), label="removed"):
         index.remove(key)
     check()
+
+
+# ``embed`` is memoised: these check that the memo changes no bit and hands
+# out vectors nobody can write into.
+
+
+def loop_embed(text):
+    """``embed`` without the memo: a fresh count vector per call."""
+    vec = np.zeros(DEFAULT_DIM, dtype=np.float64)
+    for token in tokenize(text):
+        vec[_bucket(token, DEFAULT_DIM)] += 1.0
+    return vec
+
+
+@given(text=TEXTS)
+def test_memoised_embed_is_the_uncached_loop(text):
+    want = loop_embed(text).tobytes()
+    embed.cache_clear()
+    first = embed(text)
+    assert first.tobytes() == want
+    assert embed(text) is first
+    # Every other text is distinct from ``text``: TOKENS has no "evict".
+    for i in range(EMBED_MEMO_SIZE + 1):
+        embed(f"evict {i}")
+    misses = embed.cache_info().misses
+    again = embed(text)
+    assert embed.cache_info().misses == misses + 1
+    assert again.tobytes() == want
+
+
+def test_embed_vectors_are_read_only():
+    vec = embed("alpha beta gamma")
+    with pytest.raises(ValueError):
+        vec[0] = 1.0
+    with pytest.raises(ValueError):
+        vec += 1.0
+    assert vec.tobytes() == loop_embed("alpha beta gamma").tobytes()
+
+
+def _reject(content, record):
+    raise AssertionError("arbiter must not be consulted")
+
+
+@pytest.mark.parametrize("artifacts", range(1, SMALL_INDEX_ROWS + 1))
+def test_repeated_filter_embeds_no_new_text(artifacts):
+    # Up to SMALL_INDEX_ROWS artifacts the topics index scores every row
+    # from ``embed(artifact_topic(record))`` on each search.
+    memory = MemoryState()
+    for i in range(artifacts):
+        memory.add_knowledge("artifact", f"topic{i} alpha{i} beta{i}\nbody {i}", _reject)
+    raw = [
+        CandidateNeed(topic=topic, need="n", reason="r", confidence=0.9, retrieval_query=topic)
+        for topic in ("topic0 alpha0 beta0", "gamma delta", "gamma delta epsilon", "zeta eta")
+    ]
+    first = filter_candidates(raw, memory)
+    misses = embed.cache_info().misses
+    assert filter_candidates(raw, memory) == first
+    assert embed.cache_info().misses == misses

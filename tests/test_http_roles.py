@@ -2,10 +2,12 @@
 in-process scripted transport standing in for the model server."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import SCENARIO_DIR, make_scenario
+from foresight.backends import Role
 from foresight.config import RunConfig
 from foresight.harness import Condition, run_scenario
 from foresight.scenarios import parse_scenario
@@ -39,6 +41,16 @@ def test_http_over_scripted_transport_matches_the_oracle(condition, budget_k):
         assert http.result.status == oracle.result.status == "completed", scenario.scenario_id
         assert _metrics(http) == _metrics(oracle), scenario.scenario_id
         assert _turns(http) == _turns(oracle), scenario.scenario_id
+
+
+@pytest.mark.parametrize("condition", [c.value for c in Condition])
+def test_ledger_counts_every_prompt_sent_and_nothing_else(finance_scenario, condition):
+    backends, transport = scripted_backends(finance_scenario)
+    outcome = run_scenario(finance_scenario, condition, backends=backends)
+    assert outcome.result.status == "completed"
+    sent = Counter(transport.roles())  # the assistant is not a ledger role
+    calls = {role: tokens["calls"] for role, tokens in outcome.result.role_tokens.items()}
+    assert calls == {role.value: sent[role.value] for role in Role}
 
 
 def test_seed_reaches_every_role_including_the_assistant(finance_scenario):

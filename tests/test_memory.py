@@ -13,6 +13,7 @@ from foresight.memory import (
     ArbiterVerdict,
     LogicalClock,
     MemoryState,
+    _sparse,
     content_hash,
 )
 
@@ -348,6 +349,50 @@ def test_snapshot_stores_embeddings_as_sparse_buckets(tmp_path):
             restored = after.records[rid].embedding
             assert restored.dtype == np.float64 and restored.shape == (DEFAULT_DIM,)
             assert restored.tobytes() == record.embedding.tobytes() == embed(record.content).tobytes()
+
+
+def test_snapshot_round_trip_restores_every_field():
+    state = MemoryState()
+    for i in range(6):
+        state.add_knowledge("entity_fact", words(f"e{i}x", 6), no_arbiter)
+    state.add_knowledge("research_fact", words("r", 10), no_arbiter)
+    state.add_knowledge("research_fact", words("r", 10, "more"), replace_arbiter)
+    state.add_knowledge("research_fact", words("q", 10), no_arbiter)
+    state.add_knowledge("research_fact", words("q", 10, "extra"), merge_arbiter)
+    state.profile["name"] = "Ada"
+    snapshot = state.to_snapshot()
+    # Ids without the ``m`` prefix are kept as they are and leave the counter alone.
+    snapshot["records"].insert(
+        0,
+        {
+            "id": "legacy999999",
+            "kind": "artifact",
+            "content": "legacy topic\nbody",
+            "content_hash": content_hash("legacy topic\nbody"),
+            "embedding": _sparse(embed("legacy topic\nbody")),
+            "created_at": (EPOCH + timedelta(days=2)).isoformat(),
+            "updated_at": (EPOCH + timedelta(days=3)).isoformat(),
+            "status": "active",
+            "merged_into": None,
+            "merged_from": [],
+        },
+    )
+    records = state.records
+    assert any(r.updated_at != r.created_at and r.status == "active" for r in records.values())
+    assert any(r.merged_from for r in records.values()) and any(r.merged_into for r in records.values())
+
+    restored = MemoryState.from_snapshot(snapshot)
+    assert restored.to_snapshot() == snapshot
+    assert restored._counter == state._counter
+    assert restored.profile == state.profile
+    assert restored.records.keys() == records.keys() | {"legacy999999"}
+    for rid, record in records.items():
+        assert restored.records[rid] == record
+        assert restored.records[rid].embedding.tobytes() == record.embedding.tobytes()
+    legacy = restored.records["legacy999999"]
+    assert (legacy.created_at, legacy.updated_at) == (EPOCH + timedelta(days=2), EPOCH + timedelta(days=3))
+    assert restored.hash_index == {**state.hash_index, legacy.content_hash: "legacy999999"}
+    assert restored.add_knowledge("entity_fact", "fresh text", no_arbiter).record_id == f"m{state._counter + 1:06d}"
 
 
 def test_load_honors_config_kwargs(tmp_path):
