@@ -676,6 +676,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except backend_mod.ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO

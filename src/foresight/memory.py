@@ -9,17 +9,20 @@ unknown action, the store is left untouched.
 
 Every similarity read (``vector_search``, ``coverage_check``, the
 weak-support scan in ``detect_gaps``, and the artifact topics read by
-``prediction.filter_candidates``) is one ``SimilarityIndex.search``, which
-scores all active records in one NumPy pass. Embeddings are integer token
-counts, so the index computes the same exact score as ``cosine``, bit for
-bit: its answer is final, and reads return exactly what a loop of
-``cosine`` calls over every active record would.
+``prediction.filter_candidates``) is one ``SimilarityIndex.search``. The
+index keeps every active record's token counts as one column of a
+bucket-major float64 matrix, so a query's dot products with all of them are
+one matrix-vector product over the query's nonzero buckets. Embeddings are
+integer token counts, so the index computes the same exact score as
+``cosine``, bit for bit: its answer is final, and reads return exactly what
+a loop of ``cosine`` calls over every active record would.
 
-``load`` / ``from_snapshot`` restore in one pass over the stored sparse
-counts: every record's embedding becomes a read-only row of one matrix,
-and when more than ``SMALL_INDEX_ROWS`` records are active the index
-arrays are filled straight from the stored buckets, as the first query
-would otherwise build them.
+The index writes each column once and never again, even when it grows into
+a new matrix. That is what lets ``load`` / ``from_snapshot`` share it: with
+more than ``SMALL_INDEX_ROWS`` active records, the stored sparse counts go
+straight into the index matrix, and each active record's embedding is a
+read-only view of its column. Every other record's embedding is a read-only
+row of one small record-major matrix.
 """
 
 from __future__ import annotations
@@ -44,13 +47,9 @@ MEMORY_KINDS = ("profile_attr", "entity_fact", "conversation_summary", "research
 DEFAULT_NEAR_DUP_THRESHOLD = 0.88
 DEFAULT_COVERAGE_THRESHOLD = 0.80
 
-# Building the index handles this many vectors per NumPy call, keeping each
-# temporary block small (64 KB at the default dimension).
-BLOCK_ROWS = 32
-
 # Up to this many records, scoring every one with ``cosine`` costs about as
-# much as the index's fixed NumPy work per query, and leaving the arrays
-# unbuilt saves their upkeep on every add.
+# much as the index's fixed NumPy work per query, and leaving the matrix
+# unbuilt saves its upkeep on every add.
 SMALL_INDEX_ROWS = 4
 
 
@@ -139,26 +138,34 @@ def _topic_embedding_of(record: MemoryRecord) -> np.ndarray:
 class SimilarityIndex:
     """Exact cosine search over the records of a store.
 
-    Rows are keyed by record id, in insertion order; ``vector_of(record)``
-    gives a row's token counts. Each vector is kept as its nonzero buckets
-    and their counts in flat (row, bucket, count) arrays, since a hashed
-    bag-of-tokens embedding fills a few dozen of its buckets at most, plus
-    each row's squared norm. One weighted ``np.bincount`` gives a query's
-    dot product with every row; every sum is of integers, so each score is
+    Keys are record ids; ``vector_of(record)`` gives a key's token counts.
+    Once built, the index is one float64 matrix of shape
+    ``(DEFAULT_DIM, capacity)`` with one row's vector per column, plus each
+    row's squared norm. A query's dot products with every row are one
+    product of its nonzero buckets with those rows of the matrix; every sum
+    is of integers below 2**53, exact in any order, so each score is
     ``cosine``'s exact value.
 
-    The arrays are built in one pass by the first query that finds more
-    than ``SMALL_INDEX_ROWS`` rows, or filled by ``MemoryState.from_snapshot``,
-    and kept up to date from then on. Until then the index holds only the
-    keys and scores each row with ``cosine``.
+    Columns are written once:
+
+    - ``add`` fills a column that was never used;
+    - ``remove`` drops the key and sets its row's squared norm to NaN, so
+      the row scores NaN and never qualifies, and leaves the column as it is;
+    - when the columns run out, the live rows' vectors are written into a
+      new matrix with an eighth more room, and the old matrix is never
+      written again.
+
+    So a read-only view of a column keeps its values for as long as it
+    lives: ``MemoryState.from_snapshot`` fills the matrix itself and hands
+    each restored active record a view of its column as its embedding.
+
+    The matrix is built by the first query that finds more than
+    ``SMALL_INDEX_ROWS`` keys, or adopted from ``from_snapshot``, and kept
+    up to date from then on. Until then each query scores every key with
+    ``cosine``.
     """
 
-    __slots__ = ("_records", "_vector_of", "_keys", "_rows", "_buckets", "_counts", "_size", "_sq")
-
-    # Shared by every index until it reserves room: nothing writes into
-    # an array of length zero.
-    _NO_INTS = np.empty(0, dtype=np.intp)
-    _NO_FLOATS = np.empty(0, dtype=np.float64)
+    __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq")
 
     def __init__(
         self,
@@ -168,74 +175,54 @@ class SimilarityIndex:
     ) -> None:
         self._records = records
         self._vector_of = vector_of
-        self._keys: list[str] = list(keys)  # row -> key
-        self._rows: Optional[np.ndarray] = None  # None until built
-        self._buckets = self._NO_INTS
-        self._counts = self._NO_FLOATS
-        self._size = 0  # entries in use; the arrays hold spare room after them
-        # Squared norm per row, 1.0 for a row without tokens: its dot
-        # product is 0, so it scores 0.0 as ``cosine`` says.
-        self._sq = self._NO_FLOATS
+        self._keys: list[str] = list(keys)  # row -> key, removed rows included
+        self._row: dict[str, int] = dict(zip(self._keys, range(len(self._keys))))  # key -> row, live keys only
+        self._matrix: Optional[np.ndarray] = None  # None until built
+        # Squared norm per row: 1.0 for a row without tokens, whose dot
+        # product is 0, so it scores 0.0 as ``cosine`` says; NaN for a
+        # removed row.
+        self._sq = np.empty(0)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._row)
 
     def _build(self) -> None:
-        records, vector_of, keys = self._records, self._vector_of, self._keys
-        parts = []
-        for first in range(0, len(keys), BLOCK_ROWS):
-            block = np.stack([vector_of(records[key]) for key in keys[first : first + BLOCK_ROWS]])
-            flat = np.flatnonzero(block)
-            row, bucket = np.divmod(flat, block.shape[1])
-            parts.append((row + first, bucket, block.ravel()[flat]))
-        self._fill(*(np.concatenate(column) for column in zip(*parts)))
+        """Writes every live row's vector into a new matrix with room for more."""
+        keys = list(self._row)
+        vectors = [self._vector_of(self._records[key]) for key in keys]
+        # Let go of a full matrix first: unless an embedding views it, it is
+        # freed before the new one is allocated.
+        self._matrix = None
+        matrix = _with_room(len(keys) + 1)
+        filled = matrix[:, : len(keys)]
+        if vectors:
+            np.stack(vectors, axis=1, out=filled)
+        self._adopt(keys, matrix, np.einsum("ij,ij->j", filled, filled))
 
-    def _fill(self, rows: np.ndarray, buckets: np.ndarray, counts: np.ndarray) -> None:
-        """Fills the arrays from each row's nonzero buckets and their counts, ascending by row."""
-        size = len(counts)
-        self._rows = _room(self._NO_INTS, 0, size)
-        self._buckets = _room(self._NO_INTS, 0, size)
-        self._counts = _room(self._NO_FLOATS, 0, size)
-        self._rows[:size] = rows
-        self._buckets[:size] = buckets
-        self._counts[:size] = counts
-        self._size = size
-        self._sq = np.bincount(rows, weights=counts * counts, minlength=len(self._keys))
-        self._sq[self._sq == 0.0] = 1.0
+    def _adopt(self, keys: list[str], matrix: np.ndarray, sq: np.ndarray) -> None:
+        """Makes ``matrix`` the index: its first columns hold the vectors of
+        ``keys``, in order, and ``sq`` their squared norms."""
+        self._keys = keys
+        self._row = dict(zip(keys, range(len(keys))))
+        self._matrix = matrix
+        self._sq = np.empty(matrix.shape[1])
+        self._sq[: len(keys)] = np.where(sq == 0.0, 1.0, sq)
 
     def add(self, key: str) -> None:
+        if self._matrix is not None and len(self._keys) == self._matrix.shape[1]:
+            self._build()
+        row = len(self._keys)
         self._keys.append(key)
-        if self._rows is None:
-            return
-        row = len(self._keys) - 1
-        vec = self._vector_of(self._records[key])
-        buckets = np.flatnonzero(vec)
-        start, end = self._size, self._size + len(buckets)
-        self._rows, self._buckets, self._counts = (
-            _room(a, start, end) for a in (self._rows, self._buckets, self._counts)
-        )
-        self._rows[start:end] = row
-        self._buckets[start:end] = buckets
-        self._counts[start:end] = vec[buckets]
-        self._size = end
-        self._sq = _room(self._sq, row, row + 1)
-        self._sq[row] = vec.dot(vec) or 1.0
+        self._row[key] = row
+        if self._matrix is not None:
+            vec = self._vector_of(self._records[key])
+            self._matrix[:, row] = vec
+            self._sq[row] = vec.dot(vec) or 1.0
 
     def remove(self, key: str) -> None:
-        row = self._keys.index(key)
-        del self._keys[row]
-        if self._rows is None:
-            return
-        # Rows ascend along the entries, so the row's entries are [lo, hi).
-        size = self._size
-        lo, hi = np.searchsorted(self._rows[:size], (row, row + 1))
-        end = size - (hi - lo)
-        for a in (self._rows, self._buckets, self._counts):
-            a[lo:end] = a[hi:size]
-        self._rows[lo:end] -= 1
-        self._size = end
-        n = len(self._keys)
-        self._sq[row:n] = self._sq[row + 1 : n + 1]
+        row = self._row.pop(key)
+        if self._matrix is not None:
+            self._sq[row] = np.nan
 
     def search(self, query: np.ndarray, threshold: float, k: Optional[int] = None) -> list[tuple[str, float]]:
         """``(key, cosine)`` of the ``k`` best rows at or above ``threshold``.
@@ -243,10 +230,9 @@ class SimilarityIndex:
         Best first, ties by ascending key; every row that qualifies when
         ``k`` is None.
         """
-        keys = self._keys
-        if self._rows is None and len(keys) <= SMALL_INDEX_ROWS:
+        if self._matrix is None and len(self._row) <= SMALL_INDEX_ROWS:
             records, vector_of = self._records, self._vector_of
-            scored = [(key, cosine(query, vector_of(records[key]))) for key in keys]
+            scored = [(key, cosine(query, vector_of(records[key]))) for key in self._row]
             hits = [hit for hit in scored if hit[1] >= threshold]
         else:
             scores = self._scores(query)
@@ -255,31 +241,27 @@ class SimilarityIndex:
                 # Rows below the k-th best score cannot be among the k best.
                 passing = scores[rows]
                 rows = rows[passing >= np.partition(passing, len(rows) - k)[len(rows) - k]]
+            keys = self._keys
             hits = zip([keys[row] for row in rows.tolist()], scores[rows].tolist())
         return sorted(hits, key=lambda hit: (-hit[1], hit[0]))[:k]
 
     def _scores(self, query: np.ndarray) -> np.ndarray:
-        if self._rows is None:
+        """Every row's score: ``cosine`` with ``query``, NaN for removed rows."""
+        if self._matrix is None:
             self._build()
         n = len(self._keys)
+        sq = self._sq[:n]
         qq = float(query.dot(query))
         if qq == 0.0:
-            return np.zeros(n)
-        size = self._size
-        weights = query[self._buckets[:size]]
-        weights *= self._counts[:size]
-        dots = np.bincount(self._rows[:size], weights=weights, minlength=n)
-        return dots / np.sqrt(self._sq[:n] * qq)
+            return sq * 0.0  # 0.0 for every live row, as ``cosine`` says
+        buckets = np.flatnonzero(query)
+        dots = query[buckets] @ self._matrix[buckets, :n]
+        return dots / np.sqrt(sq * qq)
 
 
-def _room(array: np.ndarray, used: int, size: int) -> np.ndarray:
-    """``array`` if it holds ``size`` items, else a copy of its first ``used``
-    items with room for ``size`` plus an eighth for later additions."""
-    if size <= len(array):
-        return array
-    grown = np.empty(size + size // 8, dtype=array.dtype)
-    grown[:used] = array[:used]
-    return grown
+def _with_room(columns: int) -> np.ndarray:
+    """A zero index matrix for ``columns`` vectors plus an eighth for later additions."""
+    return np.zeros((DEFAULT_DIM, columns + columns // 8))
 
 
 class LogicalClock:
@@ -522,22 +504,38 @@ class MemoryState:
         state = cls(**kwargs)
         stored = snapshot["records"]
         n = len(stored)
+        active = np.fromiter((rd["status"] == "active" for rd in stored), dtype=bool, count=n)
+        # With more than SMALL_INDEX_ROWS active records, their counts go
+        # straight into the index's columns, which they then share; every
+        # other record gets a row of a record-major matrix.
+        shared = active if active.sum() > SMALL_INDEX_ROWS else np.zeros(n, dtype=bool)
         sparse = [rd["embedding"] for rd in stored]
         lengths = np.fromiter((len(e["buckets"]) for e in sparse), dtype=np.intp, count=n)
         total = int(lengths.sum())
         buckets = np.fromiter(chain.from_iterable(e["buckets"] for e in sparse), dtype=np.intp, count=total)
         counts = np.fromiter(chain.from_iterable(e["counts"] for e in sparse), dtype=np.float64, count=total)
-        rows = np.repeat(np.arange(n), lengths)
-        # One row per record. Read-only, so nothing writes through one
-        # record's embedding into another's; a replaced record gets the
-        # shared vector from ``embed``.
-        matrix = np.zeros((n, DEFAULT_DIM))
-        matrix[rows, buckets] = counts
-        matrix.flags.writeable = False
+        owner = np.repeat(np.arange(n), lengths)
+        # Each record's column among the shared ones, or its row among the rest.
+        place = np.where(shared, np.cumsum(shared), np.cumsum(~shared)) - 1
+        n_shared = int(shared.sum())
+        columns = _with_room(n_shared)
+        rest = np.zeros((n - n_shared, DEFAULT_DIM))
+        in_columns = shared[owner]
+        column, shared_counts = place[owner[in_columns]], counts[in_columns]
+        columns[buckets[in_columns], column] = shared_counts
+        in_rest = ~in_columns
+        rest[place[owner[in_rest]], buckets[in_rest]] = counts[in_rest]
+        # Embeddings are read-only views, so nothing writes through one
+        # record's embedding into another's or into the index; a replaced
+        # record gets the shared vector from ``embed``. The index never
+        # rewrites a column, so a view keeps its record's counts.
+        view = columns.view()
+        view.flags.writeable = False
+        rest.flags.writeable = False
+        column_views, rest_rows = iter(view.T), iter(rest)
         records, hash_index = state.records, state.hash_index
-        mask: list[bool] = []
         actives: list[str] = []
-        for rd, row in zip(stored, matrix):
+        for rd, in_index in zip(stored, shared.tolist()):
             created = rd["created_at"]
             updated = rd["updated_at"]
             created_at = datetime.fromisoformat(created)
@@ -549,27 +547,22 @@ class MemoryState:
                 rd["kind"],
                 rd["content"],
                 digest,
-                row,
+                next(column_views) if in_index else next(rest_rows),
                 created_at,
                 updated_at,
                 status,
                 rd.get("merged_into"),
                 tuple(rd.get("merged_from", ())),
             )
-            is_active = status == "active"
-            mask.append(is_active)
-            if is_active:
+            if status == "active":
                 hash_index[digest] = rid
                 actives.append(rid)
-        state._index = SimilarityIndex(state.records, _embedding_of, actives)
-        if len(actives) > SMALL_INDEX_ROWS:
-            if len(actives) < n:
-                # Drop retired rows' entries and renumber the rest.
-                active = np.array(mask)
-                keep = active[rows]
-                rows = (np.cumsum(active) - 1)[rows[keep]]
-                buckets, counts = buckets[keep], counts[keep]
-            state._index._fill(rows, buckets, counts)
+        if n_shared:
+            state._index._adopt(
+                actives, columns, np.bincount(column, weights=shared_counts * shared_counts, minlength=n_shared)
+            )
+        else:
+            state._index = SimilarityIndex(records, _embedding_of, actives)
         digits = (rid.lstrip("m") for rid in records)
         state._counter = max((int(d) for d in digits if d.isdigit()), default=0)
         state.profile = dict(snapshot.get("profile", {}))

@@ -14,6 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from foresight.backends import ConfigurationError
+
 logger = logging.getLogger(__name__)
 
 MODES = ("reactive", "proactive")
@@ -438,9 +440,9 @@ class BootstrapConfig:
 
     def __post_init__(self) -> None:
         if self.resamples < 1:
-            raise ValueError(f"resamples must be >= 1, got {self.resamples}")
+            raise ConfigurationError(f"resamples must be >= 1, got {self.resamples}")
         if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence out of (0, 1): {self.confidence}")
+            raise ConfigurationError(f"confidence out of (0, 1): {self.confidence}")
 
 
 @dataclass(frozen=True)

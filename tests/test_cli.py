@@ -345,6 +345,27 @@ def test_run_http_requires_credential(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def _cli(*argv: str) -> subprocess.CompletedProcess:
+    """``foresight`` in a child process, so an uncaught error would print its traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "foresight.cli", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+
+def _assert_configuration_error(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == EXIT_IO
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("configuration error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [["--parallel", "0"], ["--horizon", "0"], ["--budget-k", "-1"]])
+def test_run_configuration_error_exits_2_in_one_line(tmp_path, flags):
+    out = tmp_path / "out"
+    _assert_configuration_error(_cli("run", "--scenarios", FINANCE, "--out", str(out), *flags))
+    assert not out.exists()
+
+
 def test_run_rejects_invalid_scenario(tmp_path, capsys):
     bad = _broken_scenario(tmp_path)
     rc = main(["run", "--scenarios", str(bad), "--out", str(tmp_path / "out")])
@@ -432,6 +453,13 @@ def test_ci_missing_results_is_io_error(tmp_path, capsys):
     rc = main(["ci", str(tmp_path / "empty")])
     assert rc == EXIT_IO
     assert "detailed_results.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--confidence", "1.5"], ["--resamples", "0"]])
+def test_ci_configuration_error_exits_2_in_one_line(results_dir, tmp_path, flags):
+    out = tmp_path / "ci.json"
+    _assert_configuration_error(_cli("ci", str(results_dir), "--out", str(out), *flags))
+    assert not out.exists()
 
 
 def test_ci_requires_directed_rows(tmp_path, capsys):

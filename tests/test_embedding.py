@@ -1,10 +1,11 @@
+import functools
 import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foresight.embedding import DEFAULT_DIM, EMBED_MEMO_SIZE, _bucket, cosine, embed, tokenize
@@ -79,9 +80,13 @@ def test_brute_force_cosine_agreement():
 # ``cosine`` and the index must give these bits on every machine.
 
 
+@functools.lru_cache(maxsize=None)
+def reference_counts(text):
+    return Counter(_bucket(token, DEFAULT_DIM) for token in tokenize(text))
+
+
 def reference_cosine(a, b):
-    ca = Counter(_bucket(token, DEFAULT_DIM) for token in tokenize(a))
-    cb = Counter(_bucket(token, DEFAULT_DIM) for token in tokenize(b))
+    ca, cb = reference_counts(a), reference_counts(b)
     na = sum(c * c for c in ca.values())
     nb = sum(c * c for c in cb.values())
     if na == 0 or nb == 0:
@@ -95,10 +100,15 @@ def same_bits(x, y):
 
 
 # "q1 a1" and "q2 a2" tie exactly against "q1 q2"; "!!!" has no tokens.
+# One token repeated thousands of times makes dot products and squared
+# norms of millions, so BLAS sums of large integers are checked too.
 TOKENS = ["w%d" % i for i in range(12)] + ["q1", "q2", "a1", "a2", "The", "4.50%", "!!"]
 TEXTS = st.one_of(
     st.lists(st.sampled_from(TOKENS), max_size=25).map(" ".join),
     st.sampled_from(("q1 a1", "q2 a2", "q1 q2", "!!!")),
+    st.tuples(st.sampled_from(TOKENS), st.integers(2000, 5000), st.sampled_from(TOKENS)).map(
+        lambda t: " ".join([t[0]] * t[1] + [t[2]])
+    ),
 )
 
 
@@ -107,22 +117,25 @@ def test_cosine_is_the_exact_integer_score(a, b):
     assert same_bits(cosine(embed(a), embed(b)), reference_cosine(a, b))
 
 
+@settings(deadline=None)
 @given(
     texts=st.lists(TEXTS, max_size=3 * SMALL_INDEX_ROWS),
     queries=st.lists(TEXTS, min_size=1, max_size=4),
     data=st.data(),
 )
 def test_index_scores_are_the_exact_integer_score(texts, queries, data):
-    # Small and built indexes, rows added after the build, rows removed.
+    # Small and built indexes, rows added after the build, rows removed, and
+    # removed keys added back.
     records = {f"k{i:02d}": text for i, text in enumerate(texts + ["q1 a1", "q2 a2", "!!!"])}
     keys = sorted(records)
     split = data.draw(st.integers(0, len(keys)), label="split")
     index = SimilarityIndex(records, embed, keys[:split])
+    live = set(keys[:split])
 
     def check():
         for query in queries + ["q1 q2", "!!!"]:
             hits = index.search(embed(query), 0.0)
-            assert sorted(key for key, _ in hits) == sorted(index._keys)
+            assert sorted(key for key, _ in hits) == sorted(live)
             for key, score in hits:
                 assert same_bits(score, reference_cosine(query, records[key]))
             want = sorted(hits, key=lambda hit: (-reference_cosine(query, records[hit[0]]), hit[0]))
@@ -131,10 +144,35 @@ def test_index_scores_are_the_exact_integer_score(texts, queries, data):
     check()
     for key in keys[split:]:
         index.add(key)
+    live.update(keys)
     check()
-    for key in data.draw(st.lists(st.sampled_from(keys), unique=True), label="removed"):
+    removed = data.draw(st.lists(st.sampled_from(keys), unique=True), label="removed")
+    for key in removed:
         index.remove(key)
+        live.remove(key)
     check()
+    # Adding the removed keys back takes new rows, past any room left.
+    for key in removed:
+        index.add(key)
+        live.add(key)
+    check()
+
+
+def test_index_grows_after_every_row_was_removed():
+    records = {f"k{i:02d}": f"w{i} w{i + 1}" for i in range(3 * SMALL_INDEX_ROWS)}
+    keys = sorted(records)
+    live = keys[: SMALL_INDEX_ROWS + 1]
+    index = SimilarityIndex(records, embed, live)
+    index.search(embed("w1"), 0.0)  # builds the matrix
+    # Each new key replaces every live one, so the matrix fills up with
+    # removed rows and grows while no row is live.
+    for key in keys[SMALL_INDEX_ROWS + 1 :]:
+        for old in live:
+            index.remove(old)
+        index.add(key)
+        live = [key]
+        assert index.search(embed("!!!"), 0.0) == [(key, 0.0)]
+        assert index.search(embed(records[key]), 0.0) == [(key, 1.0)]
 
 
 # ``embed`` is memoised: these check that the memo changes no bit and hands

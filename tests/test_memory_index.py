@@ -9,6 +9,7 @@ import json
 import random
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -234,11 +235,11 @@ def test_four_of_five_shared_tokens_score_exactly_four_fifths():
     assert len({_bucket(token, DEFAULT_DIM) for token in set((record + " " + query).split())}) == 6
     assert cosine(embed(record), embed(query)) == 0.8
     fillers = [f"filler{i} x{i}" for i in range(SMALL_INDEX_ROWS + 1)]
-    for extra in ([], fillers):  # scalar path, then built index arrays
+    for extra in ([], fillers):  # scalar path, then the built index matrix
         state = MemoryState(coverage_threshold=0.80)
         for content in [record] + extra:
             state.add_knowledge("entity_fact", content, lambda content, record: ArbiterVerdict("skip"))
-        assert (state._index._rows is not None) == bool(extra)
+        assert (state._index._matrix is not None) == bool(extra)
         report = state.coverage_check(query)
         assert report.level == "high" and report.supporting_record_ids == ("m000001",)
         assert [(r.id, s) for r, s in state.vector_search(query, k=1)] == [("m000001", 0.8)]
@@ -248,21 +249,22 @@ def test_four_of_five_shared_tokens_score_exactly_four_fifths():
 # -- bulk restore --------------------------------------------------------------
 
 
-def index_arrays(index):
-    size = index._size
-    return index._rows[:size], index._buckets[:size], index._counts[:size], index._sq[: len(index)]
+def index_arrays(index, keys):
+    """The live columns of the index matrix and their squared norms, in the order of ``keys``."""
+    rows = [index._row[key] for key in keys]
+    return index._matrix[:, rows], index._sq[rows]
 
 
 def assert_restored_like_build(loaded):
     """``from_snapshot`` fills the index as ``_build`` would; every embedding is ``embed(content)``."""
     actives = [r.id for r in loaded.records.values() if r.status == "active"]
-    assert loaded._index._keys == actives
+    assert list(loaded._index._row) == actives
     if len(actives) <= SMALL_INDEX_ROWS:
-        assert loaded._index._rows is None
+        assert loaded._index._matrix is None
     else:
         built = SimilarityIndex(loaded.records, lambda record: record.embedding, actives)
         built._build()
-        for got, want in zip(index_arrays(loaded._index), index_arrays(built)):
+        for got, want in zip(index_arrays(loaded._index, actives), index_arrays(built, actives)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
     assert_embeddings_intact(loaded)
@@ -346,7 +348,76 @@ def snapshot_of(contents_and_statuses):
 )
 def test_bulk_restore_edge_snapshots(entries, built):
     loaded = MemoryState.from_snapshot(snapshot_of(entries))
-    assert (loaded._index._rows is not None) == built
+    assert (loaded._index._matrix is not None) == built
     assert_restored_like_build(loaded)
     for query in ("r1 x", "!!!"):
         assert_search_matches(loaded, query, 3, 0.0)
+
+
+# -- write-once columns --------------------------------------------------------
+
+
+def assert_reads_see_live_records_only(state, queries):
+    """Every embedding is intact, removed rows never qualify, and reads match the oracles."""
+    assert_embeddings_intact(state)
+    actives = {record.id for record in state.active_records()}
+    everything = len(state.records) + 1
+    for query in queries:
+        # At threshold 0.0 every live row qualifies, including for "!!!",
+        # which has no tokens; a removed row never does.
+        assert {r.id for r, _ in state.vector_search(query, k=everything)} == actives
+        assert_search_matches(state, query, 2, state.coverage_threshold)
+    assert state.coverage_check(queries[0], tuple(queries[1:])) == oracle_coverage_check(
+        state, queries[0], tuple(queries[1:])
+    )
+    now = state.clock.now()
+    assert state.detect_gaps(now, timedelta(hours=1)) == oracle_detect_gaps(state, now, timedelta(hours=1))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), n_active=st.integers(SMALL_INDEX_ROWS + 1, 3 * SMALL_INDEX_ROWS))
+def test_restored_columns_are_written_once(data, n_active):
+    # Retired records sit strictly between active ones.
+    statuses = ["active"] * n_active
+    for _ in range(data.draw(st.integers(1, 5), label="n_retired")):
+        statuses.insert(data.draw(st.integers(1, len(statuses) - 1), label="retired_at"), "merged")
+    words = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=4).map(" ".join)
+    contents = [f"c{i} {data.draw(words, label='content')}" for i in range(len(statuses))]
+    snapshot = json.loads(json.dumps(snapshot_of(list(zip(contents, statuses)))))
+    state = MemoryState.from_snapshot(snapshot, near_dup_threshold=0.5, coverage_threshold=0.5)
+
+    index = state._index
+    restored = index._matrix
+    restored_columns = restored[:, :n_active].copy()
+    for record in state.active_records():
+        assert np.shares_memory(record.embedding, restored)
+        with pytest.raises(ValueError):
+            record.embedding[0] = 1.0
+    queries = ["!!!", "q1 q2", f"c0 {VOCAB[0]}"]
+    assert_reads_see_live_records_only(state, queries)
+
+    # Every add, replace and merge takes a new column, so the adds alone
+    # run past the restore's room.
+    room = restored.shape[1] - len(index._keys)
+    actions = data.draw(
+        st.lists(st.sampled_from(("replace", "merge", "merge_existing", "skip")), max_size=8), label="actions"
+    )
+    steps = data.draw(st.permutations(actions + ["add"] * (room + 1)), label="steps")
+    for i, action in enumerate(steps):
+
+        def arbiter(content, neighbor):
+            if action == "merge_existing":
+                others = [r.content for r in state.active_records() if r.id != neighbor.id]
+                return ArbiterVerdict("merge", merged_content=others[0]) if others else ArbiterVerdict("skip")
+            return ArbiterVerdict("skip" if action == "add" else action)
+
+        if action == "add":
+            content = f"fresh{i} novel{i} unseen{i} words{i}"
+        else:
+            target = data.draw(st.sampled_from(state.active_records()), label="target")
+            content = f"{target.content} extra{i}"
+        state.add_knowledge("entity_fact", content, arbiter)
+        assert_reads_see_live_records_only(state, queries)
+
+    assert index._matrix is not restored  # the index grew at least once
+    assert restored[:, :n_active].tobytes() == restored_columns.tobytes()
