@@ -19,10 +19,16 @@ a loop of ``cosine`` calls over every active record would.
 
 The index writes each column once and never again, even when it grows into
 a new matrix. That is what lets ``load`` / ``from_snapshot`` share it: with
-more than ``SMALL_INDEX_ROWS`` active records, the stored sparse counts go
-straight into the index matrix, and each active record's embedding is a
-read-only view of its column. Every other record's embedding is a read-only
-row of one small record-major matrix.
+more than ``SMALL_INDEX_ROWS`` active records, the stored counts go straight
+into the index matrix, and each active record's embedding is a read-only
+view of its column. Every other record's embedding is a read-only row of one
+small record-major matrix.
+
+A snapshot stores each embedding as one hex string of packed little-endian
+``(uint16 bucket, uint32 count)`` pairs, nonzero buckets only, ascending, and
+the id counter next to the records. A restore decodes every record's pairs
+with one ``bytes.fromhex`` and rejects a snapshot in any other form with a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,10 +36,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -51,6 +57,21 @@ DEFAULT_COVERAGE_THRESHOLD = 0.80
 # much as the index's fixed NumPy work per query, and leaving the matrix
 # unbuilt saves its upkeep on every add.
 SMALL_INDEX_ROWS = 4
+
+# The fewest spare columns an index matrix gets. An eighth of a small index
+# is no room at all, so without this floor a memory growing from empty would
+# rebuild its matrix on nearly every add; from 64 rows on, the eighth rules.
+MIN_SPARE_COLUMNS = 8
+
+# One stored (bucket, count) pair of an embedding: 6 bytes, 12 hex digits.
+_PAIR = np.dtype([("bucket", "<u2"), ("count", "<u4")])
+_PAIR_HEX = 2 * _PAIR.itemsize
+
+# A stored record's fields, in ``MemoryRecord`` order; every one is required.
+_RECORD_FIELDS = operator.itemgetter(
+    "id", "kind", "content", "content_hash", "embedding",
+    "created_at", "updated_at", "status", "merged_into", "merged_from",
+)
 
 
 class ArbitrationError(RuntimeError):
@@ -121,10 +142,15 @@ def artifact_topic(record: MemoryRecord) -> str:
     return record.content.split("\n", 1)[0]
 
 
-def _sparse(vec: np.ndarray) -> dict:
-    """A snapshot's form of an embedding: its nonzero buckets, ascending, and their counts."""
+def _sparse(vec: np.ndarray) -> str:
+    """A snapshot's form of an embedding: the hex of its nonzero buckets,
+    ascending, each packed with its count as a little-endian
+    ``(uint16 bucket, uint32 count)`` pair."""
     buckets = np.flatnonzero(vec)
-    return {"buckets": buckets.tolist(), "counts": vec[buckets].astype(np.int64).tolist()}
+    pairs = np.empty(len(buckets), _PAIR)
+    pairs["bucket"] = buckets
+    pairs["count"] = vec[buckets]
+    return pairs.tobytes().hex()
 
 
 def _embedding_of(record: MemoryRecord) -> np.ndarray:
@@ -152,8 +178,8 @@ class SimilarityIndex:
     - ``remove`` drops the key and sets its row's squared norm to NaN, so
       the row scores NaN and never qualifies, and leaves the column as it is;
     - when the columns run out, the live rows' vectors are written into a
-      new matrix with an eighth more room, and the old matrix is never
-      written again.
+      new matrix with room for more (``_with_room``), and the old matrix is
+      never written again.
 
     So a read-only view of a column keeps its values for as long as it
     lives: ``MemoryState.from_snapshot`` fills the matrix itself and hands
@@ -260,8 +286,9 @@ class SimilarityIndex:
 
 
 def _with_room(columns: int) -> np.ndarray:
-    """A zero index matrix for ``columns`` vectors plus an eighth for later additions."""
-    return np.zeros((DEFAULT_DIM, columns + columns // 8))
+    """A zero index matrix for ``columns`` vectors plus an eighth, and at
+    least ``MIN_SPARE_COLUMNS``, for later additions."""
+    return np.zeros((DEFAULT_DIM, columns + max(columns // 8, MIN_SPARE_COLUMNS)))
 
 
 class LogicalClock:
@@ -302,8 +329,12 @@ class MemoryState:
     # -- identity ---------------------------------------------------------
 
     def _new_id(self) -> str:
-        self._counter += 1
-        return f"m{self._counter:06d}"
+        """The next ``m``-numbered id that no record holds."""
+        while True:
+            self._counter += 1
+            rid = f"m{self._counter:06d}"
+            if rid not in self.records:
+                return rid
 
     def active_records(self) -> list[MemoryRecord]:
         return [r for r in self.records.values() if r.status == "active"]
@@ -491,7 +522,7 @@ class MemoryState:
                     "merged_from": list(record.merged_from),
                 }
             )
-        return {"records": records, "profile": dict(self.profile)}
+        return {"records": records, "profile": dict(self.profile), "counter": self._counter}
 
     def save(self, path: str) -> None:
         """Writes the snapshot as one line of compact JSON with sorted keys."""
@@ -501,20 +532,54 @@ class MemoryState:
 
     @classmethod
     def from_snapshot(cls, snapshot: dict, **kwargs) -> "MemoryState":
-        state = cls(**kwargs)
+        """The memory that ``to_snapshot`` gave ``snapshot``.
+
+        Every record's embedding pairs are decoded together, with one
+        ``bytes.fromhex``. A snapshot in any other form, such as the old
+        ``{"buckets": [...], "counts": [...]}`` embeddings or one without
+        ``counter``, raises ``ValueError`` naming the problem.
+        """
         stored = snapshot["records"]
-        n = len(stored)
-        active = np.fromiter((rd["status"] == "active" for rd in stored), dtype=bool, count=n)
+        try:
+            rows = list(map(_RECORD_FIELDS, stored))
+        except KeyError as exc:
+            raise ValueError(f"snapshot record has no {exc} field") from None
+        n = len(rows)
+        hexes = [row[4] for row in rows]
+        try:
+            text = "".join(hexes)
+        except TypeError:
+            raise ValueError(
+                "snapshot embeddings must be hex strings of (bucket, count) pairs;"
+                " the old {buckets, counts} form is not loaded"
+            ) from None
+        lengths, odd = np.divmod(np.fromiter(map(len, hexes), dtype=np.intp, count=n), _PAIR_HEX)
+        if odd.any():
+            raise ValueError(f"snapshot embedding hex length is not a multiple of {_PAIR_HEX}")
+        raw = bytes.fromhex(text)
+        if 2 * len(raw) != len(text):  # fromhex skips whitespace
+            raise ValueError("snapshot embedding hex holds whitespace")
+        pairs = np.frombuffer(raw, _PAIR)
+        buckets, counts = pairs["bucket"], pairs["count"]
+        if (buckets >= DEFAULT_DIM).any():
+            raise ValueError(f"snapshot embedding bucket is not below {DEFAULT_DIM}")
+        if not counts.all():
+            raise ValueError("snapshot embedding count is zero")
+        owner = np.repeat(np.arange(n), lengths)
+        # Increasing exactly when each record's buckets are strictly ascending.
+        if (np.diff(owner * DEFAULT_DIM + buckets) <= 0).any():
+            raise ValueError("snapshot embedding buckets are not strictly ascending")
+        counts = counts.astype(np.float64)
+        counter = snapshot.get("counter")
+        if type(counter) is not int:
+            raise ValueError("snapshot has no integer 'counter'")
+
+        state = cls(**kwargs)
+        active = np.array([row[7] == "active" for row in rows], dtype=bool)
         # With more than SMALL_INDEX_ROWS active records, their counts go
         # straight into the index's columns, which they then share; every
         # other record gets a row of a record-major matrix.
         shared = active if active.sum() > SMALL_INDEX_ROWS else np.zeros(n, dtype=bool)
-        sparse = [rd["embedding"] for rd in stored]
-        lengths = np.fromiter((len(e["buckets"]) for e in sparse), dtype=np.intp, count=n)
-        total = int(lengths.sum())
-        buckets = np.fromiter(chain.from_iterable(e["buckets"] for e in sparse), dtype=np.intp, count=total)
-        counts = np.fromiter(chain.from_iterable(e["counts"] for e in sparse), dtype=np.float64, count=total)
-        owner = np.repeat(np.arange(n), lengths)
         # Each record's column among the shared ones, or its row among the rest.
         place = np.where(shared, np.cumsum(shared), np.cumsum(~shared)) - 1
         n_shared = int(shared.sum())
@@ -535,24 +600,23 @@ class MemoryState:
         column_views, rest_rows = iter(view.T), iter(rest)
         records, hash_index = state.records, state.hash_index
         actives: list[str] = []
-        for rd, in_index in zip(stored, shared.tolist()):
-            created = rd["created_at"]
-            updated = rd["updated_at"]
+        for (rid, kind, content, digest, _, created, updated, status, into, sources), in_index in zip(
+            rows, shared.tolist()
+        ):
             created_at = datetime.fromisoformat(created)
             # Datetimes are immutable, so an unchanged record shares one.
             updated_at = created_at if updated == created else datetime.fromisoformat(updated)
-            rid, digest, status = rd["id"], rd["content_hash"], rd["status"]
             records[rid] = MemoryRecord(
                 rid,
-                rd["kind"],
-                rd["content"],
+                kind,
+                content,
                 digest,
                 next(column_views) if in_index else next(rest_rows),
                 created_at,
                 updated_at,
                 status,
-                rd.get("merged_into"),
-                tuple(rd.get("merged_from", ())),
+                into,
+                tuple(sources),
             )
             if status == "active":
                 hash_index[digest] = rid
@@ -563,8 +627,7 @@ class MemoryState:
             )
         else:
             state._index = SimilarityIndex(records, _embedding_of, actives)
-        digits = (rid.lstrip("m") for rid in records)
-        state._counter = max((int(d) for d in digits if d.isdigit()), default=0)
+        state._counter = counter
         state.profile = dict(snapshot.get("profile", {}))
         return state
 

@@ -1,13 +1,17 @@
 import json
 import random
+import struct
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from foresight.embedding import DEFAULT_DIM, cosine, embed
 from foresight.memory import (
     MEMORY_KINDS,
+    SMALL_INDEX_ROWS,
     AddOutcome,
     ArbitrationError,
     ArbiterVerdict,
@@ -300,7 +304,8 @@ def test_snapshot_round_trip(tmp_path):
     assert path.read_text(encoding="utf-8") == json.dumps(
         state.to_snapshot(), ensure_ascii=False, sort_keys=True, separators=(",", ":")
     )
-    assert state.to_snapshot().keys() == {"records", "profile"}
+    assert state.to_snapshot().keys() == {"records", "profile", "counter"}
+    assert state.to_snapshot()["counter"] == 3
     loaded = MemoryState.load(str(path))
     assert loaded.to_snapshot() == state.to_snapshot()
     assert loaded.hash_index == state.hash_index
@@ -311,8 +316,9 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def test_snapshot_stores_embeddings_as_sparse_buckets(tmp_path):
-    # A snapshot keeps each embedding's nonzero buckets, ascending, with
-    # their token counts as integers; loading scatters them back bit for bit.
+    # A snapshot keeps each embedding's nonzero buckets, ascending, each
+    # packed with its token count as a little-endian (uint16, uint32) pair
+    # in one hex string; loading scatters them back bit for bit.
     a, b = _near_pair()
     state = MemoryState()
     for i in range(3):
@@ -332,15 +338,16 @@ def test_snapshot_stores_embeddings_as_sparse_buckets(tmp_path):
     for memory in (state, loaded):
         for rd in memory.to_snapshot()["records"]:
             vec = memory.records[rd["id"]].embedding
-            assert rd["embedding"].keys() == {"buckets", "counts"}
-            buckets, counts = rd["embedding"]["buckets"], rd["embedding"]["counts"]
-            assert buckets == sorted(set(buckets))
-            assert all(type(x) is int for x in buckets + counts) and all(x > 0 for x in counts)
+            packed = bytes.fromhex(rd["embedding"])
+            assert rd["embedding"] == packed.hex()
+            pairs = list(struct.iter_unpack("<HI", packed))  # raises unless whole 6-byte pairs
+            buckets, counts = [b for b, _ in pairs], [c for _, c in pairs]
+            assert buckets == sorted(set(buckets)) and all(c > 0 for c in counts)
             assert np.array_equal(np.flatnonzero(vec), buckets)
             assert vec[buckets].tobytes() == np.array(counts, dtype=np.float64).tobytes()
     stored = json.loads(path.read_text())["records"]
     (empty,) = [rd for rd in stored if rd["content"] == "!!!"]
-    assert empty["embedding"] == {"buckets": [], "counts": []}
+    assert empty["embedding"] == ""
     assert not any("emotion" in rd for rd in stored)
 
     for before, after in ((state, loaded), (loaded, reloaded)):
@@ -393,6 +400,122 @@ def test_snapshot_round_trip_restores_every_field():
     assert (legacy.created_at, legacy.updated_at) == (EPOCH + timedelta(days=2), EPOCH + timedelta(days=3))
     assert restored.hash_index == {**state.hash_index, legacy.content_hash: "legacy999999"}
     assert restored.add_knowledge("entity_fact", "fresh text", no_arbiter).record_id == f"m{state._counter + 1:06d}"
+
+
+def pairs_hex(*pairs):
+    return b"".join(struct.pack("<HI", bucket, count) for bucket, count in pairs).hex()
+
+
+def set_embedding(hexes):
+    def mutate(snapshot):
+        snapshot["records"][0]["embedding"] = hexes
+
+    return mutate
+
+
+def drop_field(key):
+    def mutate(snapshot):
+        del snapshot["records"][0][key]
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(
+            set_embedding({"buckets": [3, 7], "counts": [1, 2]}), "old {buckets, counts} form", id="old-form"
+        ),
+        pytest.param(lambda snapshot: snapshot.pop("counter"), "no integer 'counter'", id="no-counter"),
+        pytest.param(lambda snapshot: snapshot.update(counter="2"), "no integer 'counter'", id="text-counter"),
+        pytest.param(set_embedding(pairs_hex((3, 1))[:-2]), "not a multiple of 12", id="torn-pair"),
+        pytest.param(
+            set_embedding(pairs_hex((3, 1), (DEFAULT_DIM, 1))), f"bucket is not below {DEFAULT_DIM}", id="bucket"
+        ),
+        pytest.param(set_embedding(pairs_hex((3, 1), (7, 0))), "count is zero", id="zero-count"),
+        pytest.param(set_embedding(pairs_hex((7, 1), (3, 1))), "not strictly ascending", id="descending"),
+        pytest.param(set_embedding(pairs_hex((3, 1), (3, 2))), "not strictly ascending", id="repeated-bucket"),
+        pytest.param(set_embedding(pairs_hex((3, 1)) + " " * 12), "whitespace", id="whitespace"),
+        pytest.param(set_embedding("zz" * 6), "non-hexadecimal", id="not-hex"),
+        pytest.param(drop_field("merged_from"), "no 'merged_from' field", id="missing-field"),
+    ],
+)
+def test_from_snapshot_rejects_malformed_snapshots(mutate, message):
+    state = MemoryState()
+    state.add_knowledge("entity_fact", words("a", 5), no_arbiter)
+    state.add_knowledge("entity_fact", words("b", 5), no_arbiter)
+    snapshot = json.loads(json.dumps(state.to_snapshot()))
+    assert MemoryState.from_snapshot(snapshot).to_snapshot() == snapshot
+    mutate(snapshot)
+    with pytest.raises(ValueError, match=message):
+        MemoryState.from_snapshot(snapshot)
+
+
+def test_new_ids_skip_ids_a_low_counter_would_reuse():
+    state = MemoryState()
+    for i in range(3):
+        state.add_knowledge("entity_fact", words(f"k{i}x", 5), no_arbiter)
+    snapshot = state.to_snapshot()
+    snapshot["counter"] = 1  # hand-edited: m000002 and m000003 exist
+    restored = MemoryState.from_snapshot(snapshot)
+    first = restored.add_knowledge("entity_fact", "fresh text", no_arbiter)
+    second = restored.add_knowledge("entity_fact", "other fresh text here", no_arbiter)
+    assert (first.record_id, second.record_id) == ("m000004", "m000005")
+    for rid in ("m000002", "m000003"):
+        assert restored.records[rid] == state.records[rid]
+    assert len(restored.records) == 5
+
+
+# 70,000 of one token: a count past the range of uint16.
+MANY_OF_ONE = " ".join(["many"] * 70_000)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), shared_columns=st.booleans(), coverage=st.sampled_from((0.0, 0.5, 0.8)))
+def test_snapshot_round_trips_through_json_text(data, shared_columns, coverage):
+    # Above SMALL_INDEX_ROWS active records the restore shares the index
+    # columns; at or below it every record gets a row of the rest matrix.
+    if shared_columns:
+        n_active = data.draw(st.integers(SMALL_INDEX_ROWS + 1, 3 * SMALL_INDEX_ROWS), label="n_active")
+    else:
+        n_active = data.draw(st.integers(0, SMALL_INDEX_ROWS), label="n_active")
+    n_retired = data.draw(st.integers(max(1, 2 - n_active), 4), label="n_retired")
+    vocab = [f"v{i}" for i in range(10)]
+    text = st.lists(st.sampled_from(vocab), min_size=1, max_size=6).map(" ".join)
+    others = [f"c{i} {data.draw(text, label='content')}" for i in range(n_active + n_retired - 2)]
+    contents = data.draw(st.permutations(["!!!", MANY_OF_ONE] + others), label="order")
+    # No near-duplicate checks, so every content is a record of its own.
+    kwargs = {"near_dup_threshold": 1.01, "coverage_threshold": coverage}
+    state = MemoryState(**kwargs)
+    for content in contents:
+        kind = data.draw(st.sampled_from(MEMORY_KINDS), label="kind")
+        state.add_knowledge(kind, content, no_arbiter)
+    for rid in data.draw(st.permutations(sorted(state.records)), label="retired")[:n_retired]:
+        state._retire(state.records[rid], into=None)
+    assert len(state.active_records()) == n_active
+
+    snapshot = state.to_snapshot()
+    text_form = json.dumps(snapshot, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    loaded = MemoryState.from_snapshot(json.loads(text_form), clock=state.clock, **kwargs)
+
+    assert (loaded._index._matrix is not None) == shared_columns
+    assert loaded.to_snapshot() == snapshot
+    assert loaded.records == state.records
+    for record in loaded.records.values():
+        assert record.embedding.tobytes() == embed(record.content).tobytes()
+    queries = ["!!!", "many", "many v1", "c0 v2 v3"] + data.draw(st.lists(text, min_size=1, max_size=3), label="queries")
+    everything = len(state.records) + 1
+    for query in queries:
+        for k, threshold in ((everything, 0.0), (2, coverage)):
+            assert [(r.id, s) for r, s in loaded.vector_search(query, k, threshold)] == [
+                (r.id, s) for r, s in state.vector_search(query, k, threshold)
+            ]
+    assert loaded.coverage_check(queries[0], tuple(queries[1:])) == state.coverage_check(
+        queries[0], tuple(queries[1:])
+    )
+    staleness = timedelta(seconds=data.draw(st.integers(0, len(contents) + n_retired), label="staleness"))
+    now = state.clock.now()
+    assert loaded.detect_gaps(now, staleness) == state.detect_gaps(now, staleness)
 
 
 def test_load_honors_config_kwargs(tmp_path):

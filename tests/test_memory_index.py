@@ -6,6 +6,7 @@ return exactly what they return: same records, same order, same floats.
 """
 
 import json
+import math
 import random
 from datetime import timedelta
 
@@ -246,6 +247,23 @@ def test_four_of_five_shared_tokens_score_exactly_four_fifths():
         assert_search_matches(state, query, len(extra) + 1, 0.8)
 
 
+def test_a_memory_growing_from_empty_rebuilds_its_index_logarithmically(monkeypatch):
+    builds = []
+    build = SimilarityIndex._build
+
+    def counting_build(index):
+        builds.append(len(index))
+        build(index)
+
+    monkeypatch.setattr(SimilarityIndex, "_build", counting_build)
+    state = MemoryState()
+    for i in range(200):
+        state.add_knowledge("entity_fact", f"r{i} x{i} y{i}", lambda content, record: ArbiterVerdict("skip"))
+    assert len(state.active_records()) == 200
+    assert len(builds) <= 3 * math.log2(200), builds
+    assert_reads_match(state, ["r1 x2 y3", "!!!"], [])
+
+
 # -- bulk restore --------------------------------------------------------------
 
 
@@ -331,7 +349,7 @@ def snapshot_of(contents_and_statuses):
         (rd,) = state.to_snapshot()["records"]
         rd.update(id=f"m{i:06d}", status=status)
         records.append(rd)
-    return {"records": records, "profile": {}}
+    return {"records": records, "profile": {}, "counter": len(records)}
 
 
 @pytest.mark.parametrize(
