@@ -7,6 +7,7 @@ roles build their prompts from runtime-visible inputs only.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional, Sequence
 
 from foresight.acquisition import Evidence, KnowledgeArtifact, ValueScores
@@ -149,8 +150,9 @@ class HttpRoleBackends:
     # -- proactive runtime roles ------------------------------------------------
 
     def predict(self, history: Sequence[dict], memory: MemoryState) -> list[CandidateNeed]:
-        notes = [r.content.splitlines()[0] for r in memory.records.values() if r.status == "active"]
-        prompt = build_predictor_prompt(history, memory.profile, notes[:20])
+        active = (r for r in memory.records.values() if r.status == "active")
+        notes = [r.content.splitlines()[0] for r in islice(active, 20)]
+        prompt = build_predictor_prompt(history, memory.profile, notes)
         items = parse_predictor_response(self._chat(Role.PREDICTOR, prompt))
         return [
             CandidateNeed(

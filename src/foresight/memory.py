@@ -8,7 +8,7 @@ with respect to arbitration failures: if the arbiter raises or returns an
 unknown action, the store is left untouched.
 
 Every similarity read (``vector_search``, ``coverage_check``, the
-weak-support scan in ``detect_gaps``, and the artifact topics read by
+weak-support search in ``detect_gaps``, and the artifact topics read by
 ``prediction.filter_candidates``) is one ``SimilarityIndex.search``. The
 index keeps every active record's token counts as one column of a
 bucket-major float64 matrix, so a query's dot products with all of them are
@@ -24,6 +24,13 @@ into the index matrix, and each active record's embedding is a read-only
 view of its column. Every other record's embedding is a read-only row of one
 small record-major matrix.
 
+``detect_gaps`` scans no records. Each write keeps its three gap sources up
+to date: the ids of active records whose content holds ``TBD``, a min-heap
+of ``(updated_at, id)`` stamps, and, for each research fact not built by a
+merge, an active record that supports it (its witness) or none. A write
+marks a fact for a new search when the fact itself or its witness changes,
+and tests its new vector only against the facts that are weak right now.
+
 A snapshot stores each embedding as one hex string of packed little-endian
 ``(uint16 bucket, uint32 count)`` pairs, nonzero buckets only, ascending, and
 the id counter next to the records. A restore decodes every record's pairs
@@ -34,6 +41,7 @@ with one ``bytes.fromhex`` and rejects a snapshot in any other form with a
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import logging
 import operator
@@ -308,7 +316,11 @@ class LogicalClock:
 
 
 class MemoryState:
-    """Single-writer memory for one conversation run."""
+    """Single-writer memory for one conversation run.
+
+    ``coverage_threshold`` is read-only: the gap sources kept on write hold
+    the research facts' support at that threshold.
+    """
 
     def __init__(
         self,
@@ -317,7 +329,7 @@ class MemoryState:
         clock: Optional[LogicalClock] = None,
     ) -> None:
         self.near_dup_threshold = near_dup_threshold
-        self.coverage_threshold = coverage_threshold
+        self._coverage_threshold = coverage_threshold
         self.clock = clock or LogicalClock()
         self.records: dict[str, MemoryRecord] = {}
         self.hash_index: dict[str, str] = {}  # digest -> record id, active records only
@@ -325,6 +337,19 @@ class MemoryState:
         self._counter = 0
         self._index = SimilarityIndex(self.records, _embedding_of)
         self._topics: Optional[SimilarityIndex] = None  # built on first use
+        # Gap sources, kept on write. A stamp counts while its record is
+        # active and still carries it; ``detect_gaps`` drops the others when
+        # they come off the heap.
+        self._stamps: list[tuple[datetime, str]] = []
+        self._incomplete: set[str] = set()  # active ids whose content holds "TBD"
+        # Each research fact not built by a merge is in exactly one of these.
+        self._unchecked: set[str] = set()  # to search for support on the next detect_gaps
+        self._weak: set[str] = set()  # no other active record supports it
+        self._witness: dict[str, str] = {}  # fact id -> an active record that supports it
+
+    @property
+    def coverage_threshold(self) -> float:
+        return self._coverage_threshold
 
     # -- identity ---------------------------------------------------------
 
@@ -392,6 +417,8 @@ class MemoryState:
             self._retire(neighbor, into=target.id)
             target.merged_from = tuple(list(target.merged_from) + [neighbor.id])
             target.updated_at = self.clock.tick()
+            self._forget_fact(target.id)  # a merge built it now
+            heapq.heappush(self._stamps, (target.updated_at, target.id))
             return AddResult(AddOutcome.MERGED, target.id)
 
         self._retire(neighbor, into=None)  # merged_into patched after the new id exists
@@ -425,17 +452,46 @@ class MemoryState:
         self.hash_index.pop(record.content_hash, None)
         self._unindex(record)
 
-    # -- similarity indexes -----------------------------------------------
+    # -- indexes and gap sources -------------------------------------------
 
     def _reindex(self, record: MemoryRecord) -> None:
-        self._index.add(record.id)
+        """Indexes an active record's current content and stamp."""
+        rid = record.id
+        self._index.add(rid)
         if self._topics is not None and record.kind == "artifact":
-            self._topics.add(record.id)
+            self._topics.add(rid)
+        heapq.heappush(self._stamps, (record.updated_at, rid))
+        if "TBD" in record.content:
+            self._incomplete.add(rid)
+        if record.kind == "research_fact" and not record.merged_from:
+            self._unchecked.add(rid)
+        # Only a weak fact can lose its gap to a new vector; every other
+        # fact is supported already or searched again anyway.
+        if self._weak:
+            threshold, records, vec = self.coverage_threshold, self.records, record.embedding
+            supported = [fact for fact in self._weak if cosine(vec, records[fact].embedding) >= threshold]
+            for fact in supported:
+                self._weak.remove(fact)
+                self._witness[fact] = rid
 
     def _unindex(self, record: MemoryRecord) -> None:
-        self._index.remove(record.id)
+        """Drops what ``_reindex`` kept of a record's content."""
+        rid = record.id
+        self._index.remove(rid)
         if self._topics is not None and record.kind == "artifact":
-            self._topics.remove(record.id)
+            self._topics.remove(rid)
+        self._incomplete.discard(rid)
+        self._forget_fact(rid)
+        lost = [fact for fact, witness in self._witness.items() if witness == rid]
+        for fact in lost:
+            del self._witness[fact]
+            self._unchecked.add(fact)
+
+    def _forget_fact(self, rid: str) -> None:
+        """Stops checking ``rid``'s support, until ``_reindex`` marks it again."""
+        self._unchecked.discard(rid)
+        self._weak.discard(rid)
+        self._witness.pop(rid, None)
 
     # -- read paths -------------------------------------------------------
 
@@ -481,27 +537,48 @@ class MemoryState:
     # -- gap detection ------------------------------------------------------
 
     def detect_gaps(self, now: datetime, staleness: timedelta) -> list[GapCandidate]:
-        """Conservative gap scan: stale, weakly supported, or marked content.
+        """Conservative gaps: stale, marked, or weakly supported content.
 
-        Records are scanned by ascending id. A research fact not built by a
-        merge is weakly supported unless another active record reaches
-        ``coverage_threshold`` by ``cosine`` with it.
+        Gaps come by ascending record id, and for one record in that order:
+        ``stale`` when ``now - updated_at > staleness``, ``incomplete`` when
+        its content holds ``TBD``, ``weakly_supported`` for a research fact
+        not built by a merge that no other active record reaches
+        ``coverage_threshold`` with by ``cosine``.
+
+        Nothing here walks the records: the writes keep the sources, and
+        only the facts a write marked since the last call are searched.
         """
-        gaps: list[GapCandidate] = []
-        threshold = self.coverage_threshold
-        for record in sorted(self.active_records(), key=lambda r: r.id):
-            if now - record.updated_at > staleness:
-                gaps.append(GapCandidate(topic=record.content, reason="stale", related_record_ids=(record.id,)))
-            if "TBD" in record.content:
-                gaps.append(GapCandidate(topic=record.content, reason="incomplete", related_record_ids=(record.id,)))
-            if record.kind == "research_fact" and not record.merged_from:
-                # The record itself is one of the two best hits if it qualifies.
-                hits = self._index.search(record.embedding, threshold, k=2)
-                if all(rid == record.id for rid, _ in hits):
-                    gaps.append(
-                        GapCandidate(topic=record.content, reason="weakly_supported", related_record_ids=(record.id,))
-                    )
-        return gaps
+        records, threshold = self.records, self.coverage_threshold
+        for fact in self._unchecked:
+            # The fact itself is one of the two best hits if it qualifies.
+            hits = self._index.search(records[fact].embedding, threshold, k=2)
+            witness = next((rid for rid, _ in hits if rid != fact), None)
+            if witness is None:
+                self._weak.add(fact)
+            else:
+                self._witness[fact] = witness
+        self._unchecked.clear()
+
+        # Stale stamps are the oldest, so they come off the heap first; the
+        # ones that still count go back on.
+        stamps, stale = self._stamps, {}
+        while stamps and now - stamps[0][0] > staleness:
+            stamp, rid = heapq.heappop(stamps)
+            record = records[rid]
+            if record.status == "active" and record.updated_at == stamp:
+                stale[rid] = stamp
+        for rid, stamp in stale.items():
+            heapq.heappush(stamps, (stamp, rid))
+
+        flagged = sorted(
+            [(rid, 0, "stale") for rid in stale]
+            + [(rid, 1, "incomplete") for rid in self._incomplete]
+            + [(rid, 2, "weakly_supported") for rid in self._weak]
+        )
+        return [
+            GapCandidate(topic=records[rid].content, reason=reason, related_record_ids=(rid,))
+            for rid, _, reason in flagged
+        ]
 
     # -- persistence --------------------------------------------------------
 
@@ -599,6 +676,7 @@ class MemoryState:
         rest.flags.writeable = False
         column_views, rest_rows = iter(view.T), iter(rest)
         records, hash_index = state.records, state.hash_index
+        stamps, incomplete, unchecked = state._stamps, state._incomplete, state._unchecked
         actives: list[str] = []
         for (rid, kind, content, digest, _, created, updated, status, into, sources), in_index in zip(
             rows, shared.tolist()
@@ -621,6 +699,12 @@ class MemoryState:
             if status == "active":
                 hash_index[digest] = rid
                 actives.append(rid)
+                stamps.append((updated_at, rid))
+                if "TBD" in content:
+                    incomplete.add(rid)
+                if kind == "research_fact" and not sources:
+                    unchecked.add(rid)
+        heapq.heapify(stamps)
         if n_shared:
             state._index._adopt(
                 actives, columns, np.bincount(column, weights=shared_counts * shared_counts, minlength=n_shared)

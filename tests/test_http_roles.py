@@ -7,9 +7,10 @@ from collections import Counter
 import pytest
 
 from conftest import SCENARIO_DIR, make_scenario
-from foresight.backends import Role
+from foresight.backends import Role, build_predictor_prompt
 from foresight.config import RunConfig
 from foresight.harness import Condition, run_scenario
+from foresight.memory import ArbiterVerdict, MemoryState
 from foresight.scenarios import parse_scenario
 from scripted_transport import ASSISTANT, chat_body, scripted_backends
 
@@ -86,3 +87,24 @@ def test_http_401_fails_the_unit_without_retry(finance_scenario):
     assert outcome.result.status == "failed"
     assert outcome.result.error.startswith("AuthenticationError:")
     assert transport.roles() == ["simulator"]
+
+
+def test_predictor_prompt_notes_the_first_twenty_active_records(finance_scenario):
+    memory = MemoryState()
+    merge = lambda content, record: ArbiterVerdict("merge")
+    for i in range(30):
+        kind = "artifact" if i % 3 == 0 else "entity_fact"
+        memory.add_knowledge(kind, f"topic{i} anchor{i}\r\nbody{i} detail{i}\nmore{i}", merge)
+    # Retire the second record: the merged record goes to the end of the store.
+    memory.add_knowledge("entity_fact", "topic1 anchor1 body1 detail1 more1 extra", merge)
+    memory.profile["city"] = "Lisbon"
+    active = [r for r in memory.records.values() if r.status == "active"]
+    assert memory.records["m000002"].status == "merged" and len(active) == 30
+    history = [{"user": "what are the fees", "assistant": "none"}]
+    backends, transport = scripted_backends(finance_scenario)
+    backends.predict(history, memory)
+    ((role, prompt),) = transport.prompts
+    notes = [r.content.splitlines()[0] for r in active][:20]
+    assert role == "predictor"
+    assert prompt == build_predictor_prompt(history, memory.profile, notes)
+    assert "- topic20 anchor20\n" in prompt and "topic21" not in prompt and "topic1 " not in prompt

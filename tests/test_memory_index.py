@@ -8,20 +8,22 @@ return exactly what they return: same records, same order, same floats.
 import json
 import math
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from foresight.embedding import DEFAULT_DIM, _bucket, cosine, embed
 from foresight.memory import (
     MEMORY_KINDS,
     SMALL_INDEX_ROWS,
+    AddOutcome,
     ArbiterVerdict,
     CoverageReport,
     GapCandidate,
+    LogicalClock,
     MemoryState,
     SimilarityIndex,
 )
@@ -146,6 +148,18 @@ contents = st.one_of(
 )
 
 
+def rewrites(texts_in_memory):
+    """A text in memory with its ``TBD`` swapped for a word, or with a word
+    added: a likely near-duplicate, so writes often replace or retire the
+    records the gap sources hold."""
+
+    def rewrite(pair):
+        text, word = pair
+        return text.replace("TBD", word) if "TBD" in text else f"{text} {word}"
+
+    return st.tuples(st.sampled_from(texts_in_memory), st.sampled_from(VOCAB)).map(rewrite)
+
+
 def draw_arbiter(data, state):
     def arbiter(content, neighbor):
         action = data.draw(st.sampled_from(("skip", "replace", "merge")), label="action")
@@ -158,6 +172,30 @@ def draw_arbiter(data, state):
         return ArbiterVerdict("merge", merged_content=merged)
 
     return arbiter
+
+
+def name_write(state, result, content, before, witnesses):
+    """Names, as a hypothesis event, each kind of write the gap sources must follow."""
+    rid = result.record_id
+    if result.outcome is AddOutcome.MERGED and rid in before:
+        event("merge into an existing record")
+    if result.outcome is AddOutcome.REPLACED:
+        if rid in witnesses:
+            event("witness replaced")
+        if "TBD" in before[rid] and "TBD" not in content:
+            event("TBD record replaced by text without TBD")
+    if any(state.records[witness].status != "active" for witness in witnesses):
+        event("witness retired")
+
+
+def assert_gaps_match_after_write(data, state):
+    for _ in range(data.draw(st.integers(0, 3), label="ticks")):
+        state.clock.tick()
+    now = state.clock.now()
+    # The stricter staleness first: the second call must see the stamps the
+    # first one took off the heap.
+    for staleness in (timedelta(seconds=data.draw(st.integers(0, 4), label="staleness")), timedelta(hours=1)):
+        assert state.detect_gaps(now, staleness) == oracle_detect_gaps(state, now, staleness)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -175,8 +213,17 @@ def test_reads_match_brute_force_over_random_add_sequences(data, near_dup, cover
         if step == round_trip_at:
             snapshot = json.loads(json.dumps(state.to_snapshot()))
             state = MemoryState.from_snapshot(snapshot, clock=state.clock, **kwargs)
-        kind = data.draw(st.sampled_from(MEMORY_KINDS), label="kind")
-        state.add_knowledge(kind, data.draw(contents, label="content"), draw_arbiter(data, state))
+            event("snapshot round trip")
+        # Research facts count twice: more of them, and more witnesses.
+        kind = data.draw(st.sampled_from(MEMORY_KINDS + ("research_fact",)), label="kind")
+        before = {r.id: r.content for r in state.active_records()}
+        witnesses = set(state._witness.values())
+        # Witnesses count twice among the texts to rewrite.
+        targets = list(before.values()) + [before[witness] for witness in witnesses]
+        content = data.draw(st.one_of(contents, rewrites(targets)) if targets else contents, label="content")
+        result = state.add_knowledge(kind, content, draw_arbiter(data, state))
+        name_write(state, result, content, before, witnesses)
+        assert_gaps_match_after_write(data, state)
         assert_search_matches(
             state,
             data.draw(texts, label="query"),
@@ -262,6 +309,99 @@ def test_a_memory_growing_from_empty_rebuilds_its_index_logarithmically(monkeypa
     assert len(state.active_records()) == 200
     assert len(builds) <= 3 * math.log2(200), builds
     assert_reads_match(state, ["r1 x2 y3", "!!!"], [])
+
+
+# -- gap sources kept on write -------------------------------------------------
+
+EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
+
+
+def gap_reasons(state, staleness=timedelta(hours=1)):
+    """``detect_gaps`` at the clock's now, checked against the oracle at
+    ``staleness`` and at no staleness, as (id, reason) pairs."""
+    now = state.clock.now()
+    for window in (timedelta(0), staleness):
+        gaps = state.detect_gaps(now, window)
+        assert gaps == oracle_detect_gaps(state, now, window)
+    return [(gap.related_record_ids[0], gap.reason) for gap in gaps]
+
+
+def verdict(action, merged_content=None):
+    return lambda content, record: ArbiterVerdict(action, merged_content)
+
+
+@pytest.mark.parametrize("fillers", [0, SMALL_INDEX_ROWS + 1])  # scalar path, then the index matrix
+def test_gap_sources_follow_each_kind_of_write(fillers):
+    state = MemoryState(coverage_threshold=0.80)
+    for i in range(fillers):
+        state.add_knowledge("entity_fact", f"filler{i} x{i}", verdict("skip"))
+    add = lambda kind, content, action="skip", merged=None: state.add_knowledge(
+        kind, content, verdict(action, merged)
+    )
+    fact = add("research_fact", "f0 f1 f2 f3 f4").record_id
+    assert gap_reasons(state) == [(fact, "weakly_supported")]
+    # 4 of 5 tokens shared: cosine 0.8, support without a near-duplicate.
+    witness = add("entity_fact", "f0 f1 f2 f3 g0").record_id
+    assert gap_reasons(state) == []
+    # The witness is rewritten into text that no longer supports the fact.
+    assert add("entity_fact", "f0 f1 f2 f3 g0 g1", "replace").outcome is AddOutcome.REPLACED
+    assert state.records[witness].content == "f0 f1 f2 f3 g0 g1"
+    assert gap_reasons(state) == [(fact, "weakly_supported")]
+    # A new record supports the weak fact; then a merge retires it.
+    witness = add("entity_fact", "f0 f1 f2 f3 h0").record_id
+    assert gap_reasons(state) == []
+    assert add("entity_fact", "f0 f1 f2 f3 h0 h1", "merge").outcome is AddOutcome.MERGED
+    assert state.records[witness].status == "merged"
+    assert gap_reasons(state) == [(fact, "weakly_supported")]
+    # A TBD record rewritten without its marker.
+    marked = add("entity_fact", "the closing date for the home loan is TBD").record_id
+    assert gap_reasons(state) == [(fact, "weakly_supported"), (marked, "incomplete")]
+    add("entity_fact", "the closing date for the home loan is march", "replace")
+    assert state.records[marked].content.endswith("march")
+    assert gap_reasons(state) == [(fact, "weakly_supported")]
+    # Merging into an existing research fact makes it merge-built, so exempt.
+    target = add("research_fact", "g5 g6 g7 g8 g9").record_id
+    assert gap_reasons(state) == [(fact, "weakly_supported"), (target, "weakly_supported")]
+    source = add("entity_fact", "n0 n1 n2 n3 n4 n5 n6 n7 n8 n9").record_id
+    merge = add("entity_fact", "n0 n1 n2 n3 n4 n5 n6 n7 n8 n9 n10", "merge", "g5 g6 g7 g8 g9")
+    assert merge.record_id == target and state.records[target].merged_from == (source,)
+    assert gap_reasons(state) == [(fact, "weakly_supported")]
+    # The weak fact itself rewritten.
+    add("research_fact", "f0 f1 f2 f3 f4 f5", "replace")
+    assert state.records[fact].content == "f0 f1 f2 f3 f4 f5"
+    assert gap_reasons(state) == [(fact, "weakly_supported")]
+
+
+def test_gaps_of_a_restore_stamped_after_its_clock_start():
+    # As in the bench's long memory: most restored records carry stamps later
+    # than the clock the memory is restored with, so writes after the restore
+    # are stamped earlier than they are.
+    build = MemoryState(clock=LogicalClock(start=EPOCH, step_seconds=3600))
+    for i in range(40):
+        kind = ("entity_fact", "research_fact", "artifact")[i % 3]
+        build.add_knowledge(kind, " ".join(f"r{i}{c}" for c in "abcdef"), verdict("skip"))
+    assert [r.updated_at for r in build.records.values()] == [EPOCH + timedelta(hours=i) for i in range(40)]
+    start = EPOCH + timedelta(hours=10)
+    snapshot = json.loads(json.dumps(build.to_snapshot()))
+    state = MemoryState.from_snapshot(snapshot, clock=LogicalClock(start=start))
+    staleness = timedelta(hours=2)
+
+    def stale_ids(hours):
+        now = start + timedelta(hours=hours)
+        gaps = state.detect_gaps(now, staleness)
+        assert gaps == oracle_detect_gaps(state, now, staleness)
+        return [gap.related_record_ids[0] for gap in gaps if gap.reason == "stale"]
+
+    # Record i is stale once i < 8 + hours.
+    first = "m000001"
+    assert [len(stale_ids(hours)) for hours in range(0, 40, 4)] == [min(8 + h, 40) for h in range(0, 40, 4)]
+    assert len(stale_ids(1)) == 9 and first in stale_ids(1)
+    rewrite = state.add_knowledge("entity_fact", " ".join(f"r0{c}" for c in "abcdefg"), verdict("replace"))
+    assert rewrite.record_id == first and state.records[first].updated_at == start
+    assert stale_ids(1) == [f"m{i:06d}" for i in range(2, 10)]
+    assert len(stale_ids(3)) == 11 and first in stale_ids(3)
+    assert len(stale_ids(0)) == 7 and first not in stale_ids(0)
+    assert len(stale_ids(40)) == 40
 
 
 # -- bulk restore --------------------------------------------------------------
