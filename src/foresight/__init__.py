@@ -13,17 +13,16 @@ from foresight.acquisition import (
     BudgetState,
     KnowledgeArtifact,
     ValueScores,
-    Weights,
     display_score,
     gate,
     value_score,
 )
-from foresight.config import Condition
+from foresight.config import Condition, Weights
 from foresight.delivery import DeliveryAction, PushAssessment, decide_delivery, push_score
 from foresight.harness import run_scenario
 from foresight.memory import AddOutcome, MemoryState
 from foresight.metrics import MetricSet, compute_metrics, paired_bootstrap, t_alpha
-from foresight.prediction import CandidateNeed, PredictionConfig, filter_candidates, generate_candidates
+from foresight.prediction import CandidateNeed, filter_candidates, generate_candidates
 from foresight.scenarios import (
     Scenario,
     composition_stats,
@@ -46,7 +45,6 @@ __all__ = [
     "KnowledgeArtifact",
     "MemoryState",
     "MetricSet",
-    "PredictionConfig",
     "PushAssessment",
     "Scenario",
     "ValueScores",

@@ -18,14 +18,11 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from foresight.backends import ConfigurationError
+from foresight.config import RunConfig, Weights
 from foresight.memory import Arbiter, MemoryState
 from foresight.prediction import CandidateNeed
 
 logger = logging.getLogger(__name__)
-
-VALUE_THRESHOLD = 60.0
-SEARCH_ROUND_CAP = 4  # per-candidate cap on iterative search rounds
-WEIGHT_TOLERANCE = 1e-9
 
 
 class AcquisitionDecision(str, Enum):
@@ -49,21 +46,6 @@ class ValueScores:
                 raise ValueError(f"{name} out of [0, 100]: {value}")
 
 
-@dataclass(frozen=True)
-class Weights:
-    relevance: float = 0.25
-    knowledge_gap: float = 0.25
-    incremental_value: float = 0.25
-    timeliness: float = 0.25
-
-    def __post_init__(self) -> None:
-        parts = (self.relevance, self.knowledge_gap, self.incremental_value, self.timeliness)
-        if any(w < 0.0 for w in parts):
-            raise ConfigurationError(f"weights must be non-negative: {parts}")
-        if abs(sum(parts) - 1.0) > WEIGHT_TOLERANCE:
-            raise ConfigurationError(f"weights must sum to 1.0, got {sum(parts)!r}")
-
-
 def value_score(scores: ValueScores, weights: Optional[Weights] = None) -> float:
     """Weighted composite on the 0-100 scale. Gating uses this exact value."""
     w = weights or Weights()
@@ -80,7 +62,9 @@ def display_score(score: float) -> int:
     return int(math.floor(score + 0.5))
 
 
-def gate(scores: ValueScores, composite: float, threshold: float = VALUE_THRESHOLD) -> AcquisitionDecision:
+def gate(
+    scores: ValueScores, composite: float, threshold: float = RunConfig.value_threshold
+) -> AcquisitionDecision:
     """Threshold rule plus the sub-threshold triage on components."""
     if composite >= threshold:
         return AcquisitionDecision.SEARCH_NOW
@@ -186,7 +170,7 @@ def acquire(
     arbiter: Arbiter,
     budget: BudgetState,
     value_scores: ValueScores,
-    search_round_cap: int = SEARCH_ROUND_CAP,
+    search_round_cap: int = RunConfig.search_round_cap,
 ) -> AcquisitionOutcome:
     """Tiered acquisition for one gated candidate.
 
@@ -248,12 +232,9 @@ __all__ = [
     "ConfigurationError",
     "Evidence",
     "KnowledgeArtifact",
-    "SEARCH_ROUND_CAP",
     "Searcher",
     "Synthesizer",
     "ValueScores",
-    "VALUE_THRESHOLD",
-    "Weights",
     "acquire",
     "display_score",
     "gate",

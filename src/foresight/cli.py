@@ -241,11 +241,9 @@ def _make_run_config(args: argparse.Namespace, budget_k: Optional[int] = None) -
 
 def _backends_factory(cfg: RunConfig):
     if cfg.backend == "oracle":
-        return lambda scenario: OracleBackends(scenario, prediction_cfg=cfg.prediction_config())
+        return lambda scenario: OracleBackends(scenario, cfg=cfg)
     client = backend_mod.HttpChatClient(endpoint=cfg.endpoint)
-    return lambda scenario: HttpRoleBackends(
-        scenario, client, prediction_cfg=cfg.prediction_config(), seed=cfg.seed
-    )
+    return lambda scenario: HttpRoleBackends(scenario, client, seed=cfg.seed)
 
 
 def _validate_or_fail(loaded: list[tuple[Path, Scenario]]) -> Optional[str]:

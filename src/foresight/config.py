@@ -1,4 +1,9 @@
-"""Run configuration and the evaluation conditions, shared by the harness and the CLI."""
+"""Run configuration and the evaluation conditions, shared by the harness and the CLI.
+
+``RunConfig`` is the only run configuration: memory, prediction and
+acquisition read their settings from it, and their defaults are its field
+defaults.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from foresight.acquisition import ConfigurationError, Weights
-from foresight.prediction import PredictionConfig
+from foresight.backends import ConfigurationError
 
 
 class Condition(str, Enum):
@@ -18,6 +22,22 @@ class Condition(str, Enum):
 
 VALID_CONDITIONS = tuple(condition.value for condition in Condition)
 VALID_BACKENDS = ("oracle", "http")
+WEIGHT_TOLERANCE = 1e-9
+
+
+@dataclass(frozen=True)
+class Weights:
+    relevance: float = 0.25
+    knowledge_gap: float = 0.25
+    incremental_value: float = 0.25
+    timeliness: float = 0.25
+
+    def __post_init__(self) -> None:
+        parts = (self.relevance, self.knowledge_gap, self.incremental_value, self.timeliness)
+        if any(w < 0.0 for w in parts):
+            raise ConfigurationError(f"weights must be non-negative: {parts}")
+        if abs(sum(parts) - 1.0) > WEIGHT_TOLERANCE:
+            raise ConfigurationError(f"weights must sum to 1.0, got {sum(parts)!r}")
 
 
 @dataclass(frozen=True)
@@ -35,7 +55,7 @@ class RunConfig:
     coverage_threshold: float = 0.80
     memory_gap_confidence: float = 0.70
     gap_staleness_seconds: float = 3600.0
-    search_round_cap: int = 4
+    search_round_cap: int = 4  # per-candidate cap on iterative search rounds
     backend: str = "oracle"
     endpoint: Optional[str] = None
     parallel: int = 1
@@ -63,14 +83,5 @@ class RunConfig:
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} out of [0, 1]: {value}")
 
-    def prediction_config(self) -> PredictionConfig:
-        return PredictionConfig(
-            confidence_threshold=self.confidence_threshold,
-            max_predictor_candidates=self.max_predictor_candidates,
-            topic_dedup_threshold=self.topic_dedup_threshold,
-            memory_gap_confidence=self.memory_gap_confidence,
-            gap_staleness_seconds=self.gap_staleness_seconds,
-        )
 
-
-__all__ = ["Condition", "RunConfig", "VALID_BACKENDS", "VALID_CONDITIONS"]
+__all__ = ["Condition", "RunConfig", "VALID_BACKENDS", "VALID_CONDITIONS", "Weights"]

@@ -71,12 +71,11 @@ def _run_idle_window(
 
     Returns (notification, push_verdict, queued_for_next_turn).
     """
-    pcfg = cfg.prediction_config()
     if condition is Condition.DIRECTED_IDLE:
-        candidates = generate_candidates(history, memory, backends.predict, pcfg)
+        candidates = generate_candidates(history, memory, backends.predict, cfg)
     else:
         candidates = backends.unguided(history, memory)
-    candidates = filter_candidates(candidates, memory, pcfg)
+    candidates = filter_candidates(candidates, memory, cfg)
     queue = CandidateQueue()
     queue.extend(candidates)
 
@@ -134,7 +133,7 @@ def run_scenario(
     cfg = cfg or RunConfig()
     condition = Condition(condition)
     if backends is None:
-        backends = OracleBackends(scenario, prediction_cfg=cfg.prediction_config())
+        backends = OracleBackends(scenario, cfg=cfg)
     if memory is None:
         memory = MemoryState(
             near_dup_threshold=cfg.near_dup_threshold,
@@ -174,7 +173,6 @@ def run_scenario(
             pushes: tuple[dict, ...] = ()
             idle_spend = 0
             if condition is not Condition.REACTIVE:
-                backends.covered = set(covered)
                 before = backends.ledger.active_total()
                 notification, push_verdict, pending = _run_idle_window(
                     condition, memory, backends, cfg, history
@@ -183,7 +181,6 @@ def run_scenario(
                 if notification is not None and push_verdict is not None:
                     verdict = merge_verdicts(verdict, push_verdict)
                     covered |= {m.need_id for m in verdict.needs_addressed}
-                    backends.covered = set(covered)
                     pushes = (
                         {
                             "artifact_id": notification.artifact_id,

@@ -35,8 +35,8 @@ from foresight.backends import (
 from foresight.delivery import PushAssessment
 from foresight.memory import ArbiterVerdict, MemoryRecord, MemoryState
 from foresight.metrics import AssistantReply, JudgeVerdict, NeedMark
-from foresight.oracles import UNDIRECTED_INTENT_LIMIT, extract_fact_ids, undirected_intent_pool
-from foresight.prediction import CandidateNeed, PredictionConfig
+from foresight.oracles import extract_fact_ids, undirected_candidates
+from foresight.prediction import CandidateNeed
 from foresight.scenarios import Scenario
 
 
@@ -48,15 +48,12 @@ class HttpRoleBackends:
         scenario: Scenario,
         client: HttpChatClient,
         ledger: Optional[TokenLedger] = None,
-        prediction_cfg: Optional[PredictionConfig] = None,
         seed: Optional[int] = None,
     ) -> None:
         self.scenario = scenario
         self.client = client
         self.ledger = ledger or TokenLedger()
-        self.cfg = prediction_cfg or PredictionConfig()
         self.seed = seed
-        self.covered: set[str] = set()
         self._fact_ids = frozenset(f.id for f in scenario.facts)
         self._fact_lines = [f"{f.id}: {f.content}" for f in scenario.facts]
         self._history: list[dict] = []
@@ -150,8 +147,9 @@ class HttpRoleBackends:
     # -- proactive runtime roles ------------------------------------------------
 
     def predict(self, history: Sequence[dict], memory: MemoryState) -> list[CandidateNeed]:
-        active = (r for r in memory.records.values() if r.status == "active")
-        notes = [r.content.splitlines()[0] for r in islice(active, 20)]
+        # The 20 newest active records, in store order, so this run's writes show.
+        newest = islice((r for r in reversed(memory.records.values()) if r.status == "active"), 20)
+        notes = [r.content.splitlines()[0] for r in reversed(list(newest))]
         prompt = build_predictor_prompt(history, memory.profile, notes)
         items = parse_predictor_response(self._chat(Role.PREDICTOR, prompt))
         return [
@@ -167,18 +165,7 @@ class HttpRoleBackends:
         ]
 
     def unguided(self, history: Sequence[dict], memory: MemoryState) -> list[CandidateNeed]:
-        out = [
-            CandidateNeed(
-                topic=topic,
-                need=need,
-                reason=reason,
-                confidence=0.65,
-                retrieval_query=topic,
-                source="related",
-            )
-            for topic, need, reason in undirected_intent_pool(self.scenario.domain)[:UNDIRECTED_INTENT_LIMIT]
-        ]
-        return out
+        return undirected_candidates(self.scenario.domain)
 
     def assess_value(self, candidate: CandidateNeed) -> ValueScores:
         prompt = build_value_prompt(

@@ -52,14 +52,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from foresight.config import RunConfig
 from foresight.embedding import DEFAULT_DIM, cosine, embed
 
 logger = logging.getLogger(__name__)
 
 MEMORY_KINDS = ("profile_attr", "entity_fact", "conversation_summary", "research_fact", "artifact")
-
-DEFAULT_NEAR_DUP_THRESHOLD = 0.88
-DEFAULT_COVERAGE_THRESHOLD = 0.80
 
 # Up to this many records, scoring every one with ``cosine`` costs about as
 # much as the index's fixed NumPy work per query, and leaving the matrix
@@ -324,8 +322,8 @@ class MemoryState:
 
     def __init__(
         self,
-        near_dup_threshold: float = DEFAULT_NEAR_DUP_THRESHOLD,
-        coverage_threshold: float = DEFAULT_COVERAGE_THRESHOLD,
+        near_dup_threshold: float = RunConfig.near_dup_threshold,
+        coverage_threshold: float = RunConfig.coverage_threshold,
         clock: Optional[LogicalClock] = None,
     ) -> None:
         self.near_dup_threshold = near_dup_threshold

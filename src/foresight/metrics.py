@@ -79,16 +79,6 @@ class JudgeVerdict:
             "needs_addressed": [{"need_id": m.need_id, "mode": m.mode} for m in self.needs_addressed],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "JudgeVerdict":
-        return cls(
-            facts_conveyed=tuple(data.get("facts_conveyed", ())),
-            facts_distorted=tuple(data.get("facts_distorted", ())),
-            hallucinated_claims=tuple(data.get("hallucinated_claims", ())),
-            needs_addressed=tuple(
-                NeedMark(entry["need_id"], entry["mode"]) for entry in data.get("needs_addressed", ())
-            ),
-        )
 
 
 def merge_verdicts(base: JudgeVerdict, extra: JudgeVerdict) -> JudgeVerdict:
@@ -146,23 +136,6 @@ class TurnRecord:
             "idle_token_spend": self.idle_token_spend,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TurnRecord":
-        reply = data.get("assistant_reply", {})
-        return cls(
-            index=data["index"],
-            user_message=data.get("user_message"),
-            explicit_ask=data["explicit_ask"],
-            target_need_id=data.get("target_need_id"),
-            assistant_reply=AssistantReply(
-                text=reply.get("text", ""),
-                delivered_fact_ids=tuple(reply.get("delivered_fact_ids", ())),
-                distorted_fact_ids=tuple(reply.get("distorted_fact_ids", ())),
-            ),
-            verdict=JudgeVerdict.from_dict(data.get("verdict", {})),
-            pushes=tuple(data.get("pushes", ())),
-            idle_token_spend=data.get("idle_token_spend", 0),
-        )
 
 
 @dataclass(frozen=True)
@@ -195,16 +168,6 @@ class ScenarioResult:
             out["error"] = self.error
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioResult":
-        return cls(
-            scenario_id=data["scenario_id"],
-            condition=data["condition"],
-            turns=tuple(TurnRecord.from_dict(t) for t in data.get("turns", ())),
-            status=data["status"],
-            error=data.get("error"),
-            role_tokens=data.get("role_tokens", {}),
-        )
 
 
 @dataclass(frozen=True)

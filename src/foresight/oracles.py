@@ -1,10 +1,10 @@
 """Deterministic gold-data-driven stand-ins for every model role.
 
 These backends make the closed loop exactly reproducible at desk scale: each
-role is a pure function of the scenario, the covered-need set, and the run
-config. Token spend is charged synthetically (ceil(len/4) of canonical
-request/response text) through the shared ledger, so active-token accounting
-is testable without a model server.
+role is a pure function of the scenario, the run config, and the needs the
+judge has marked so far in this run. Token spend is charged synthetically
+(ceil(len/4) of canonical request/response text) through the shared ledger,
+so active-token accounting is testable without a model server.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from typing import Optional, Sequence
 
 from foresight.acquisition import Evidence, KnowledgeArtifact, ValueScores
 from foresight.backends import Role, TokenLedger
+from foresight.config import RunConfig
 from foresight.delivery import PushAssessment
 from foresight.embedding import tokenize
 from foresight.memory import ArbiterVerdict, MemoryRecord, MemoryState
 from foresight.metrics import AssistantReply, JudgeVerdict, NeedMark
-from foresight.prediction import CandidateNeed, PredictionConfig
+from foresight.prediction import CandidateNeed
 from foresight.scenarios import Scenario
 
 _FACT_TOKEN = re.compile(r"[A-Z]+\d+")
@@ -39,8 +40,6 @@ PUSH_ROWS = {
 }
 OTHER_PUSH_ROW = (45.0, 60.0)
 
-UNDIRECTED_INTENT_LIMIT = 3
-
 
 def extract_fact_ids(text: str, valid_ids: frozenset[str]) -> tuple[str, ...]:
     """Fact-sheet ids referenced in a note, in first-appearance order."""
@@ -51,47 +50,44 @@ def extract_fact_ids(text: str, valid_ids: frozenset[str]) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def undirected_intent_pool(domain: str) -> list[tuple[str, str, str]]:
+def undirected_candidates(domain: str) -> list[CandidateNeed]:
     """Generic background intents derived from the domain string alone.
 
     The unguided condition swaps these in for the predictor, so they must not
     encode anything about covered needs or predictability structure.
     """
+    intents = (
+        (f"common questions about {domain}", f"general orientation in {domain}"),
+        (f"{domain} terminology basics", f"definitions of frequent {domain} terms"),
+        (f"typical next steps in {domain}", f"likely follow-up tasks in {domain}"),
+    )
     return [
-        (
-            f"common questions about {domain}",
-            f"general orientation in {domain}",
-            "broad background preparation",
-        ),
-        (
-            f"{domain} terminology basics",
-            f"definitions of frequent {domain} terms",
-            "broad background preparation",
-        ),
-        (
-            f"typical next steps in {domain}",
-            f"likely follow-up tasks in {domain}",
-            "broad background preparation",
-        ),
+        CandidateNeed(
+            topic=topic,
+            need=need,
+            reason="broad background preparation",
+            confidence=0.65,
+            retrieval_query=topic,
+            source="related",
+        )
+        for topic, need in intents
     ]
 
 
 class OracleBackends:
     """One scenario's worth of deterministic role implementations.
 
-    The harness updates `covered` after each judged turn; the predictor reads
-    it in place of a learned model. All other roles work from arguments only.
+    `judge` adds every need it marks to `covered`, push verdicts included, so
+    `covered` is the run's covered-need set; the predictor reads it in place
+    of a learned model. All other roles work from arguments only.
     """
 
     def __init__(
-        self,
-        scenario: Scenario,
-        ledger: Optional[TokenLedger] = None,
-        prediction_cfg: Optional[PredictionConfig] = None,
+        self, scenario: Scenario, ledger: Optional[TokenLedger] = None, cfg: Optional[RunConfig] = None
     ) -> None:
         self.scenario = scenario
         self.ledger = ledger or TokenLedger()
-        self.cfg = prediction_cfg or PredictionConfig()
+        self.cfg = cfg or RunConfig()
         self.covered: set[str] = set()
         self._fact_ids = frozenset(f.id for f in scenario.facts)
         self._facts = {f.id: f for f in scenario.facts}
@@ -122,6 +118,7 @@ class OracleBackends:
                 mode = "reactive" if need.id == target_need_id else "proactive"
                 marks.append(NeedMark(need.id, mode))
         verdict = JudgeVerdict(conveyed, distorted, hallucinated, tuple(marks))
+        self.covered.update(m.need_id for m in marks)
         self.ledger.charge_text(Role.JUDGE, reply.text, repr(verdict.to_dict()))
         return verdict
 
@@ -190,18 +187,7 @@ class OracleBackends:
 
     def unguided(self, history: Sequence[dict], memory: MemoryState) -> list[CandidateNeed]:
         """Generic-topic intents for the unguided idle condition."""
-        out = []
-        for topic, need, reason in undirected_intent_pool(self.scenario.domain)[:UNDIRECTED_INTENT_LIMIT]:
-            out.append(
-                CandidateNeed(
-                    topic=topic,
-                    need=need,
-                    reason=reason,
-                    confidence=0.65,
-                    retrieval_query=topic,
-                    source="related",
-                )
-            )
+        out = undirected_candidates(self.scenario.domain)
         self.ledger.charge_text(
             Role.PREDICTOR,
             f"history_turns={len(history)}|domain={self.scenario.domain}",
@@ -270,8 +256,7 @@ __all__ = [
     "OracleBackends",
     "PUSH_ROWS",
     "RELATED_VALUE_ROW",
-    "UNDIRECTED_INTENT_LIMIT",
     "VALUE_ROWS",
     "extract_fact_ids",
-    "undirected_intent_pool",
+    "undirected_candidates",
 ]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from datetime import timedelta
 from typing import Callable, Optional, Sequence
 
+from foresight.config import RunConfig
 from foresight.embedding import cosine, embed
 from foresight.memory import MemoryState
 
@@ -44,15 +45,6 @@ class CandidateNeed:
             raise ValueError("need and retrieval_query must be non-empty")
 
 
-@dataclass(frozen=True)
-class PredictionConfig:
-    confidence_threshold: float = 0.6
-    max_predictor_candidates: int = 3
-    topic_dedup_threshold: float = 0.85
-    memory_gap_confidence: float = 0.70
-    gap_staleness_seconds: float = 3600.0
-
-
 # Predictor backends receive (history, memory) and return raw candidates.
 Predictor = Callable[[Sequence[dict], MemoryState], list[CandidateNeed]]
 
@@ -61,7 +53,7 @@ def generate_candidates(
     history: Sequence[dict],
     memory: MemoryState,
     predictor: Predictor,
-    cfg: Optional[PredictionConfig] = None,
+    cfg: Optional[RunConfig] = None,
 ) -> list[CandidateNeed]:
     """Raw candidate set for one idle window.
 
@@ -74,7 +66,7 @@ def generate_candidates(
     """
     if not history:
         raise ValueError("prediction requires at least one completed exchange")
-    cfg = cfg or PredictionConfig()
+    cfg = cfg or RunConfig()
 
     try:
         raw = list(predictor(history, memory))
@@ -103,7 +95,7 @@ def generate_candidates(
 
 
 def filter_candidates(
-    raw: Sequence[CandidateNeed], memory: MemoryState, cfg: Optional[PredictionConfig] = None
+    raw: Sequence[CandidateNeed], memory: MemoryState, cfg: Optional[RunConfig] = None
 ) -> list[CandidateNeed]:
     """Confidence gate, stored-artifact dedup, then per-topic collapse.
 
@@ -111,7 +103,7 @@ def filter_candidates(
     artifact, ``cosine(embed(candidate.topic), embed(artifact_topic(record)))``
     reaches ``topic_dedup_threshold``.
     """
-    cfg = cfg or PredictionConfig()
+    cfg = cfg or RunConfig()
     survivors = [c for c in raw if c.confidence >= cfg.confidence_threshold]
 
     topics = memory.artifact_topics()
@@ -162,7 +154,6 @@ __all__ = [
     "CANDIDATE_SOURCES",
     "CandidateNeed",
     "CandidateQueue",
-    "PredictionConfig",
     "Predictor",
     "filter_candidates",
     "generate_candidates",

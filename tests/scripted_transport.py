@@ -3,9 +3,9 @@
 `ScriptedTransport` plugs into `HttpChatClient(transport=...)`. It tells the
 roles apart by each prompt builder's fixed first line, answers every role in
 its pinned JSON shape with the decision `OracleBackends` would make, and
-records every prompt it receives tagged with its role. The covered-need set
-the predictor reads is kept from the judge verdicts the transport itself
-returned, so it needs no reference back to the backends.
+records every prompt it receives tagged with its role. The oracle's own
+judge keeps the covered-need set its predictor reads, from the verdicts the
+transport itself returned, so it needs no reference back to the backends.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from foresight.backends import (
     build_value_prompt,
     synthetic_tokens,
 )
+from foresight.config import RunConfig
 from foresight.http_roles import HttpRoleBackends
 from foresight.memory import MemoryState
 from foresight.metrics import AssistantReply
 from foresight.oracles import OTHER_PUSH_ROW, PUSH_ROWS, OracleBackends, extract_fact_ids
-from foresight.prediction import CandidateNeed, PredictionConfig
+from foresight.prediction import CandidateNeed
 from foresight.scenarios import Scenario
 
 ASSISTANT = "assistant"  # HttpRoleBackends.respond; not a ledger Role
@@ -83,10 +84,10 @@ class ScriptedTransport:
     def __init__(
         self,
         scenario: Scenario,
-        prediction_cfg: Optional[PredictionConfig] = None,
+        cfg: Optional[RunConfig] = None,
         replies: Optional[dict[str, tuple[int, dict]]] = None,
     ) -> None:
-        self.oracle = OracleBackends(scenario, prediction_cfg=prediction_cfg)
+        self.oracle = OracleBackends(scenario, cfg=cfg)
         self.replies = dict(replies or {})
         self.prompts: list[tuple[str, str]] = []  # (role, prompt) in arrival order
         self.payloads: list[dict] = []
@@ -120,9 +121,7 @@ class ScriptedTransport:
             None,
         )
         reply = AssistantReply(text=text, delivered_fact_ids=extract_fact_ids(text, self._fact_ids))
-        verdict = self.oracle.judge(reply, target)
-        self.oracle.covered |= {m.need_id for m in verdict.needs_addressed}
-        return json.dumps(verdict.to_dict())
+        return json.dumps(self.oracle.judge(reply, target).to_dict())
 
     def _assistant(self, prompt: str) -> str:
         user_message = prompt.rsplit("\nuser: ", 1)[1]
@@ -201,17 +200,17 @@ class ScriptedTransport:
 
 def scripted_backends(
     scenario: Scenario,
-    prediction_cfg: Optional[PredictionConfig] = None,
+    cfg: Optional[RunConfig] = None,
     replies: Optional[dict[str, tuple[int, dict]]] = None,
     seed: Optional[int] = None,
 ) -> tuple[HttpRoleBackends, ScriptedTransport]:
     """`HttpRoleBackends` over an `HttpChatClient` wired to a fresh transport."""
-    transport = ScriptedTransport(scenario, prediction_cfg, replies)
+    transport = ScriptedTransport(scenario, cfg, replies)
     client = HttpChatClient(
         endpoint="https://models.local/v1/chat",
         api_key="test-key",
         transport=transport,
         sleep=lambda _: None,
     )
-    backends = HttpRoleBackends(scenario, client, prediction_cfg=prediction_cfg, seed=seed)
+    backends = HttpRoleBackends(scenario, client, seed=seed)
     return backends, transport

@@ -3,19 +3,18 @@ import random
 import pytest
 
 from foresight.acquisition import (
-    SEARCH_ROUND_CAP,
     AcquisitionDecision,
     BudgetState,
     ConfigurationError,
     Evidence,
     ValueScores,
-    Weights,
     acquire,
     display_score,
     gate,
     synthesize_artifact,
     value_score,
 )
+from foresight.config import RunConfig, Weights
 from foresight.memory import ArbiterVerdict, MemoryState
 from foresight.prediction import CandidateNeed
 
@@ -242,7 +241,7 @@ def test_acquire_low_coverage_respects_round_cap():
         candidate, memory, empty_searcher, simple_synth, skip_arbiter, BudgetState(k=3),
         ValueScores(95, 80, 90, 95),
     )
-    assert len(calls) == SEARCH_ROUND_CAP * 2
+    assert len(calls) == RunConfig.search_round_cap * 2
     assert outcome.artifact is None
     assert outcome.demoted_to_store
 

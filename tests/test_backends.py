@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from foresight import http_roles, oracles
 from foresight.backends import (
     ACTIVE_ROLES,
     API_KEY_ENV,
@@ -34,7 +33,7 @@ from foresight.backends import (
 )
 from foresight.http_roles import HttpRoleBackends
 from foresight.memory import MemoryState
-from foresight.oracles import UNDIRECTED_INTENT_LIMIT, OracleBackends
+from foresight.oracles import OracleBackends, undirected_candidates
 
 
 def ok_body(text="hello", usage=True):
@@ -376,18 +375,12 @@ def test_judge_prompt_renders_sections():
     assert "facts_conveyed" in prompt
 
 
-def test_http_unguided_caps_the_intent_pool_like_the_oracle(monkeypatch, finance_scenario):
-    def pool(domain):
-        return [
-            (f"topic {i} of {domain}", f"need {i}", "broad background preparation")
-            for i in range(UNDIRECTED_INTENT_LIMIT + 1)
-        ]
-
-    monkeypatch.setattr(oracles, "undirected_intent_pool", pool)
-    monkeypatch.setattr(http_roles, "undirected_intent_pool", pool)
+def test_http_and_oracle_unguided_share_one_candidate_list(finance_scenario):
     client, transport, _ = make_client([])  # unguided makes no chat call
-    http = HttpRoleBackends(finance_scenario, client).unguided([], MemoryState())
-    oracle = OracleBackends(finance_scenario).unguided([], MemoryState())
-    assert [c.topic for c in http] == [c.topic for c in oracle]
-    assert [c.topic for c in http] == [topic for topic, _, _ in pool(finance_scenario.domain)[:UNDIRECTED_INTENT_LIMIT]]
+    http = HttpRoleBackends(finance_scenario, client)
+    oracle = OracleBackends(finance_scenario)
+    expected = undirected_candidates(finance_scenario.domain)
+    assert http.unguided([], MemoryState()) == oracle.unguided([], MemoryState()) == expected
     assert transport.calls == []
+    assert http.ledger.active_total() == 0
+    assert oracle.ledger.role_total(Role.PREDICTOR) > 0  # the oracle still charges its ledger

@@ -7,6 +7,7 @@ from foresight.config import RunConfig
 from foresight.harness import Condition, run_many, run_scenario
 from foresight.memory import MemoryState
 from foresight.metrics import AssistantReply, JudgeVerdict
+from foresight.oracles import OracleBackends
 from scripted_transport import ASSISTANT, scripted_backends
 
 
@@ -148,7 +149,6 @@ class EndlessBackends:
 
     def __init__(self):
         self.ledger = TokenLedger()
-        self.covered = set()
 
     def simulate(self, covered):
         return "N1", "same question again"
@@ -163,6 +163,27 @@ class EndlessBackends:
 class ExplodingBackends(EndlessBackends):
     def respond(self, target, condition, queued, user_message=""):
         raise RuntimeError("boom")
+
+
+class SlottedBackends:
+    """Every role forwarded to an oracle; no ``covered`` attribute can be set."""
+
+    __slots__ = ("_oracle",)
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+
+def test_directed_run_sets_no_covered_attribute_on_the_backends(finance_scenario):
+    backends = SlottedBackends(OracleBackends(finance_scenario))
+    with pytest.raises(AttributeError):
+        backends.covered = set()
+    outcome = run_scenario(finance_scenario, "directed_idle", backends=backends)
+    assert outcome.result.status == "completed", outcome.result.error
+    assert outcome.to_dict() == run_scenario(finance_scenario, "directed_idle").to_dict()
 
 
 def test_horizon_status_when_needs_never_covered(sweep_scenario):

@@ -37,7 +37,7 @@ def test_http_over_scripted_transport_matches_the_oracle(condition, budget_k):
     cfg = RunConfig(budget_k=budget_k)
     for scenario in _BUNDLED + _GENERATED:
         oracle = run_scenario(scenario, condition, cfg)
-        backends, _ = scripted_backends(scenario, cfg.prediction_config())
+        backends, _ = scripted_backends(scenario, cfg)
         http = run_scenario(scenario, condition, cfg, backends=backends)
         assert http.result.status == oracle.result.status == "completed", scenario.scenario_id
         assert _metrics(http) == _metrics(oracle), scenario.scenario_id
@@ -89,7 +89,7 @@ def test_http_401_fails_the_unit_without_retry(finance_scenario):
     assert transport.roles() == ["simulator"]
 
 
-def test_predictor_prompt_notes_the_first_twenty_active_records(finance_scenario):
+def test_predictor_prompt_notes_the_twenty_newest_active_records(finance_scenario):
     memory = MemoryState()
     merge = lambda content, record: ArbiterVerdict("merge")
     for i in range(30):
@@ -98,13 +98,18 @@ def test_predictor_prompt_notes_the_first_twenty_active_records(finance_scenario
     # Retire the second record: the merged record goes to the end of the store.
     memory.add_knowledge("entity_fact", "topic1 anchor1 body1 detail1 more1 extra", merge)
     memory.profile["city"] = "Lisbon"
-    active = [r for r in memory.records.values() if r.status == "active"]
+    active = memory.active_records()
     assert memory.records["m000002"].status == "merged" and len(active) == 30
     history = [{"user": "what are the fees", "assistant": "none"}]
     backends, transport = scripted_backends(finance_scenario)
     backends.predict(history, memory)
     ((role, prompt),) = transport.prompts
-    notes = [r.content.splitlines()[0] for r in active][:20]
+    newest = active[-20:]
+    assert [r.id for r in newest] == [f"m{i:06d}" for i in range(12, 32)]
+    notes = [r.content.splitlines()[0] for r in newest]
+    assert notes[:19] == [f"topic{i} anchor{i}" for i in range(11, 30)]
     assert role == "predictor"
     assert prompt == build_predictor_prompt(history, memory.profile, notes)
-    assert "- topic20 anchor20\n" in prompt and "topic21" not in prompt and "topic1 " not in prompt
+    merged_note = memory.records["m000031"].content.splitlines()[0]
+    assert prompt.index("- topic29 anchor29\n") < prompt.index(f"- {merged_note}\n")
+    assert "- topic11 anchor11\n" in prompt and "topic10" not in prompt

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from foresight.config import RunConfig
 from foresight.embedding import DEFAULT_DIM, _bucket, cosine, embed
 from foresight.memory import (
     MEMORY_KINDS,
@@ -27,7 +28,7 @@ from foresight.memory import (
     MemoryState,
     SimilarityIndex,
 )
-from foresight.prediction import CandidateNeed, PredictionConfig, filter_candidates
+from foresight.prediction import CandidateNeed, filter_candidates
 
 # -- oracles -------------------------------------------------------------------
 
@@ -128,7 +129,7 @@ def assert_reads_match(state, queries, topics):
         for i, (topic, conf) in enumerate(topics)
     ]
     for threshold in (0.5, 0.85):
-        cfg = PredictionConfig(topic_dedup_threshold=threshold)
+        cfg = RunConfig(topic_dedup_threshold=threshold)
         assert filter_candidates(raw, state, cfg) == oracle_filter_candidates(raw, state, cfg)
 
 

@@ -15,7 +15,7 @@ from foresight.oracles import (
     VALUE_ROWS,
     OracleBackends,
     extract_fact_ids,
-    undirected_intent_pool,
+    undirected_candidates,
 )
 from foresight.prediction import CandidateNeed
 
@@ -143,6 +143,21 @@ def test_predict_unlocks_needs_whose_trigger_is_covered(oracle, finance_scenario
     assert [c.topic for c in oracle.predict([], memory)] == [needs["N3"].description]
 
 
+def test_judge_marks_reach_the_predictor_with_no_covered_assignment(oracle, finance_scenario):
+    needs = finance_scenario.need_by_id()
+    memory = MemoryState()
+    assert oracle.predict([], memory) == []
+    verdict = oracle.judge(oracle.respond("N1", "reactive"), "N1")
+    assert [m.need_id for m in verdict.needs_addressed] == ["N1", "N12"]  # N12 shares F20
+    follow_ups = [needs["N6"].description, needs["N9"].description]
+    assert [c.topic for c in oracle.predict([], memory)] == follow_ups
+    # A push verdict's marks count too: N6 stops being proposed once pushed.
+    push = make_artifact(free_candidate(topic="N6 note"), note=" ".join(needs["N6"].key_fact_ids))
+    oracle.judge(oracle.push_reply(push), None)
+    assert oracle.covered == {"N1", "N6", "N12"}
+    assert [c.topic for c in oracle.predict([], memory)] == [needs["N9"].description]
+
+
 def test_predict_caps_by_turn_order(oracle, finance_scenario):
     needs = finance_scenario.need_by_id()
     memory = MemoryState()
@@ -169,9 +184,9 @@ def test_unguided_pool(oracle):
     assert all(c.confidence == 0.65 for c in out)
     assert all(c.source == "related" for c in out)
     assert all("financial_planning" in c.topic for c in out)
-    pool = undirected_intent_pool("some_domain")
+    pool = undirected_candidates("some_domain")
     assert len(pool) == 3
-    assert all("some_domain" in topic for topic, _, _ in pool)
+    assert all("some_domain" in c.topic for c in pool)
 
 
 def test_assess_value_rows_by_importance(oracle, finance_scenario):

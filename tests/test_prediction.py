@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from foresight.config import RunConfig
 from foresight.embedding import cosine, embed
 from foresight.memory import MemoryState
 from foresight.prediction import (
     CandidateNeed,
     CandidateQueue,
-    PredictionConfig,
     filter_candidates,
     generate_candidates,
 )
@@ -71,7 +71,7 @@ def test_generate_caps_predictor_candidates_by_confidence():
     def predictor(history, memory):
         return list(pool)
 
-    out = generate_candidates(HISTORY, MemoryState(), predictor, PredictionConfig(max_predictor_candidates=3))
+    out = generate_candidates(HISTORY, MemoryState(), predictor, RunConfig(max_predictor_candidates=3))
     assert [c.confidence for c in out] == [0.75, 0.70, 0.65]
 
 
@@ -79,7 +79,7 @@ def test_generate_appends_memory_gaps_beyond_cap():
     memory = MemoryState()
     memory.add_knowledge("entity_fact", "launch date TBD for the rollout", lambda c, r: None)
     pool = [cand(f"subject {i} item", 0.9 - i * 0.01) for i in range(3)]
-    cfg = PredictionConfig(max_predictor_candidates=3)
+    cfg = RunConfig(max_predictor_candidates=3)
     out = generate_candidates(HISTORY, memory, lambda h, m: list(pool), cfg)
     assert len(out) == 4
     gap = out[3]
@@ -94,12 +94,12 @@ def test_generate_truncates_gap_topic():
     memory = MemoryState()
     long = "TBD " + " ".join(f"filler{i}" for i in range(40))
     memory.add_knowledge("entity_fact", long, lambda c, r: None)
-    out = generate_candidates(HISTORY, memory, lambda h, m: [], PredictionConfig())
+    out = generate_candidates(HISTORY, memory, lambda h, m: [], RunConfig())
     assert out and len(out[0].topic) == 80
 
 
 def test_filter_confidence_gate_is_inclusive():
-    cfg = PredictionConfig(confidence_threshold=0.6)
+    cfg = RunConfig(confidence_threshold=0.6)
     raw = [cand("alpha subject", 0.6), cand("beta subject", 0.59), cand("gamma subject", 0.61)]
     out = filter_candidates(raw, MemoryState(), cfg)
     assert {c.topic for c in out} == {"alpha subject", "gamma subject"}
@@ -113,7 +113,7 @@ def test_filter_drops_topics_covered_by_artifacts():
     sim = cosine(embed("retirement match rules"), embed("retirement match rules today"))
     assert sim >= 0.85, sim
     raw = [cand("retirement match rules today", 0.9), cand("vesting schedule details", 0.9)]
-    out = filter_candidates(raw, memory, PredictionConfig())
+    out = filter_candidates(raw, memory, RunConfig())
     assert [c.topic for c in out] == ["vesting schedule details"]
 
 
@@ -123,7 +123,7 @@ def test_filter_only_first_artifact_line_counts():
         "artifact", "unrelated headline topic\nvesting schedule details body text", lambda c, r: None
     )
     raw = [cand("vesting schedule details", 0.9)]
-    out = filter_candidates(raw, memory, PredictionConfig())
+    out = filter_candidates(raw, memory, RunConfig())
     assert [c.topic for c in out] == ["vesting schedule details"]
 
 
@@ -131,14 +131,14 @@ def test_filter_collapses_near_topics_to_max_confidence():
     a = cand("visa appointment slots", 0.7)
     b = cand("visa appointment slots today", 0.9)
     assert cosine(embed(a.topic), embed(b.topic)) >= 0.85
-    out = filter_candidates([a, b], MemoryState(), PredictionConfig())
+    out = filter_candidates([a, b], MemoryState(), RunConfig())
     assert len(out) == 1
     assert out[0].confidence == 0.9
 
 
 def test_filter_keeps_distinct_topics():
     raw = [cand("solar panel rebate", 0.8), cand("passport renewal steps", 0.8)]
-    out = filter_candidates(raw, MemoryState(), PredictionConfig())
+    out = filter_candidates(raw, MemoryState(), RunConfig())
     assert len(out) == 2
 
 
@@ -196,6 +196,6 @@ def test_scenario_candidates_outrank_memory_gaps():
     # Scenario candidates carry predictor confidence 0.9; gap candidates are
     # fixed at 0.70, so a scenario candidate always pops first.
     queue = CandidateQueue()
-    queue.push(cand("gap topic", PredictionConfig().memory_gap_confidence, source="memory_gap"))
+    queue.push(cand("gap topic", RunConfig().memory_gap_confidence, source="memory_gap"))
     queue.push(cand("real topic", 0.9, source="scenario"))
     assert queue.pop().source == "scenario"
