@@ -217,16 +217,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_backend_config(args: argparse.Namespace) -> Optional[str]:
-    """Returns an error message when the selected backend cannot run."""
-    if args.backend == "http":
-        if not args.endpoint:
-            return "http backend requires --endpoint"
-        if not os.environ.get(backend_mod.API_KEY_ENV):
-            return f"http backend requires the {backend_mod.API_KEY_ENV} environment variable"
-    return None
-
-
 def _make_run_config(args: argparse.Namespace, budget_k: Optional[int] = None) -> RunConfig:
     return RunConfig(
         conditions=tuple(args.conditions),
@@ -240,6 +230,7 @@ def _make_run_config(args: argparse.Namespace, budget_k: Optional[int] = None) -
 
 
 def _backends_factory(cfg: RunConfig):
+    """One unit's role backends; an http client is built (and its credential checked) here."""
     if cfg.backend == "oracle":
         return lambda scenario: OracleBackends(scenario, cfg=cfg)
     client = backend_mod.HttpChatClient(endpoint=cfg.endpoint)
@@ -266,10 +257,9 @@ def _facets(scenario: Scenario) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config_error = _check_backend_config(args)
-    if config_error:
-        print(config_error, file=sys.stderr)
-        return EXIT_IO
+    # A configuration error (main exits 2) comes before any output is written.
+    cfg = _make_run_config(args)
+    backends_factory = _backends_factory(cfg)
 
     loaded = _load_scenarios(args.scenarios)
     invalid = _validate_or_fail(loaded)
@@ -277,7 +267,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"invalid scenario: {invalid}", file=sys.stderr)
         return EXIT_FAIL
 
-    cfg = _make_run_config(args)
     out_dir = Path(args.out)
     detailed_path = out_dir / "detailed_results.json"
     journal_path = out_dir / JOURNAL_NAME
@@ -337,7 +326,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         memory_path, "a", encoding="utf-8"
     ) as memory_fh:
         run_many(
-            scenarios, conditions, cfg, _backends_factory(cfg), skip=set(kept_rows), on_outcome=record
+            scenarios, conditions, cfg, backends_factory, skip=set(kept_rows), on_outcome=record
         )
 
     _write_text(detailed_path, "[\n" + ",\n".join(row_lines[key] for key in sorted(row_lines)) + "\n]\n")
@@ -376,10 +365,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not args.budgets:
         print("sweep requires at least one --budgets value", file=sys.stderr)
         return EXIT_IO
-    config_error = _check_backend_config(args)
-    if config_error:
-        print(config_error, file=sys.stderr)
-        return EXIT_IO
+    configs = [_make_run_config(args, budget_k=k) for k in args.budgets]
+    factories = [_backends_factory(cfg) for cfg in configs]
 
     loaded = _load_scenarios(args.scenarios)
     invalid = _validate_or_fail(loaded)
@@ -390,8 +377,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scenarios = [s for _, s in loaded]
     conditions = [Condition(c) for c in args.conditions]
     table_rows = []
-    for k in args.budgets:
-        cfg = _make_run_config(args, budget_k=k)
+    for cfg, backends_factory in zip(configs, factories):
         # condition -> [unit count, endpoint sums in unit order]
         sums: dict[str, list] = {}
 
@@ -401,10 +387,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for i, name in enumerate(SWEEP_ENDPOINTS, start=1):
                 entry[i] += getattr(outcome.metrics, name)
 
-        run_many(scenarios, conditions, cfg, _backends_factory(cfg), on_outcome=tally)
+        run_many(scenarios, conditions, cfg, backends_factory, on_outcome=tally)
         for condition in sorted(sums):
             n, *totals = sums[condition]
-            row = {"budget_k": k, "condition": condition, "n": n}
+            row = {"budget_k": cfg.budget_k, "condition": condition, "n": n}
             for name, total in zip(SWEEP_ENDPOINTS, totals):
                 row[name] = float(total / n)
             table_rows.append(row)

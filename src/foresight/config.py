@@ -68,6 +68,8 @@ class RunConfig:
                 raise ConfigurationError(f"unknown condition {condition!r}")
         if self.backend not in VALID_BACKENDS:
             raise ConfigurationError(f"unknown backend {self.backend!r}")
+        if self.backend == "http" and not self.endpoint:
+            raise ConfigurationError("http backend requires --endpoint")
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if self.budget_k < 0:

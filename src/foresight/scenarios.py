@@ -346,7 +346,7 @@ def _has_cycle(nodes: list[str], edges: dict[str, str]) -> bool:
     return seen != len(nodes)
 
 
-def validate_scenario(scenario: Scenario, *, min_cross_group_links: int = 1) -> ValidationReport:
+def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Structural validation. Returns every violation, not just the first."""
     violations: list[Violation] = []
 
@@ -457,12 +457,11 @@ def validate_scenario(scenario: Scenario, *, min_cross_group_links: int = 1) -> 
     # possible (cross-group link) and measurable (auditable target).
     if len(scenario.groups) >= 2 and not violations:
         stats = _stats_unchecked(scenario)
-        if stats.cross_group_links < min_cross_group_links:
+        if stats.cross_group_links < 1:
             violations.append(
                 Violation(
                     "CROSS_GROUP",
-                    f"grouped scenario needs >= {min_cross_group_links} cross-group predictability link(s), "
-                    f"found {stats.cross_group_links}",
+                    f"grouped scenario needs >= 1 cross-group predictability link(s), found {stats.cross_group_links}",
                 )
             )
         if stats.auditable_targets < 1:
@@ -507,7 +506,7 @@ def _stats_unchecked(scenario: Scenario) -> CompositionStats:
 
 def composition_stats(scenario: Scenario) -> CompositionStats:
     """Structural counts for a valid scenario."""
-    report = validate_scenario(scenario, min_cross_group_links=0)
+    report = validate_scenario(scenario)
     # CROSS_GROUP/AUDITABLE are stratification concerns, not integrity ones;
     # stats still require the integrity checks to pass.
     hard = [v for v in report.violations if v.code not in ("CROSS_GROUP", "AUDITABLE")]

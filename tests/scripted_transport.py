@@ -15,9 +15,10 @@ from types import SimpleNamespace
 from typing import Optional
 
 from foresight.acquisition import value_score
-from foresight.backends import (
-    HttpChatClient,
-    Role,
+from foresight.backends import HttpChatClient, Role, synthetic_tokens
+from foresight.config import RunConfig
+from foresight.http_roles import (
+    HttpRoleBackends,
     build_arbiter_prompt,
     build_judge_prompt,
     build_predictor_prompt,
@@ -26,10 +27,7 @@ from foresight.backends import (
     build_simulator_prompt,
     build_synthesizer_prompt,
     build_value_prompt,
-    synthetic_tokens,
 )
-from foresight.config import RunConfig
-from foresight.http_roles import HttpRoleBackends
 from foresight.memory import MemoryState
 from foresight.metrics import AssistantReply
 from foresight.oracles import OTHER_PUSH_ROW, PUSH_ROWS, OracleBackends, extract_fact_ids

@@ -347,4 +347,4 @@ def test_configuration_error_is_one_value_error_class():
     with pytest.raises(backends.ConfigurationError):
         BudgetState(k=-1)
     with pytest.raises(ConfigurationError):
-        backends.HttpChatClient(endpoint="e", api_key="k", max_attempts=0)
+        backends.HttpChatClient(endpoint="e", api_key="")  # missing credential

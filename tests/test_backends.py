@@ -5,14 +5,12 @@ import random
 
 import pytest
 
+from foresight.acquisition import Evidence, ValueScores
 from foresight.backends import (
     ACTIVE_ROLES,
     API_KEY_ENV,
     AuthenticationError,
     BackendError,
-    ChatMessage,
-    ChatRequest,
-    ChatResponse,
     ConfigurationError,
     HttpChatClient,
     MalformedResponseError,
@@ -20,6 +18,10 @@ from foresight.backends import (
     Role,
     TokenLedger,
     TransportError,
+    synthetic_tokens,
+)
+from foresight.http_roles import (
+    HttpRoleBackends,
     build_judge_prompt,
     build_predictor_prompt,
     build_simulator_prompt,
@@ -29,11 +31,11 @@ from foresight.backends import (
     parse_push_response,
     parse_searcher_response,
     parse_value_response,
-    synthetic_tokens,
 )
-from foresight.http_roles import HttpRoleBackends
-from foresight.memory import MemoryState
+from foresight.memory import ArbiterVerdict, MemoryState
+from foresight.metrics import JudgeVerdict, NeedMark
 from foresight.oracles import OracleBackends, undirected_candidates
+from foresight.prediction import CandidateNeed
 
 
 def ok_body(text="hello", usage=True):
@@ -58,7 +60,7 @@ class StubTransport:
         return item
 
 
-def make_client(script, **kwargs):
+def make_client(script):
     transport = StubTransport(script)
     sleeps = []
     client = HttpChatClient(
@@ -66,13 +68,8 @@ def make_client(script, **kwargs):
         api_key="test-key",
         transport=transport,
         sleep=sleeps.append,
-        **kwargs,
     )
     return client, transport, sleeps
-
-
-def request(role=Role.PREDICTOR, text="ping", seed=None):
-    return ChatRequest(role_tag=role, messages=(ChatMessage("user", text),), seed=seed)
 
 
 def test_synthetic_tokens():
@@ -83,15 +80,6 @@ def test_synthetic_tokens():
     for _ in range(50):
         n = rng.randint(0, 400)
         assert synthetic_tokens("x" * n) == math.ceil(n / 4)
-
-
-def test_message_and_request_validation():
-    with pytest.raises(ValueError):
-        ChatMessage("narrator", "x")
-    with pytest.raises(ValueError):
-        ChatRequest(role_tag=Role.JUDGE, messages=())
-    with pytest.raises(ValueError):
-        ChatResponse(text="x", prompt_tokens=-1, completion_tokens=0)
 
 
 def test_ledger_accumulates_per_role():
@@ -135,14 +123,9 @@ def test_client_requires_credential(monkeypatch):
     assert client._api_key == "from-env"
 
 
-def test_client_rejects_bad_attempts():
-    with pytest.raises(ConfigurationError):
-        HttpChatClient(endpoint="e", api_key="k", max_attempts=0)
-
-
 def test_successful_call_payload_and_usage():
     client, transport, sleeps = make_client([(200, ok_body("pong"))])
-    response = client.chat(request(role=Role.SIMULATOR, text="ping", seed=42))
+    response = client.chat(Role.SIMULATOR, "ping", seed=42)
     assert response.text == "pong"
     assert response.prompt_tokens == 11
     assert response.completion_tokens == 7
@@ -150,35 +133,34 @@ def test_successful_call_payload_and_usage():
     call = transport.calls[0]
     assert call["url"] == "https://models.local/v1/chat"
     assert call["headers"]["Authorization"] == "Bearer test-key"
-    assert call["payload"]["model"] == "gpt-4o"
-    assert call["payload"]["seed"] == 42
-    assert call["payload"]["temperature"] == 0.0
-    assert call["payload"]["messages"] == [{"role": "user", "content": "ping"}]
+    assert call["payload"] == {
+        "model": "gpt-4o",
+        "messages": [{"role": "user", "content": "ping"}],
+        "temperature": 0.0,
+        "max_tokens": 1024,
+        "seed": 42,
+    }
     assert call["timeout"] == 60.0
 
 
 def test_seed_omitted_when_unset():
     client, transport, _ = make_client([(200, ok_body())])
-    client.chat(request(seed=None))
+    client.chat(Role.PREDICTOR, "ping")
     assert "seed" not in transport.calls[0]["payload"]
 
 
 def test_role_model_mapping():
     client, transport, _ = make_client([(200, ok_body()), (200, ok_body()), (200, ok_body())])
-    assert client.model_for(Role.SIMULATOR) == "gpt-4o"
-    assert client.model_for(Role.JUDGE) == "gpt-4o-mini"
-    assert client.model_for(Role.SEARCHER) == "gpt-4o-mini"  # fallback
-    client.chat(request(role=Role.JUDGE))
-    assert transport.calls[0]["payload"]["model"] == "gpt-4o-mini"
-    custom, transport2, _ = make_client([(200, ok_body())], role_models={Role.JUDGE: "tiny-judge"})
-    custom.chat(request(role=Role.JUDGE))
-    assert transport2.calls[0]["payload"]["model"] == "tiny-judge"
+    for role in (Role.SIMULATOR, Role.JUDGE, Role.SEARCHER):
+        client.chat(role, "ping")
+    models = [call["payload"]["model"] for call in transport.calls]
+    assert models == ["gpt-4o", "gpt-4o-mini", "gpt-4o-mini"]  # the searcher falls back
 
 
 def test_missing_usage_falls_back_to_synthetic(caplog):
     client, _, _ = make_client([(200, ok_body("four", usage=False))])
     with caplog.at_level(logging.WARNING, logger="foresight.backends"):
-        response = client.chat(request(text="x" * 8))
+        response = client.chat(Role.PREDICTOR, "x" * 8)
     assert response.prompt_tokens == 2
     assert response.completion_tokens == 1
     assert any("usage" in rec.message for rec in caplog.records)
@@ -188,14 +170,36 @@ def test_partial_usage_falls_back_to_synthetic():
     body = ok_body("four", usage=False)
     body["usage"] = {"prompt_tokens": 9}
     client, _, _ = make_client([(200, body)])
-    response = client.chat(request(text="x" * 8))
+    response = client.chat(Role.PREDICTOR, "x" * 8)
     assert (response.prompt_tokens, response.completion_tokens) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "usage",
+    [
+        {"prompt_tokens": None, "completion_tokens": 7},
+        {"prompt_tokens": 11, "completion_tokens": -1},
+        {"prompt_tokens": "11", "completion_tokens": 7},
+        {"prompt_tokens": 11.0, "completion_tokens": 7},
+        {"prompt_tokens": True, "completion_tokens": 7},
+        [11, 7],
+    ],
+    ids=["null", "negative", "string", "float", "bool", "list"],
+)
+def test_malformed_usage_falls_back_to_synthetic(usage, caplog):
+    body = ok_body("four", usage=False)
+    body["usage"] = usage
+    client, _, _ = make_client([(200, body)])
+    with caplog.at_level(logging.WARNING, logger="foresight.backends"):
+        response = client.chat(Role.PREDICTOR, "x" * 8)
+    assert (response.prompt_tokens, response.completion_tokens) == (2, 1)
+    assert any("usage" in rec.message for rec in caplog.records)
 
 
 def test_401_raises_immediately_without_retry():
     client, transport, sleeps = make_client([(401, {"error": "bad key"})])
     with pytest.raises(AuthenticationError):
-        client.chat(request())
+        client.chat(Role.PREDICTOR, "ping")
     assert len(transport.calls) == 1
     assert sleeps == []
 
@@ -203,7 +207,7 @@ def test_401_raises_immediately_without_retry():
 def test_other_4xx_fails_fast():
     client, transport, _ = make_client([(404, {"error": "no such model"})])
     with pytest.raises(BackendError) as info:
-        client.chat(request())
+        client.chat(Role.PREDICTOR, "ping")
     assert not isinstance(info.value, RetryExhaustedError)
     assert "404" in str(info.value)
     assert len(transport.calls) == 1
@@ -212,7 +216,7 @@ def test_other_4xx_fails_fast():
 @pytest.mark.parametrize("status", [429, 500, 503])
 def test_retryable_status_then_success(status):
     client, transport, sleeps = make_client([(status, {}), (200, ok_body("ok"))])
-    response = client.chat(request())
+    response = client.chat(Role.PREDICTOR, "ping")
     assert response.text == "ok"
     assert len(transport.calls) == 2
     assert sleeps == [1.0]
@@ -220,27 +224,27 @@ def test_retryable_status_then_success(status):
 
 def test_two_failures_then_success_backoff_doubles():
     client, transport, sleeps = make_client([(500, {}), (500, {}), (200, ok_body("ok"))])
-    assert client.chat(request()).text == "ok"
+    assert client.chat(Role.PREDICTOR, "ping").text == "ok"
     assert len(transport.calls) == 3
     assert sleeps == [1.0, 2.0]
 
 
 def test_transport_fault_retries():
     client, transport, sleeps = make_client([TransportError("conn reset"), (200, ok_body("ok"))])
-    assert client.chat(request()).text == "ok"
+    assert client.chat(Role.PREDICTOR, "ping").text == "ok"
     assert sleeps == [1.0]
 
 
 def test_malformed_body_retries():
     client, _, sleeps = make_client([(200, {"choices": []}), (200, ok_body("ok"))])
-    assert client.chat(request()).text == "ok"
+    assert client.chat(Role.PREDICTOR, "ping").text == "ok"
     assert sleeps == [1.0]
 
 
 def test_retry_exhaustion_after_max_attempts():
     client, transport, sleeps = make_client([(500, {}), (429, {}), TransportError("reset")])
     with pytest.raises(RetryExhaustedError) as info:
-        client.chat(request())
+        client.chat(Role.PREDICTOR, "ping")
     assert len(transport.calls) == 3
     assert sleeps == [1.0, 2.0]
     assert "3 attempts" in str(info.value)
@@ -249,47 +253,41 @@ def test_retry_exhaustion_after_max_attempts():
 def test_non_string_content_is_malformed():
     body = {"choices": [{"message": {"content": 42}}]}
     client, _, _ = make_client([(200, body), (200, ok_body("ok"))])
-    assert client.chat(request()).text == "ok"
+    assert client.chat(Role.PREDICTOR, "ping").text == "ok"
 
 
-# -- parsers ----------------------------------------------------------------
+# -- reply parsers (foresight.http_roles) -----------------------------------
 
 
 def test_parse_predictor_response():
     text = json.dumps(
         [
             {"topic": "t", "need": "n", "reason": "r", "confidence": 0.8, "retrieval_query": "q"},
-            {"topic": "t2", "need": "n2", "confidence": 0.5, "retrieval_query": "q2"},
+            {"topic": "t2", "need": "n2", "confidence": 1.5, "retrieval_query": "q2"},
         ]
     )
-    out = parse_predictor_response(text)
-    assert out[0]["confidence"] == 0.8
-    assert out[1]["reason"] == ""
+    assert parse_predictor_response(text) == [
+        CandidateNeed(topic="t", need="n", reason="r", confidence=0.8, retrieval_query="q"),
+        CandidateNeed(topic="t2", need="n2", reason="", confidence=1.0, retrieval_query="q2"),
+    ]
     for bad in ("{}", "[1]", '[{"topic": "t"}]', "not json"):
         with pytest.raises(MalformedResponseError):
             parse_predictor_response(bad)
 
 
-def test_parse_value_response_scales_composite():
-    text = json.dumps(
-        {
-            "value_score": 0.9,
-            "relevance_score": 95,
-            "knowledge_gap_score": 80,
-            "incremental_value_score": 90,
-            "timeliness_score": 95,
-            "decision": "search_now",
-            "rationale": "high value",
-        }
-    )
-    out = parse_value_response(text)
-    assert out["value_score_100"] == pytest.approx(90.0)
-    assert out["relevance"] == 95.0
-    assert out["timeliness"] == 95.0
+def test_parse_value_response_returns_clamped_scores():
+    reply = {
+        "value_score": 0.9,
+        "relevance_score": 95,
+        "knowledge_gap_score": 80,
+        "incremental_value_score": 120,
+        "timeliness_score": -5,
+        "decision": "search_now",
+        "rationale": "high value",
+    }
+    assert parse_value_response(json.dumps(reply)) == ValueScores(95.0, 80.0, 100.0, 0.0)
     with pytest.raises(MalformedResponseError):
-        parse_value_response(json.dumps({"value_score": 90, "relevance_score": 95,
-                                         "knowledge_gap_score": 80, "incremental_value_score": 90,
-                                         "timeliness_score": 95}))  # composite not normalized
+        parse_value_response(json.dumps({**reply, "value_score": 90}))  # composite not normalized
     with pytest.raises(MalformedResponseError):
         parse_value_response(json.dumps({"value_score": 0.5}))
     with pytest.raises(MalformedResponseError):
@@ -298,6 +296,7 @@ def test_parse_value_response_scales_composite():
 
 def test_parse_push_response():
     assert parse_push_response('{"value": 88, "cost": 22}') == (88.0, 22.0)
+    assert parse_push_response('{"value": 140, "cost": -3}') == (100.0, 0.0)
     with pytest.raises(MalformedResponseError):
         parse_push_response('{"value": 88}')
     with pytest.raises(MalformedResponseError):
@@ -305,18 +304,19 @@ def test_parse_push_response():
 
 
 def test_parse_searcher_response():
-    out = parse_searcher_response('[{"ref": "F06", "excerpt": "rate is 4.50%"}, {"excerpt": "x"}]')
-    assert out == [{"ref": "F06", "excerpt": "rate is 4.50%"}, {"ref": "", "excerpt": "x"}]
+    out = parse_searcher_response('[{"ref": "F06", "excerpt": "rate is 4.50%"}, {"excerpt": "x"}]', "rates")
+    assert out == [Evidence("search", "F06", "rate is 4.50%"), Evidence("search", "rates", "x")]
     with pytest.raises(MalformedResponseError):
-        parse_searcher_response('[{"ref": "F06"}]')
+        parse_searcher_response('[{"ref": "F06"}]', "q")
     with pytest.raises(MalformedResponseError):
-        parse_searcher_response("{}")
+        parse_searcher_response("{}", "q")
 
 
 def test_parse_arbiter_response():
-    assert parse_arbiter_response('{"action": "skip"}') == {"action": "skip", "merged_content": None}
-    out = parse_arbiter_response('{"action": "merge", "merged_content": "both"}')
-    assert out == {"action": "merge", "merged_content": "both"}
+    assert parse_arbiter_response('{"action": "skip"}') == ArbiterVerdict("skip")
+    assert parse_arbiter_response('{"action": "merge", "merged_content": "both"}') == ArbiterVerdict("merge", "both")
+    # A merge without content is passed on as such; MemoryState.add_knowledge joins the two texts.
+    assert parse_arbiter_response('{"action": "merge"}') == ArbiterVerdict("merge")
     with pytest.raises(MalformedResponseError):
         parse_arbiter_response('{"action": "delete"}')
     with pytest.raises(MalformedResponseError):
@@ -326,23 +326,59 @@ def test_parse_arbiter_response():
 def test_parse_judge_response():
     text = json.dumps(
         {
-            "facts_conveyed": ["F01", "F02"],
+            "facts_conveyed": ["F01", "F02", "F03"],
             "facts_distorted": ["F03"],
             "hallucinated_claims": ["made up"],
-            "needs_addressed": [{"need_id": "N1", "mode": "reactive"}],
+            "needs_addressed": [{"need_id": "N1", "mode": "reactive"}, {"need_id": "N2", "mode": "guess"}],
         }
     )
-    out = parse_judge_response(text)
-    assert out["facts_conveyed"] == ["F01", "F02"]
-    assert out["needs_addressed"] == [{"need_id": "N1", "mode": "reactive"}]
-    assert parse_judge_response("{}") == {
-        "facts_conveyed": [],
-        "facts_distorted": [],
-        "hallucinated_claims": [],
-        "needs_addressed": [],
-    }
+    assert parse_judge_response(text) == JudgeVerdict(
+        facts_conveyed=("F01", "F02"),
+        facts_distorted=("F03",),
+        hallucinated_claims=("made up",),
+        needs_addressed=(NeedMark("N1", "reactive"),),
+    )
+    assert parse_judge_response("{}") == JudgeVerdict()
     with pytest.raises(MalformedResponseError):
         parse_judge_response('{"needs_addressed": [{"mode": "reactive"}]}')
+
+
+_CANDIDATE = {"topic": "t", "need": "n", "reason": "r", "confidence": 0.8, "retrieval_query": "q"}
+_SCORES = {
+    "value_score": 0.5,
+    "relevance_score": 50,
+    "knowledge_gap_score": 50,
+    "incremental_value_score": 50,
+    "timeliness_score": 50,
+}
+_WRONG_TYPES = {
+    "claims_str": (parse_judge_response, {"hallucinated_claims": "made up"}),
+    "conveyed_str": (parse_judge_response, {"facts_conveyed": "F01"}),
+    "distorted_int": (parse_judge_response, {"facts_distorted": ["F01", 3]}),
+    "conveyed_null": (parse_judge_response, {"facts_conveyed": None}),
+    "needs_obj": (parse_judge_response, {"needs_addressed": {"need_id": "N1", "mode": "reactive"}}),
+    "need_id_null": (parse_judge_response, {"needs_addressed": [{"need_id": None, "mode": "reactive"}]}),
+    "mode_int": (parse_judge_response, {"needs_addressed": [{"need_id": "N1", "mode": 1}]}),
+    "topic_null": (parse_predictor_response, [{**_CANDIDATE, "topic": None}]),
+    "need_null": (parse_predictor_response, [{**_CANDIDATE, "need": None}]),
+    "reason_int": (parse_predictor_response, [{**_CANDIDATE, "reason": 7}]),
+    "query_list": (parse_predictor_response, [{**_CANDIDATE, "retrieval_query": ["q"]}]),
+    "confidence_str": (parse_predictor_response, [{**_CANDIDATE, "confidence": "0.8"}]),
+    "ref_null": (lambda text: parse_searcher_response(text, "q"), [{"ref": None, "excerpt": "x"}]),
+    "excerpt_null": (lambda text: parse_searcher_response(text, "q"), [{"ref": "F01", "excerpt": None}]),
+    "merged_list": (parse_arbiter_response, {"action": "merge", "merged_content": ["a", "b"]}),
+    "score_bool": (parse_value_response, {**_SCORES, "timeliness_score": True}),
+    "score_nan": (parse_value_response, {**_SCORES, "relevance_score": float("nan")}),
+    "push_str": (parse_push_response, {"value": "88", "cost": 22}),
+    "push_inf": (parse_push_response, {"value": 88, "cost": float("inf")}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_parsers_reject_wrong_json_types(case):
+    parse, reply = _WRONG_TYPES[case]
+    with pytest.raises(MalformedResponseError):
+        parse(json.dumps(reply))
 
 
 # -- prompt builders ---------------------------------------------------------

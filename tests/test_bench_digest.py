@@ -18,7 +18,7 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["suite_small", "long_memory"])
+@pytest.mark.parametrize("name", ["suite_small", "long_memory", "growing_memory"])
 def test_default_seed_round_matches_recorded_digest(name, tmp_path):
     workload_cls = workloads.WORKLOADS[name]
     workload = workload_cls(workload_cls.default_seed, tmp_path)

@@ -7,9 +7,10 @@ from collections import Counter
 import pytest
 
 from conftest import SCENARIO_DIR, make_scenario
-from foresight.backends import Role, build_predictor_prompt
+from foresight.backends import Role
 from foresight.config import RunConfig
 from foresight.harness import Condition, run_scenario
+from foresight.http_roles import build_predictor_prompt
 from foresight.memory import ArbiterVerdict, MemoryState
 from foresight.scenarios import parse_scenario
 from scripted_transport import ASSISTANT, chat_body, scripted_backends
@@ -59,6 +60,25 @@ def test_seed_reaches_every_role_including_the_assistant(finance_scenario):
     run_scenario(finance_scenario, "directed_idle", backends=backends)
     assert ASSISTANT in transport.roles()
     assert [p.get("seed") for p in transport.payloads] == [7] * len(transport.payloads)
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_every_request_is_one_user_prompt_at_the_pinned_settings(finance_scenario, seed):
+    backends, transport = scripted_backends(finance_scenario, seed=seed)
+    outcome = run_scenario(finance_scenario, "directed_idle", backends=backends)
+    assert outcome.result.status == "completed"
+    assert set(transport.roles()) == {role.value for role in Role} | {ASSISTANT}
+    for (role, prompt), payload in zip(transport.prompts, transport.payloads, strict=True):
+        expected = {
+            "model": "gpt-4o" if role in ("simulator", ASSISTANT) else "gpt-4o-mini",
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": 0.0,
+            "max_tokens": 1024,
+        }
+        if seed is not None:
+            expected["seed"] = seed
+        assert payload == expected
+        assert type(payload["temperature"]) is float and type(payload["max_tokens"]) is int
 
 
 def test_non_json_judge_reply_fails_the_unit(finance_scenario):
