@@ -22,7 +22,10 @@ a new matrix. That is what lets ``load`` / ``from_snapshot`` share it: with
 more than ``SMALL_INDEX_ROWS`` active records, the stored counts go straight
 into the index matrix, and each active record's embedding is a read-only
 view of its column. Every other record's embedding is a read-only row of one
-small record-major matrix.
+small record-major matrix. The artifact topics index is restored the same
+way from each artifact's stored topic counts, so a restored memory embeds
+no artifact topic, and the topics index copies its columns when it grows
+instead of embedding them again.
 
 ``detect_gaps`` scans no records. Each write keeps its three gap sources up
 to date: the ids of active records whose content holds ``TBD``, a min-heap
@@ -33,8 +36,10 @@ and tests its new vector only against the facts that are weak right now.
 
 A snapshot stores each embedding as one hex string of packed little-endian
 ``(uint16 bucket, uint32 count)`` pairs, nonzero buckets only, ascending, and
-the id counter next to the records. A restore decodes every record's pairs
-with one ``bytes.fromhex`` and rejects a snapshot in any other form with a
+the id counter next to the records. Each artifact record also stores the
+embedding of its topic, ``embed(artifact_topic(record))``, in the same form.
+A restore decodes every embedding's pairs with one ``bytes.fromhex``, and
+every topic's with another, and rejects a snapshot in any other form with a
 ``ValueError``.
 """
 
@@ -48,6 +53,7 @@ import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from itertools import compress, repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -152,7 +158,7 @@ def _sparse(vec: np.ndarray) -> str:
     """A snapshot's form of an embedding: the hex of its nonzero buckets,
     ascending, each packed with its count as a little-endian
     ``(uint16 bucket, uint32 count)`` pair."""
-    buckets = np.flatnonzero(vec)
+    buckets = vec.nonzero()[0]
     pairs = np.empty(len(buckets), _PAIR)
     pairs["bucket"] = buckets
     pairs["count"] = vec[buckets]
@@ -195,18 +201,28 @@ class SimilarityIndex:
     ``SMALL_INDEX_ROWS`` keys, or adopted from ``from_snapshot``, and kept
     up to date from then on. Until then each query scores every key with
     ``cosine``.
+
+    ``copy_on_growth`` is for vectors that no record holds, such as the
+    artifact topics, where ``vector_of`` embeds: growing then copies the
+    live columns from the full matrix, so only the first build and ``add``
+    read ``vector_of``. Where records hold their vectors, growing reads them
+    again instead, and the full matrix can be freed before the new one is
+    allocated.
     """
 
-    __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq")
+    __slots__ = ("_records", "_vector_of", "_copy_on_growth", "_row", "_keys", "_matrix", "_sq")
 
     def __init__(
         self,
         records: dict[str, MemoryRecord],
         vector_of: Callable[[MemoryRecord], np.ndarray],
         keys: Sequence[str] = (),
+        *,
+        copy_on_growth: bool = False,
     ) -> None:
         self._records = records
         self._vector_of = vector_of
+        self._copy_on_growth = copy_on_growth
         self._keys: list[str] = list(keys)  # row -> key, removed rows included
         self._row: dict[str, int] = dict(zip(self._keys, range(len(self._keys))))  # key -> row, live keys only
         self._matrix: Optional[np.ndarray] = None  # None until built
@@ -221,6 +237,12 @@ class SimilarityIndex:
     def _build(self) -> None:
         """Writes every live row's vector into a new matrix with room for more."""
         keys = list(self._row)
+        if self._copy_on_growth and self._matrix is not None:
+            rows = list(self._row.values())
+            matrix = _with_room(len(keys) + 1)
+            matrix[:, : len(keys)] = self._matrix[:, rows]
+            self._adopt(keys, matrix, self._sq[rows])
+            return
         vectors = [self._vector_of(self._records[key]) for key in keys]
         # Let go of a full matrix first: unless an embedding views it, it is
         # freed before the new one is allocated.
@@ -295,6 +317,54 @@ def _with_room(columns: int) -> np.ndarray:
     """A zero index matrix for ``columns`` vectors plus an eighth, and at
     least ``MIN_SPARE_COLUMNS``, for later additions."""
     return np.zeros((DEFAULT_DIM, columns + max(columns // 8, MIN_SPARE_COLUMNS)))
+
+
+def _scatter(
+    columns: int, column: np.ndarray, buckets: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A ``_with_room(columns)`` matrix holding each pair's count at its
+    ``(bucket, column)``, and the first ``columns`` columns' squared norms."""
+    matrix = _with_room(columns)
+    matrix[buckets, column] = counts
+    return matrix, np.bincount(column, weights=counts * counts, minlength=columns)
+
+
+def _decode_pairs(hexes: list, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ``(owner, bucket, count)`` stored in ``hexes``, one snapshot
+    field's packed pair hex per record, decoded with one ``bytes.fromhex``.
+
+    ``owner`` is the position in ``hexes`` a pair came from and ``count`` a
+    float64. Raises ``ValueError``, naming the field ``name``, unless each
+    value is a string of whole pairs with buckets below ``DEFAULT_DIM``,
+    strictly ascending, and nonzero counts.
+    """
+    try:
+        text = "".join(hexes)
+    except TypeError:
+        raise ValueError(
+            f"snapshot {name} must be a hex string of (bucket, count) pairs;"
+            " the old {buckets, counts} form is not loaded"
+        ) from None
+    lengths, odd = np.divmod(np.fromiter(map(len, hexes), dtype=np.intp, count=len(hexes)), _PAIR_HEX)
+    if odd.any():
+        raise ValueError(f"snapshot {name} hex length is not a multiple of {_PAIR_HEX}")
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError as exc:
+        raise ValueError(f"snapshot {name} hex: {exc}") from None
+    if 2 * len(raw) != len(text):  # fromhex skips whitespace
+        raise ValueError(f"snapshot {name} hex holds whitespace")
+    pairs = np.frombuffer(raw, _PAIR)
+    buckets, counts = pairs["bucket"], pairs["count"]
+    if (buckets >= DEFAULT_DIM).any():
+        raise ValueError(f"snapshot {name} bucket is not below {DEFAULT_DIM}")
+    if not counts.all():
+        raise ValueError(f"snapshot {name} count is zero")
+    owner = np.repeat(np.arange(len(hexes)), lengths)
+    # Increasing exactly when each record's buckets are strictly ascending.
+    if (np.diff(owner * DEFAULT_DIM + buckets) <= 0).any():
+        raise ValueError(f"snapshot {name} buckets are not strictly ascending")
+    return owner, buckets, counts.astype(np.float64)
 
 
 class LogicalClock:
@@ -504,11 +574,12 @@ class MemoryState:
     def artifact_topics(self) -> SimilarityIndex:
         """Index of ``embed(artifact_topic(record))`` by id over active artifacts.
 
-        Built on first use and kept up to date from then on.
+        Restored by ``from_snapshot`` from the stored topics, otherwise built
+        on first use, and kept up to date from then on.
         """
         if self._topics is None:
             artifacts = [r.id for r in self.active_records() if r.kind == "artifact"]
-            self._topics = SimilarityIndex(self.records, _topic_embedding_of, artifacts)
+            self._topics = SimilarityIndex(self.records, _topic_embedding_of, artifacts, copy_on_growth=True)
         return self._topics
 
     def coverage_check(self, retrieval_query: str, subtopics: tuple[str, ...] = ()) -> CoverageReport:
@@ -583,20 +654,21 @@ class MemoryState:
     def to_snapshot(self) -> dict:
         records = []
         for record in sorted(self.records.values(), key=lambda r: r.id):
-            records.append(
-                {
-                    "id": record.id,
-                    "kind": record.kind,
-                    "content": record.content,
-                    "content_hash": record.content_hash,
-                    "embedding": _sparse(record.embedding),
-                    "created_at": record.created_at.isoformat(),
-                    "updated_at": record.updated_at.isoformat(),
-                    "status": record.status,
-                    "merged_into": record.merged_into,
-                    "merged_from": list(record.merged_from),
-                }
-            )
+            stored = {
+                "id": record.id,
+                "kind": record.kind,
+                "content": record.content,
+                "content_hash": record.content_hash,
+                "embedding": _sparse(record.embedding),
+                "created_at": record.created_at.isoformat(),
+                "updated_at": record.updated_at.isoformat(),
+                "status": record.status,
+                "merged_into": record.merged_into,
+                "merged_from": list(record.merged_from),
+            }
+            if record.kind == "artifact":
+                stored["topic"] = _sparse(_topic_embedding_of(record))
+            records.append(stored)
         return {"records": records, "profile": dict(self.profile), "counter": self._counter}
 
     def save(self, path: str) -> None:
@@ -610,9 +682,11 @@ class MemoryState:
         """The memory that ``to_snapshot`` gave ``snapshot``.
 
         Every record's embedding pairs are decoded together, with one
-        ``bytes.fromhex``. A snapshot in any other form, such as the old
-        ``{"buckets": [...], "counts": [...]}`` embeddings or one without
-        ``counter``, raises ``ValueError`` naming the problem.
+        ``bytes.fromhex``, and so are every artifact's topic pairs. A
+        snapshot in any other form, such as the old
+        ``{"buckets": [...], "counts": [...]}`` embeddings, an artifact
+        without ``topic`` or one without ``counter``, raises ``ValueError``
+        naming the problem.
         """
         stored = snapshot["records"]
         try:
@@ -620,31 +694,16 @@ class MemoryState:
         except KeyError as exc:
             raise ValueError(f"snapshot record has no {exc} field") from None
         n = len(rows)
-        hexes = [row[4] for row in rows]
-        try:
-            text = "".join(hexes)
-        except TypeError:
-            raise ValueError(
-                "snapshot embeddings must be hex strings of (bucket, count) pairs;"
-                " the old {buckets, counts} form is not loaded"
-            ) from None
-        lengths, odd = np.divmod(np.fromiter(map(len, hexes), dtype=np.intp, count=n), _PAIR_HEX)
-        if odd.any():
-            raise ValueError(f"snapshot embedding hex length is not a multiple of {_PAIR_HEX}")
-        raw = bytes.fromhex(text)
-        if 2 * len(raw) != len(text):  # fromhex skips whitespace
-            raise ValueError("snapshot embedding hex holds whitespace")
-        pairs = np.frombuffer(raw, _PAIR)
-        buckets, counts = pairs["bucket"], pairs["count"]
-        if (buckets >= DEFAULT_DIM).any():
-            raise ValueError(f"snapshot embedding bucket is not below {DEFAULT_DIM}")
-        if not counts.all():
-            raise ValueError("snapshot embedding count is zero")
-        owner = np.repeat(np.arange(n), lengths)
-        # Increasing exactly when each record's buckets are strictly ascending.
-        if (np.diff(owner * DEFAULT_DIM + buckets) <= 0).any():
-            raise ValueError("snapshot embedding buckets are not strictly ascending")
-        counts = counts.astype(np.float64)
+        owner, buckets, counts = _decode_pairs([row[4] for row in rows], "embedding")
+        artifact = [row[1] == "artifact" for row in rows]
+        if list(map(operator.contains, stored, repeat("topic"))) != artifact:
+            kind = next(row[1] for row, rd in zip(rows, stored) if ("topic" in rd) != (row[1] == "artifact"))
+            if kind == "artifact":
+                raise ValueError("snapshot artifact record has no 'topic' field")
+            raise ValueError(f"snapshot {kind} record has a 'topic' field, which only artifacts have")
+        topic_owner, topic_buckets, topic_counts = _decode_pairs(
+            [rd["topic"] for rd in compress(stored, artifact)], "topic"
+        )
         counter = snapshot.get("counter")
         if type(counter) is not int:
             raise ValueError("snapshot has no integer 'counter'")
@@ -658,11 +717,9 @@ class MemoryState:
         # Each record's column among the shared ones, or its row among the rest.
         place = np.where(shared, np.cumsum(shared), np.cumsum(~shared)) - 1
         n_shared = int(shared.sum())
-        columns = _with_room(n_shared)
-        rest = np.zeros((n - n_shared, DEFAULT_DIM))
         in_columns = shared[owner]
-        column, shared_counts = place[owner[in_columns]], counts[in_columns]
-        columns[buckets[in_columns], column] = shared_counts
+        columns, columns_sq = _scatter(n_shared, place[owner[in_columns]], buckets[in_columns], counts[in_columns])
+        rest = np.zeros((n - n_shared, DEFAULT_DIM))
         in_rest = ~in_columns
         rest[place[owner[in_rest]], buckets[in_rest]] = counts[in_rest]
         # Embeddings are read-only views, so nothing writes through one
@@ -676,6 +733,7 @@ class MemoryState:
         records, hash_index = state.records, state.hash_index
         stamps, incomplete, unchecked = state._stamps, state._incomplete, state._unchecked
         actives: list[str] = []
+        topic_keys: list[str] = []  # active artifacts
         for (rid, kind, content, digest, _, created, updated, status, into, sources), in_index in zip(
             rows, shared.tolist()
         ):
@@ -702,13 +760,24 @@ class MemoryState:
                     incomplete.add(rid)
                 if kind == "research_fact" and not sources:
                     unchecked.add(rid)
+                elif kind == "artifact":
+                    topic_keys.append(rid)
         heapq.heapify(stamps)
         if n_shared:
-            state._index._adopt(
-                actives, columns, np.bincount(column, weights=shared_counts * shared_counts, minlength=n_shared)
-            )
+            state._index._adopt(actives, columns, columns_sq)
         else:
             state._index = SimilarityIndex(records, _embedding_of, actives)
+        # The topics index gets its stored counts the same way; nothing
+        # views its columns.
+        state._topics = SimilarityIndex(records, _topic_embedding_of, topic_keys, copy_on_growth=True)
+        if len(topic_keys) > SMALL_INDEX_ROWS:
+            live = np.array([row[7] == "active" for row in compress(rows, artifact)], dtype=bool)
+            in_topics = live[topic_owner]
+            topic_column = (np.cumsum(live) - 1)[topic_owner[in_topics]]
+            state._topics._adopt(
+                topic_keys,
+                *_scatter(len(topic_keys), topic_column, topic_buckets[in_topics], topic_counts[in_topics]),
+            )
         state._counter = counter
         state.profile = dict(snapshot.get("profile", {}))
         return state

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import struct
 from datetime import datetime, timedelta, timezone
 
@@ -377,6 +378,7 @@ def test_snapshot_round_trip_restores_every_field():
             "content": "legacy topic\nbody",
             "content_hash": content_hash("legacy topic\nbody"),
             "embedding": _sparse(embed("legacy topic\nbody")),
+            "topic": _sparse(embed("legacy topic")),
             "created_at": (EPOCH + timedelta(days=2)).isoformat(),
             "updated_at": (EPOCH + timedelta(days=3)).isoformat(),
             "status": "active",
@@ -406,9 +408,9 @@ def pairs_hex(*pairs):
     return b"".join(struct.pack("<HI", bucket, count) for bucket, count in pairs).hex()
 
 
-def set_embedding(hexes):
+def set_pairs(field, hexes):
     def mutate(snapshot):
-        snapshot["records"][0]["embedding"] = hexes
+        snapshot["records"][0][field] = hexes
 
     return mutate
 
@@ -420,31 +422,50 @@ def drop_field(key):
     return mutate
 
 
+# Each malformed value of a packed pair field, the end of the message that
+# names the field, and the case's id.
+MALFORMED_PAIRS = [
+    (
+        {"buckets": [3, 7], "counts": [1, 2]},
+        "must be a hex string of (bucket, count) pairs; the old {buckets, counts} form is not loaded",
+        "old-form",
+    ),
+    (pairs_hex((3, 1))[:-2], "hex length is not a multiple of 12", "torn-pair"),
+    (pairs_hex((3, 1), (DEFAULT_DIM, 1)), f"bucket is not below {DEFAULT_DIM}", "bucket"),
+    (pairs_hex((3, 1), (7, 0)), "count is zero", "zero-count"),
+    (pairs_hex((7, 1), (3, 1)), "buckets are not strictly ascending", "descending"),
+    (pairs_hex((3, 1), (3, 2)), "buckets are not strictly ascending", "repeated-bucket"),
+    (pairs_hex((3, 1)) + " " * 12, "hex holds whitespace", "whitespace"),
+    ("zz" * 6, "hex: non-hexadecimal number found", "not-hex"),
+]
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        pytest.param(
-            set_embedding({"buckets": [3, 7], "counts": [1, 2]}), "old {buckets, counts} form", id="old-form"
-        ),
         pytest.param(lambda snapshot: snapshot.pop("counter"), "no integer 'counter'", id="no-counter"),
         pytest.param(lambda snapshot: snapshot.update(counter="2"), "no integer 'counter'", id="text-counter"),
-        pytest.param(set_embedding(pairs_hex((3, 1))[:-2]), "not a multiple of 12", id="torn-pair"),
-        pytest.param(
-            set_embedding(pairs_hex((3, 1), (DEFAULT_DIM, 1))), f"bucket is not below {DEFAULT_DIM}", id="bucket"
-        ),
-        pytest.param(set_embedding(pairs_hex((3, 1), (7, 0))), "count is zero", id="zero-count"),
-        pytest.param(set_embedding(pairs_hex((7, 1), (3, 1))), "not strictly ascending", id="descending"),
-        pytest.param(set_embedding(pairs_hex((3, 1), (3, 2))), "not strictly ascending", id="repeated-bucket"),
-        pytest.param(set_embedding(pairs_hex((3, 1)) + " " * 12), "whitespace", id="whitespace"),
-        pytest.param(set_embedding("zz" * 6), "non-hexadecimal", id="not-hex"),
         pytest.param(drop_field("merged_from"), "no 'merged_from' field", id="missing-field"),
+        pytest.param(drop_field("topic"), "artifact record has no 'topic' field", id="artifact-without-topic"),
+        pytest.param(
+            lambda snapshot: snapshot["records"][1].update(topic=pairs_hex((3, 1))),
+            "entity_fact record has a 'topic' field",
+            id="entity-fact-with-topic",
+        ),
+    ]
+    + [
+        pytest.param(set_pairs(field, value), re.escape(f"snapshot {field} {message}"), id=prefix + case_id)
+        for field, prefix in (("embedding", ""), ("topic", "topic-"))
+        for value, message, case_id in MALFORMED_PAIRS
     ],
 )
 def test_from_snapshot_rejects_malformed_snapshots(mutate, message):
     state = MemoryState()
+    state.add_knowledge("artifact", words("t", 3) + "\n" + words("body", 5), no_arbiter)
     state.add_knowledge("entity_fact", words("a", 5), no_arbiter)
     state.add_knowledge("entity_fact", words("b", 5), no_arbiter)
     snapshot = json.loads(json.dumps(state.to_snapshot()))
+    assert snapshot["records"][0]["kind"] == "artifact"
     assert MemoryState.from_snapshot(snapshot).to_snapshot() == snapshot
     mutate(snapshot)
     with pytest.raises(ValueError, match=message):

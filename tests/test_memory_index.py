@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from foresight.config import RunConfig
 from foresight.embedding import DEFAULT_DIM, _bucket, cosine, embed
+from foresight import memory as memory_module
 from foresight.memory import (
     MEMORY_KINDS,
     SMALL_INDEX_ROWS,
@@ -27,6 +28,7 @@ from foresight.memory import (
     LogicalClock,
     MemoryState,
     SimilarityIndex,
+    artifact_topic,
 )
 from foresight.prediction import CandidateNeed, filter_candidates
 
@@ -511,6 +513,132 @@ def test_bulk_restore_edge_snapshots(entries, built):
     assert_restored_like_build(loaded)
     for query in ("r1 x", "!!!"):
         assert_search_matches(loaded, query, 3, 0.0)
+
+
+# -- restored artifact topics --------------------------------------------------
+
+
+def artifact_text(i, topic_word="b"):
+    """An artifact whose topic line is 3 words of its 13: changing one topic
+    word keeps it a near-duplicate (12/13) of the text it came from."""
+    return f"t{i} a{i} {topic_word}{i}\n" + " ".join(f"w{i}x{j}" for j in range(10))
+
+
+def memory_with_artifacts(n):
+    """``n`` artifacts (one replaced with a new topic, one retired by a
+    merge into a new artifact) among records of every other kind, and the
+    ids of the replaced and the retired ones."""
+    state = MemoryState()
+    for i in range(n):
+        state.add_knowledge("artifact", artifact_text(i), verdict("skip"))
+        state.add_knowledge(MEMORY_KINDS[i % 4], f"other{i} record{i} words{i}", verdict("skip"))
+    replaced = state.add_knowledge("artifact", artifact_text(0, topic_word="c"), verdict("replace"))
+    assert replaced.outcome is AddOutcome.REPLACED
+    retired = state.add_knowledge("artifact", artifact_text(1) + " more", verdict("merge"))
+    assert retired.outcome is AddOutcome.MERGED
+    (gone,) = state.records[retired.record_id].merged_from
+    assert state.records[gone].status == "merged" and state.records[gone].kind == "artifact"
+    return state, replaced.record_id, gone
+
+
+def active_artifacts(state):
+    return [r.id for r in state.active_records() if r.kind == "artifact"]
+
+
+def topic_candidates(n):
+    """Candidate topics: each artifact's topic, the replaced one's old topic,
+    a near and a novel one."""
+    topics = [f"t{i} a{i} b{i}" for i in range(n)] + ["t0 a0 c0", "t2 a2 b2 extra", "nothing like it"]
+    return [
+        CandidateNeed(topic=topic, need=f"need {i}", reason="test", confidence=0.9, retrieval_query=topic)
+        for i, topic in enumerate(topics)
+    ]
+
+
+def restore_counting_topic_embeds(state, monkeypatch):
+    """``state`` restored through JSON text, and the list that every
+    ``_topic_embedding_of`` call from then on appends its record id to."""
+    text = json.dumps(state.to_snapshot(), ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    calls = []
+    topic_embedding_of = memory_module._topic_embedding_of
+
+    def counting(record):
+        calls.append(record.id)
+        return topic_embedding_of(record)
+
+    monkeypatch.setattr(memory_module, "_topic_embedding_of", counting)
+    return MemoryState.from_snapshot(json.loads(text), clock=state.clock), calls
+
+
+def brute_force_topic_search(state, topic, threshold):
+    query = embed(topic)
+    artifacts = [r for r in state.active_records() if r.kind == "artifact"]
+    scored = [(r.id, cosine(query, embed(artifact_topic(r)))) for r in artifacts]
+    return sorted([hit for hit in scored if hit[1] >= threshold], key=lambda hit: (-hit[1], hit[0]))
+
+
+def test_restored_topics_index_equals_a_built_one(monkeypatch):
+    n = SMALL_INDEX_ROWS + 4
+    state, replaced, gone = memory_with_artifacts(n)
+    keys = active_artifacts(state)
+    assert len(keys) > SMALL_INDEX_ROWS and replaced in keys and gone not in keys
+    stored = {rd["id"]: rd for rd in state.to_snapshot()["records"]}
+    assert "topic" in stored[gone] and "topic" in stored[replaced]
+    assert all(("topic" in rd) == (rd["kind"] == "artifact") for rd in stored.values())
+    raw = topic_candidates(n)
+    cfg = RunConfig()
+    want = filter_candidates(raw, state, cfg)
+    assert want == oracle_filter_candidates(raw, state, cfg)
+    assert 0 < len(want) < len(raw)
+
+    loaded, calls = restore_counting_topic_embeds(state, monkeypatch)
+    topics = loaded._topics
+    assert topics is not None and topics._matrix is not None
+    assert filter_candidates(raw, loaded, cfg) == want
+    assert calls == []  # neither the restore nor the first filter embedded a topic
+
+    built = SimilarityIndex(loaded.records, lambda record: embed(artifact_topic(record)), keys)
+    built._build()
+    assert topics._keys == built._keys == keys
+    for key in keys:
+        column = topics._matrix[:, topics._row[key]]
+        assert column.tobytes() == embed(artifact_topic(loaded.records[key])).tobytes()
+    assert topics._sq[: len(keys)].tobytes() == built._sq[: len(keys)].tobytes()
+    assert loaded.artifact_topics() is topics
+
+
+def test_restored_topics_index_of_few_artifacts_is_keys_only():
+    state, replaced, gone = memory_with_artifacts(SMALL_INDEX_ROWS)
+    keys = active_artifacts(state)
+    assert len(keys) <= SMALL_INDEX_ROWS
+    loaded = MemoryState.from_snapshot(json.loads(json.dumps(state.to_snapshot())), clock=state.clock)
+    assert loaded._topics._matrix is None
+    assert loaded._topics._keys == list(loaded._topics._row) == keys
+    raw = topic_candidates(SMALL_INDEX_ROWS)
+    cfg = RunConfig()
+    assert filter_candidates(raw, loaded, cfg) == filter_candidates(raw, state, cfg)
+
+
+def test_restored_topics_index_grows_without_embedding_again(monkeypatch):
+    state, replaced, gone = memory_with_artifacts(SMALL_INDEX_ROWS + 4)
+    loaded, calls = restore_counting_topic_embeds(state, monkeypatch)
+    topics = loaded.artifact_topics()
+    restored = topics._matrix
+    room = restored.shape[1] - len(topics._keys)
+    added = []
+    for i in range(100, 100 + room + 2):
+        result = loaded.add_knowledge("artifact", artifact_text(i), verdict("skip"))
+        assert result.outcome is AddOutcome.ADDED
+        added.append(result.record_id)
+    # Replace an artifact's topic after the growth; its key takes a new row.
+    rewrite = loaded.add_knowledge("artifact", artifact_text(100, topic_word="c"), verdict("replace"))
+    assert rewrite.record_id == added[0]
+    assert topics._matrix is not restored  # the index grew
+    assert calls == added + [added[0]]  # each add embedded its own topic, nothing else did
+    queries = ["t3 a3 b3", "t100 a100 c100", "t100 a100 b100", f"t{99 + room} a{99 + room} b{99 + room}", "!!!"]
+    for query in queries:
+        for threshold in (0.0, 0.5, 0.85):
+            assert topics.search(embed(query), threshold) == brute_force_topic_search(loaded, query, threshold)
 
 
 # -- write-once columns --------------------------------------------------------
