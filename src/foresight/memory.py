@@ -24,8 +24,7 @@ into the index matrix, and each active record's embedding is a read-only
 view of its column. Every other record's embedding is a read-only row of one
 small record-major matrix. The artifact topics index is restored the same
 way from each artifact's stored topic counts, so a restored memory embeds
-no artifact topic, and the topics index copies its columns when it grows
-instead of embedding them again.
+no artifact topic until the index grows.
 
 ``detect_gaps`` scans no records. Each write keeps its three gap sources up
 to date: the ids of active records whose content holds ``TBD``, a min-heap
@@ -53,7 +52,6 @@ import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from itertools import compress, repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -201,28 +199,18 @@ class SimilarityIndex:
     ``SMALL_INDEX_ROWS`` keys, or adopted from ``from_snapshot``, and kept
     up to date from then on. Until then each query scores every key with
     ``cosine``.
-
-    ``copy_on_growth`` is for vectors that no record holds, such as the
-    artifact topics, where ``vector_of`` embeds: growing then copies the
-    live columns from the full matrix, so only the first build and ``add``
-    read ``vector_of``. Where records hold their vectors, growing reads them
-    again instead, and the full matrix can be freed before the new one is
-    allocated.
     """
 
-    __slots__ = ("_records", "_vector_of", "_copy_on_growth", "_row", "_keys", "_matrix", "_sq")
+    __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq")
 
     def __init__(
         self,
         records: dict[str, MemoryRecord],
         vector_of: Callable[[MemoryRecord], np.ndarray],
         keys: Sequence[str] = (),
-        *,
-        copy_on_growth: bool = False,
     ) -> None:
         self._records = records
         self._vector_of = vector_of
-        self._copy_on_growth = copy_on_growth
         self._keys: list[str] = list(keys)  # row -> key, removed rows included
         self._row: dict[str, int] = dict(zip(self._keys, range(len(self._keys))))  # key -> row, live keys only
         self._matrix: Optional[np.ndarray] = None  # None until built
@@ -237,12 +225,6 @@ class SimilarityIndex:
     def _build(self) -> None:
         """Writes every live row's vector into a new matrix with room for more."""
         keys = list(self._row)
-        if self._copy_on_growth and self._matrix is not None:
-            rows = list(self._row.values())
-            matrix = _with_room(len(keys) + 1)
-            matrix[:, : len(keys)] = self._matrix[:, rows]
-            self._adopt(keys, matrix, self._sq[rows])
-            return
         vectors = [self._vector_of(self._records[key]) for key in keys]
         # Let go of a full matrix first: unless an embedding views it, it is
         # freed before the new one is allocated.
@@ -579,7 +561,7 @@ class MemoryState:
         """
         if self._topics is None:
             artifacts = [r.id for r in self.active_records() if r.kind == "artifact"]
-            self._topics = SimilarityIndex(self.records, _topic_embedding_of, artifacts, copy_on_growth=True)
+            self._topics = SimilarityIndex(self.records, _topic_embedding_of, artifacts)
         return self._topics
 
     def coverage_check(self, retrieval_query: str, subtopics: tuple[str, ...] = ()) -> CoverageReport:
@@ -687,6 +669,15 @@ class MemoryState:
         ``{"buckets": [...], "counts": [...]}`` embeddings, an artifact
         without ``topic`` or one without ``counter``, raises ``ValueError``
         naming the problem.
+
+        An artifact's ``topic`` is a cache: its content is the source of
+        truth, and ``topic`` must be ``embed(artifact_topic(record))``.
+        The restore does not check that, since checking would embed every
+        artifact's topic, which is the work the field saves. With more than
+        ``SMALL_INDEX_ROWS`` active artifacts, the restored topics index
+        scores the stored counts until it grows; with fewer, and after
+        growing, it embeds each topic from the content. ``to_snapshot``
+        writes each topic from the content.
         """
         stored = snapshot["records"]
         try:
@@ -696,13 +687,14 @@ class MemoryState:
         n = len(rows)
         owner, buckets, counts = _decode_pairs([row[4] for row in rows], "embedding")
         artifact = [row[1] == "artifact" for row in rows]
-        if list(map(operator.contains, stored, repeat("topic"))) != artifact:
-            kind = next(row[1] for row, rd in zip(rows, stored) if ("topic" in rd) != (row[1] == "artifact"))
+        has_topic = ["topic" in rd for rd in stored]
+        if has_topic != artifact:
+            kind = next(row[1] for row, topic, is_artifact in zip(rows, has_topic, artifact) if topic != is_artifact)
             if kind == "artifact":
                 raise ValueError("snapshot artifact record has no 'topic' field")
             raise ValueError(f"snapshot {kind} record has a 'topic' field, which only artifacts have")
         topic_owner, topic_buckets, topic_counts = _decode_pairs(
-            [rd["topic"] for rd in compress(stored, artifact)], "topic"
+            [rd["topic"] for rd, is_artifact in zip(stored, artifact) if is_artifact], "topic"
         )
         counter = snapshot.get("counter")
         if type(counter) is not int:
@@ -769,9 +761,9 @@ class MemoryState:
             state._index = SimilarityIndex(records, _embedding_of, actives)
         # The topics index gets its stored counts the same way; nothing
         # views its columns.
-        state._topics = SimilarityIndex(records, _topic_embedding_of, topic_keys, copy_on_growth=True)
+        state._topics = SimilarityIndex(records, _topic_embedding_of, topic_keys)
         if len(topic_keys) > SMALL_INDEX_ROWS:
-            live = np.array([row[7] == "active" for row in compress(rows, artifact)], dtype=bool)
+            live = active[np.array(artifact, dtype=bool)]
             in_topics = live[topic_owner]
             topic_column = (np.cumsum(live) - 1)[topic_owner[in_topics]]
             state._topics._adopt(

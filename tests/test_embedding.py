@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foresight.embedding import DEFAULT_DIM, EMBED_MEMO_SIZE, _bucket, cosine, embed, tokenize
@@ -173,50 +173,6 @@ def test_index_grows_after_every_row_was_removed():
         live = [key]
         assert index.search(embed("!!!"), 0.0) == [(key, 0.0)]
         assert index.search(embed(records[key]), 0.0) == [(key, 1.0)]
-
-
-@settings(deadline=None)
-@given(
-    toggles=st.lists(
-        st.integers(0, 8 * SMALL_INDEX_ROWS), min_size=4 * SMALL_INDEX_ROWS, max_size=12 * SMALL_INDEX_ROWS
-    ),
-    queries=st.lists(TEXTS, min_size=1, max_size=3),
-)
-def test_copying_growth_matches_reading_every_vector_again(toggles, queries):
-    # Two indexes under the same adds and removes (a toggle adds a key that
-    # is not live and removes one that is): one copies its live columns
-    # when it grows, the other reads every live vector again. Their live
-    # columns, squared norms and answers stay the same bits.
-    records = {f"k{i:02d}": f"w{i % 5} w{i % 3} w{i}" for i in range(8 * SMALL_INDEX_ROWS + 1)}
-    reads = []
-
-    def counted_embed(text):
-        reads.append(text)
-        return embed(text)
-
-    copying = SimilarityIndex(records, counted_embed, copy_on_growth=True)
-    reading = SimilarityIndex(records, embed)
-    for i in toggles:
-        key = f"k{i:02d}"
-        if key in reading._row:
-            copying.remove(key)
-            reading.remove(key)
-        else:
-            before, matrix = len(reads), copying._matrix
-            copying.add(key)
-            reading.add(key)
-            # Once built, the copying index reads only the added key's vector.
-            assert len(reads) - before == (matrix is not None)
-            if matrix is not None and copying._matrix is not matrix:
-                event("grew")
-        for query in queries + ["!!!"]:
-            assert copying.search(embed(query), 0.0) == reading.search(embed(query), 0.0)
-        live = list(reading._row)
-        if reading._matrix is not None and live:
-            copied = [copying._row[key] for key in live]
-            read = [reading._row[key] for key in live]
-            assert copying._matrix[:, copied].tobytes() == reading._matrix[:, read].tobytes()
-            assert copying._sq[copied].tobytes() == reading._sq[read].tobytes()
 
 
 # ``embed`` is memoised: these check that the memo changes no bit and hands

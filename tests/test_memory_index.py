@@ -28,6 +28,7 @@ from foresight.memory import (
     LogicalClock,
     MemoryState,
     SimilarityIndex,
+    _sparse,
     artifact_topic,
 )
 from foresight.prediction import CandidateNeed, filter_candidates
@@ -619,9 +620,9 @@ def test_restored_topics_index_of_few_artifacts_is_keys_only():
     assert filter_candidates(raw, loaded, cfg) == filter_candidates(raw, state, cfg)
 
 
-def test_restored_topics_index_grows_without_embedding_again(monkeypatch):
+def test_restored_topics_index_grows_past_its_spare_columns():
     state, replaced, gone = memory_with_artifacts(SMALL_INDEX_ROWS + 4)
-    loaded, calls = restore_counting_topic_embeds(state, monkeypatch)
+    loaded = MemoryState.from_snapshot(json.loads(json.dumps(state.to_snapshot())), clock=state.clock)
     topics = loaded.artifact_topics()
     restored = topics._matrix
     room = restored.shape[1] - len(topics._keys)
@@ -634,11 +635,24 @@ def test_restored_topics_index_grows_without_embedding_again(monkeypatch):
     rewrite = loaded.add_knowledge("artifact", artifact_text(100, topic_word="c"), verdict("replace"))
     assert rewrite.record_id == added[0]
     assert topics._matrix is not restored  # the index grew
-    assert calls == added + [added[0]]  # each add embedded its own topic, nothing else did
     queries = ["t3 a3 b3", "t100 a100 c100", "t100 a100 b100", f"t{99 + room} a{99 + room} b{99 + room}", "!!!"]
     for query in queries:
         for threshold in (0.0, 0.5, 0.85):
             assert topics.search(embed(query), threshold) == brute_force_topic_search(loaded, query, threshold)
+
+
+def test_stored_topic_is_a_cache_of_the_content():
+    # The content is the source of truth. A restore takes a stored topic
+    # without embedding the content to check it, the topics index scores
+    # the stored counts, and ``to_snapshot`` writes the content's topic.
+    state, replaced, gone = memory_with_artifacts(SMALL_INDEX_ROWS + 4)
+    snapshot = json.loads(json.dumps(state.to_snapshot()))
+    stored = {rd["id"]: rd for rd in snapshot["records"]}
+    stored[replaced]["topic"] = _sparse(embed("nothing like it"))
+    loaded = MemoryState.from_snapshot(snapshot, clock=state.clock)
+    assert loaded.artifact_topics().search(embed("nothing like it"), 0.99) == [(replaced, 1.0)]
+    assert loaded.artifact_topics().search(embed("t0 a0 c0"), 0.99) == []
+    assert loaded.to_snapshot() == state.to_snapshot()
 
 
 # -- write-once columns --------------------------------------------------------
