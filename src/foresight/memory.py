@@ -18,13 +18,13 @@ integer token counts, so the index computes the same exact score as
 a loop of ``cosine`` calls over every active record would.
 
 The index writes each column once and never again, even when it grows into
-a new matrix. That is what lets ``load`` / ``from_snapshot`` share it: with
-more than ``SMALL_INDEX_ROWS`` active records, the stored counts go straight
-into the index matrix, and each active record's embedding is a read-only
-view of its column. Every other record's embedding is a read-only row of one
-small record-major matrix. The artifact topics index is restored the same
-way from each artifact's stored topic counts, so a restored memory embeds
-no artifact topic until the index grows.
+a new matrix. That is what lets ``load`` / ``from_snapshot`` share it: every
+record's stored counts, active or retired, go straight into one index
+matrix, and each record's embedding is a read-only view of its column. The
+index drops the retired records' rows as it drops any removed row. The
+artifact topics index is restored the same way from each artifact's stored
+topic counts, so a restored memory embeds no artifact topic until the index
+grows.
 
 ``detect_gaps`` scans no records. Each write keeps its three gap sources up
 to date: the ids of active records whose content holds ``TBD``, a min-heap
@@ -52,7 +52,7 @@ import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -193,26 +193,22 @@ class SimilarityIndex:
 
     So a read-only view of a column keeps its values for as long as it
     lives: ``MemoryState.from_snapshot`` fills the matrix itself and hands
-    each restored active record a view of its column as its embedding.
+    each restored record a view of its column as its embedding.
 
     The matrix is built by the first query that finds more than
-    ``SMALL_INDEX_ROWS`` keys, or adopted from ``from_snapshot``, and kept
-    up to date from then on. Until then each query scores every key with
-    ``cosine``.
+    ``SMALL_INDEX_ROWS`` keys, or adopted from ``from_snapshot`` whatever
+    the number of keys, and kept up to date from then on. Until then each
+    query scores every key with ``cosine``. Either way a score is the same
+    exact value.
     """
 
     __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq")
 
-    def __init__(
-        self,
-        records: dict[str, MemoryRecord],
-        vector_of: Callable[[MemoryRecord], np.ndarray],
-        keys: Sequence[str] = (),
-    ) -> None:
+    def __init__(self, records: dict[str, MemoryRecord], vector_of: Callable[[MemoryRecord], np.ndarray]) -> None:
         self._records = records
         self._vector_of = vector_of
-        self._keys: list[str] = list(keys)  # row -> key, removed rows included
-        self._row: dict[str, int] = dict(zip(self._keys, range(len(self._keys))))  # key -> row, live keys only
+        self._keys: list[str] = []  # row -> key, removed rows included
+        self._row: dict[str, int] = {}  # key -> row, live keys only
         self._matrix: Optional[np.ndarray] = None  # None until built
         # Squared norm per row: 1.0 for a row without tokens, whose dot
         # product is 0, so it scores 0.0 as ``cosine`` says; NaN for a
@@ -386,7 +382,7 @@ class MemoryState:
         self.profile: dict[str, str] = {}
         self._counter = 0
         self._index = SimilarityIndex(self.records, _embedding_of)
-        self._topics: Optional[SimilarityIndex] = None  # built on first use
+        self._topics = SimilarityIndex(self.records, _topic_embedding_of)
         # Gap sources, kept on write. A stamp counts while its record is
         # active and still carries it; ``detect_gaps`` drops the others when
         # they come off the heap.
@@ -508,7 +504,7 @@ class MemoryState:
         """Indexes an active record's current content and stamp."""
         rid = record.id
         self._index.add(rid)
-        if self._topics is not None and record.kind == "artifact":
+        if record.kind == "artifact":
             self._topics.add(rid)
         heapq.heappush(self._stamps, (record.updated_at, rid))
         if "TBD" in record.content:
@@ -528,7 +524,7 @@ class MemoryState:
         """Drops what ``_reindex`` kept of a record's content."""
         rid = record.id
         self._index.remove(rid)
-        if self._topics is not None and record.kind == "artifact":
+        if record.kind == "artifact":
             self._topics.remove(rid)
         self._incomplete.discard(rid)
         self._forget_fact(rid)
@@ -556,12 +552,9 @@ class MemoryState:
     def artifact_topics(self) -> SimilarityIndex:
         """Index of ``embed(artifact_topic(record))`` by id over active artifacts.
 
-        Restored by ``from_snapshot`` from the stored topics, otherwise built
-        on first use, and kept up to date from then on.
+        Kept up to date by every write, and filled by ``from_snapshot`` from
+        the stored topics, whose counts it scores until it grows.
         """
-        if self._topics is None:
-            artifacts = [r.id for r in self.active_records() if r.kind == "artifact"]
-            self._topics = SimilarityIndex(self.records, _topic_embedding_of, artifacts)
         return self._topics
 
     def coverage_check(self, retrieval_query: str, subtopics: tuple[str, ...] = ()) -> CoverageReport:
@@ -667,24 +660,28 @@ class MemoryState:
         ``bytes.fromhex``, and so are every artifact's topic pairs. A
         snapshot in any other form, such as the old
         ``{"buckets": [...], "counts": [...]}`` embeddings, an artifact
-        without ``topic`` or one without ``counter``, raises ``ValueError``
-        naming the problem.
+        without ``topic``, a record of an unknown ``kind`` or ``status``, a
+        record id held twice, or one without ``counter``, raises
+        ``ValueError`` naming the problem.
+
+        Record i's stored counts become column i of the index matrix, and
+        its embedding a read-only view of that column; artifact i's stored
+        topic becomes column i of the topics index. Each index then drops
+        the rows of the retired records.
 
         An artifact's ``topic`` is a cache: its content is the source of
         truth, and ``topic`` must be ``embed(artifact_topic(record))``.
         The restore does not check that, since checking would embed every
-        artifact's topic, which is the work the field saves. With more than
-        ``SMALL_INDEX_ROWS`` active artifacts, the restored topics index
-        scores the stored counts until it grows; with fewer, and after
-        growing, it embeds each topic from the content. ``to_snapshot``
-        writes each topic from the content.
+        artifact's topic, which is the work the field saves. Whatever the
+        number of artifacts, the restored topics index scores the stored
+        counts until it grows, and from then on embeds each topic from the
+        content. ``to_snapshot`` writes each topic from the content.
         """
         stored = snapshot["records"]
         try:
             rows = list(map(_RECORD_FIELDS, stored))
         except KeyError as exc:
             raise ValueError(f"snapshot record has no {exc} field") from None
-        n = len(rows)
         owner, buckets, counts = _decode_pairs([row[4] for row in rows], "embedding")
         artifact = [row[1] == "artifact" for row in rows]
         has_topic = ["topic" in rd for rd in stored]
@@ -701,34 +698,19 @@ class MemoryState:
             raise ValueError("snapshot has no integer 'counter'")
 
         state = cls(**kwargs)
-        active = np.array([row[7] == "active" for row in rows], dtype=bool)
-        # With more than SMALL_INDEX_ROWS active records, their counts go
-        # straight into the index's columns, which they then share; every
-        # other record gets a row of a record-major matrix.
-        shared = active if active.sum() > SMALL_INDEX_ROWS else np.zeros(n, dtype=bool)
-        # Each record's column among the shared ones, or its row among the rest.
-        place = np.where(shared, np.cumsum(shared), np.cumsum(~shared)) - 1
-        n_shared = int(shared.sum())
-        in_columns = shared[owner]
-        columns, columns_sq = _scatter(n_shared, place[owner[in_columns]], buckets[in_columns], counts[in_columns])
-        rest = np.zeros((n - n_shared, DEFAULT_DIM))
-        in_rest = ~in_columns
-        rest[place[owner[in_rest]], buckets[in_rest]] = counts[in_rest]
         # Embeddings are read-only views, so nothing writes through one
         # record's embedding into another's or into the index; a replaced
         # record gets the shared vector from ``embed``. The index never
         # rewrites a column, so a view keeps its record's counts.
+        columns, columns_sq = _scatter(len(rows), owner, buckets, counts)
         view = columns.view()
         view.flags.writeable = False
-        rest.flags.writeable = False
-        column_views, rest_rows = iter(view.T), iter(rest)
         records, hash_index = state.records, state.hash_index
         stamps, incomplete, unchecked = state._stamps, state._incomplete, state._unchecked
-        actives: list[str] = []
-        topic_keys: list[str] = []  # active artifacts
-        for (rid, kind, content, digest, _, created, updated, status, into, sources), in_index in zip(
-            rows, shared.tolist()
-        ):
+        retired: list[str] = []
+        for (rid, kind, content, digest, _, created, updated, status, into, sources), embedding in zip(rows, view.T):
+            if kind not in MEMORY_KINDS:
+                raise ValueError(f"snapshot record has unknown kind {kind!r}")
             created_at = datetime.fromisoformat(created)
             # Datetimes are immutable, so an unchanged record shares one.
             updated_at = created_at if updated == created else datetime.fromisoformat(updated)
@@ -737,7 +719,7 @@ class MemoryState:
                 kind,
                 content,
                 digest,
-                next(column_views) if in_index else next(rest_rows),
+                embedding,
                 created_at,
                 updated_at,
                 status,
@@ -746,30 +728,26 @@ class MemoryState:
             )
             if status == "active":
                 hash_index[digest] = rid
-                actives.append(rid)
                 stamps.append((updated_at, rid))
                 if "TBD" in content:
                     incomplete.add(rid)
                 if kind == "research_fact" and not sources:
                     unchecked.add(rid)
-                elif kind == "artifact":
-                    topic_keys.append(rid)
+            elif status == "merged":
+                retired.append(rid)
+            else:
+                raise ValueError(f"snapshot record has unknown status {status!r}")
+        if len(records) != len(rows):
+            raise ValueError("snapshot holds a record id twice")
         heapq.heapify(stamps)
-        if n_shared:
-            state._index._adopt(actives, columns, columns_sq)
-        else:
-            state._index = SimilarityIndex(records, _embedding_of, actives)
-        # The topics index gets its stored counts the same way; nothing
-        # views its columns.
-        state._topics = SimilarityIndex(records, _topic_embedding_of, topic_keys)
-        if len(topic_keys) > SMALL_INDEX_ROWS:
-            live = active[np.array(artifact, dtype=bool)]
-            in_topics = live[topic_owner]
-            topic_column = (np.cumsum(live) - 1)[topic_owner[in_topics]]
-            state._topics._adopt(
-                topic_keys,
-                *_scatter(len(topic_keys), topic_column, topic_buckets[in_topics], topic_counts[in_topics]),
-            )
+        index, topics = state._index, state._topics
+        index._adopt([row[0] for row in rows], columns, columns_sq)
+        artifacts = [row[0] for row, is_artifact in zip(rows, artifact) if is_artifact]
+        topics._adopt(artifacts, *_scatter(len(artifacts), topic_owner, topic_buckets, topic_counts))
+        for rid in retired:
+            index.remove(rid)
+            if records[rid].kind == "artifact":
+                topics.remove(rid)
         state._counter = counter
         state.profile = dict(snapshot.get("profile", {}))
         return state

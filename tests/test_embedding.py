@@ -129,7 +129,9 @@ def test_index_scores_are_the_exact_integer_score(texts, queries, data):
     records = {f"k{i:02d}": text for i, text in enumerate(texts + ["q1 a1", "q2 a2", "!!!"])}
     keys = sorted(records)
     split = data.draw(st.integers(0, len(keys)), label="split")
-    index = SimilarityIndex(records, embed, keys[:split])
+    index = SimilarityIndex(records, embed)
+    for key in keys[:split]:
+        index.add(key)
     live = set(keys[:split])
 
     def check():
@@ -162,7 +164,9 @@ def test_index_grows_after_every_row_was_removed():
     records = {f"k{i:02d}": f"w{i} w{i + 1}" for i in range(3 * SMALL_INDEX_ROWS)}
     keys = sorted(records)
     live = keys[: SMALL_INDEX_ROWS + 1]
-    index = SimilarityIndex(records, embed, live)
+    index = SimilarityIndex(records, embed)
+    for key in live:
+        index.add(key)
     index.search(embed("w1"), 0.0)  # builds the matrix
     # Each new key replaces every live one, so the matrix fills up with
     # removed rows and grows while no row is live.

@@ -421,14 +421,13 @@ def assert_restored_like_build(loaded):
     """``from_snapshot`` fills the index as ``_build`` would; every embedding is ``embed(content)``."""
     actives = [r.id for r in loaded.records.values() if r.status == "active"]
     assert list(loaded._index._row) == actives
-    if len(actives) <= SMALL_INDEX_ROWS:
-        assert loaded._index._matrix is None
-    else:
-        built = SimilarityIndex(loaded.records, lambda record: record.embedding, actives)
-        built._build()
-        for got, want in zip(index_arrays(loaded._index, actives), index_arrays(built, actives)):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+    built = SimilarityIndex(loaded.records, lambda record: record.embedding)
+    for rid in actives:
+        built.add(rid)
+    built._build()
+    for got, want in zip(index_arrays(loaded._index, actives), index_arrays(built, actives)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
     assert_embeddings_intact(loaded)
 
 
@@ -497,20 +496,19 @@ def snapshot_of(contents_and_statuses):
 
 
 @pytest.mark.parametrize(
-    "entries, built",
+    "entries",
     [
-        ([], False),
-        ([(f"r{i} x", "merged") for i in range(8)], False),
-        ([("!!!", "active")] * 8, True),
-        ([(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS)], False),
-        ([(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS)] + [("gone", "merged")] * 3, False),
-        ([(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS + 1)], True),
-        ([("!!!", "active"), ("r1 x", "merged")] * (SMALL_INDEX_ROWS + 1), True),
+        [],
+        [(f"r{i} x", "merged") for i in range(8)],
+        [("!!!", "active")] * 8,
+        [(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS)],
+        [(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS)] + [("gone", "merged")] * 3,
+        [(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS + 1)],
+        [("!!!", "active"), ("r1 x", "merged")] * (SMALL_INDEX_ROWS + 1),
     ],
 )
-def test_bulk_restore_edge_snapshots(entries, built):
+def test_bulk_restore_edge_snapshots(entries):
     loaded = MemoryState.from_snapshot(snapshot_of(entries))
-    assert (loaded._index._matrix is not None) == built
     assert_restored_like_build(loaded)
     for query in ("r1 x", "!!!"):
         assert_search_matches(loaded, query, 3, 0.0)
@@ -594,30 +592,20 @@ def test_restored_topics_index_equals_a_built_one(monkeypatch):
 
     loaded, calls = restore_counting_topic_embeds(state, monkeypatch)
     topics = loaded._topics
-    assert topics is not None and topics._matrix is not None
+    assert topics._matrix is not None
     assert filter_candidates(raw, loaded, cfg) == want
     assert calls == []  # neither the restore nor the first filter embedded a topic
 
-    built = SimilarityIndex(loaded.records, lambda record: embed(artifact_topic(record)), keys)
+    built = SimilarityIndex(loaded.records, lambda record: embed(artifact_topic(record)))
+    for key in keys:
+        built.add(key)
     built._build()
-    assert topics._keys == built._keys == keys
+    assert list(topics._row) == list(built._row) == keys
     for key in keys:
         column = topics._matrix[:, topics._row[key]]
         assert column.tobytes() == embed(artifact_topic(loaded.records[key])).tobytes()
-    assert topics._sq[: len(keys)].tobytes() == built._sq[: len(keys)].tobytes()
+    assert index_arrays(topics, keys)[1].tobytes() == index_arrays(built, keys)[1].tobytes()
     assert loaded.artifact_topics() is topics
-
-
-def test_restored_topics_index_of_few_artifacts_is_keys_only():
-    state, replaced, gone = memory_with_artifacts(SMALL_INDEX_ROWS)
-    keys = active_artifacts(state)
-    assert len(keys) <= SMALL_INDEX_ROWS
-    loaded = MemoryState.from_snapshot(json.loads(json.dumps(state.to_snapshot())), clock=state.clock)
-    assert loaded._topics._matrix is None
-    assert loaded._topics._keys == list(loaded._topics._row) == keys
-    raw = topic_candidates(SMALL_INDEX_ROWS)
-    cfg = RunConfig()
-    assert filter_candidates(raw, loaded, cfg) == filter_candidates(raw, state, cfg)
 
 
 def test_restored_topics_index_grows_past_its_spare_columns():
@@ -641,12 +629,19 @@ def test_restored_topics_index_grows_past_its_spare_columns():
             assert topics.search(embed(query), threshold) == brute_force_topic_search(loaded, query, threshold)
 
 
-def test_stored_topic_is_a_cache_of_the_content():
-    # The content is the source of truth. A restore takes a stored topic
-    # without embedding the content to check it, the topics index scores
-    # the stored counts, and ``to_snapshot`` writes the content's topic.
-    state, replaced, gone = memory_with_artifacts(SMALL_INDEX_ROWS + 4)
+@pytest.mark.parametrize("n", [SMALL_INDEX_ROWS, SMALL_INDEX_ROWS + 4])
+def test_stored_topic_is_a_cache_of_the_content(n):
+    # The content is the source of truth. Whatever the number of artifacts,
+    # a restore takes a stored topic without embedding the content to check
+    # it, the topics index scores the stored counts, and ``to_snapshot``
+    # writes the content's topic.
+    state, replaced, gone = memory_with_artifacts(n)
+    assert (len(active_artifacts(state)) > SMALL_INDEX_ROWS) == (n > SMALL_INDEX_ROWS)
     snapshot = json.loads(json.dumps(state.to_snapshot()))
+    raw = topic_candidates(n)
+    cfg = RunConfig()
+    unchanged = MemoryState.from_snapshot(snapshot, clock=state.clock)
+    assert filter_candidates(raw, unchanged, cfg) == filter_candidates(raw, state, cfg)
     stored = {rd["id"]: rd for rd in snapshot["records"]}
     stored[replaced]["topic"] = _sparse(embed("nothing like it"))
     loaded = MemoryState.from_snapshot(snapshot, clock=state.clock)
