@@ -39,6 +39,7 @@ from foresight.scenarios import (
     Scenario,
     ScenarioParseError,
     ScenarioSchemaError,
+    ValidationReport,
     composition_stats,
     parse_scenario,
     stratify,
@@ -237,17 +238,21 @@ def _backends_factory(cfg: RunConfig):
     return lambda scenario: HttpRoleBackends(scenario, client, seed=cfg.seed)
 
 
-def _validate_or_fail(loaded: list[tuple[Path, Scenario]]) -> Optional[str]:
+def _validate_or_fail(loaded: list[tuple[Path, Scenario]]) -> tuple[list[ValidationReport], Optional[str]]:
+    """Each scenario's report and None, or, at the first invalid scenario,
+    the reports so far and its first violation as an error line."""
+    reports: list[ValidationReport] = []
     for path, scenario in loaded:
         report = validate_scenario(scenario)
         if not report.valid:
             first = report.violations[0]
-            return f"{path}: {first.code}: {first.message}"
-    return None
+            return reports, f"{path}: {first.code}: {first.message}"
+        reports.append(report)
+    return reports, None
 
 
-def _facets(scenario: Scenario) -> dict:
-    strata = stratify(scenario)
+def _facets(scenario: Scenario, report: ValidationReport) -> dict:
+    strata = stratify(scenario, report)
     return {
         "domain": scenario.domain,
         "archetype": scenario.archetype,
@@ -262,7 +267,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     backends_factory = _backends_factory(cfg)
 
     loaded = _load_scenarios(args.scenarios)
-    invalid = _validate_or_fail(loaded)
+    reports, invalid = _validate_or_fail(loaded)
     if invalid:
         print(f"invalid scenario: {invalid}", file=sys.stderr)
         return EXIT_FAIL
@@ -280,7 +285,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_text(memory_path, _join_lines(kept_memories[key] for key in sorted(kept_memories)))
 
     scenarios = [s for _, s in loaded]
-    facet_by_id = {s.scenario_id: _facets(s) for s in scenarios}
+    facet_by_id = {s.scenario_id: _facets(s, report) for s, report in zip(scenarios, reports)}
     agg_rows = [
         AggregateRow(
             scenario_id=key[0],
@@ -369,7 +374,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     factories = [_backends_factory(cfg) for cfg in configs]
 
     loaded = _load_scenarios(args.scenarios)
-    invalid = _validate_or_fail(loaded)
+    _, invalid = _validate_or_fail(loaded)
     if invalid:
         print(f"invalid scenario: {invalid}", file=sys.stderr)
         return EXIT_FAIL

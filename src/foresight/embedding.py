@@ -9,7 +9,10 @@ to rare bucket collisions).
 Counts are small integers, so every dot product and squared norm is an
 integer sum, exact in float64 in any summation order. ``cosine`` rounds
 only in its square root and its division, both correctly rounded under
-IEEE 754, so a score is exact and the same on every machine.
+IEEE 754, so a score is exact and the same on every machine. For the same
+reason a caller scoring one vector against many may compute its squared
+norm once and hand it to ``cosine``: the cached value is the same exact
+integer the call would compute, so the score keeps its bits.
 
 ``embed`` is memoised per ``(text, dim)`` in a process-wide LRU of
 ``EMBED_MEMO_SIZE`` (256) entries, about 0.5 MB of vectors, so every caller
@@ -27,6 +30,7 @@ import functools
 import hashlib
 import math
 import re
+from typing import Optional
 
 import numpy as np
 
@@ -66,14 +70,19 @@ def embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     return vec
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
+def cosine(u: np.ndarray, v: np.ndarray, uu: Optional[float] = None, vv: Optional[float] = None) -> float:
     """``u.v / sqrt((u.u) * (v.v))`` for count vectors, or 0.0 when either is zero.
 
     One square root of the product, not a product of two roots: for two
     5-token texts sharing 4 tokens this gives exactly 0.8, where
     ``dot / (sqrt(na) * sqrt(nb))`` gives 0.7999999999999998.
+
+    ``uu`` and ``vv`` are ``u.u`` and ``v.v`` when the caller already holds
+    them, so a loop scoring one vector against many computes its squared
+    norm once. A squared norm is an exact integer sum, so a cached one has
+    the bits this call would compute, and the score is the same.
     """
-    nn = float(u.dot(u)) * float(v.dot(v))
+    nn = (float(u.dot(u)) if uu is None else uu) * (float(v.dot(v)) if vv is None else vv)
     if nn == 0.0:
         return 0.0
     return float(u.dot(v)) / math.sqrt(nn)

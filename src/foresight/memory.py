@@ -177,10 +177,11 @@ class SimilarityIndex:
     Keys are record ids; ``vector_of(record)`` gives a key's token counts.
     Once built, the index is one float64 matrix of shape
     ``(DEFAULT_DIM, capacity)`` with one row's vector per column, plus each
-    row's squared norm. A query's dot products with every row are one
-    product of its nonzero buckets with those rows of the matrix; every sum
-    is of integers below 2**53, exact in any order, so each score is
-    ``cosine``'s exact value.
+    row's squared norm. A query is scored from its nonzero buckets only: its
+    dot products with every row are one product of those buckets' counts
+    with the same rows of the matrix, and its squared norm is the sum of
+    those counts' squares. Every sum is of integers below 2**53, exact in
+    any order, so each score is ``cosine``'s exact value.
 
     Columns are written once:
 
@@ -198,8 +199,9 @@ class SimilarityIndex:
     The matrix is built by the first query that finds more than
     ``SMALL_INDEX_ROWS`` keys, or adopted from ``from_snapshot`` whatever
     the number of keys, and kept up to date from then on. Until then each
-    query scores every key with ``cosine``. Either way a score is the same
-    exact value.
+    query scores every key with ``cosine``, handing it the query's squared
+    norm computed once per search. Either way a score is the same exact
+    value.
     """
 
     __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq")
@@ -263,12 +265,12 @@ class SimilarityIndex:
         ``k`` is None.
         """
         if self._matrix is None and len(self._row) <= SMALL_INDEX_ROWS:
-            records, vector_of = self._records, self._vector_of
-            scored = [(key, cosine(query, vector_of(records[key]))) for key in self._row]
+            records, vector_of, qq = self._records, self._vector_of, float(query.dot(query))
+            scored = [(key, cosine(query, vector_of(records[key]), qq)) for key in self._row]
             hits = [hit for hit in scored if hit[1] >= threshold]
         else:
             scores = self._scores(query)
-            rows = np.flatnonzero(scores >= threshold)
+            rows = (scores >= threshold).nonzero()[0]
             if k is not None and 0 < k < len(rows):
                 # Rows below the k-th best score cannot be among the k best.
                 passing = scores[rows]
@@ -283,12 +285,12 @@ class SimilarityIndex:
             self._build()
         n = len(self._keys)
         sq = self._sq[:n]
-        qq = float(query.dot(query))
-        if qq == 0.0:
+        buckets = query.nonzero()[0]
+        if not len(buckets):
             return sq * 0.0  # 0.0 for every live row, as ``cosine`` says
-        buckets = np.flatnonzero(query)
-        dots = query[buckets] @ self._matrix[buckets, :n]
-        return dots / np.sqrt(sq * qq)
+        counts = query[buckets]
+        dots = counts @ self._matrix[buckets, :n]
+        return dots / np.sqrt(sq * float(counts.dot(counts)))
 
 
 def _with_room(columns: int) -> np.ndarray:
@@ -515,7 +517,8 @@ class MemoryState:
         # fact is supported already or searched again anyway.
         if self._weak:
             threshold, records, vec = self.coverage_threshold, self.records, record.embedding
-            supported = [fact for fact in self._weak if cosine(vec, records[fact].embedding) >= threshold]
+            vv = float(vec.dot(vec))
+            supported = [fact for fact in self._weak if cosine(vec, records[fact].embedding, vv) >= threshold]
             for fact in supported:
                 self._weak.remove(fact)
                 self._witness[fact] = rid
@@ -661,8 +664,8 @@ class MemoryState:
         snapshot in any other form, such as the old
         ``{"buckets": [...], "counts": [...]}`` embeddings, an artifact
         without ``topic``, a record of an unknown ``kind`` or ``status``, a
-        record id held twice, or one without ``counter``, raises
-        ``ValueError`` naming the problem.
+        record id held twice, two active records with one ``content_hash``,
+        or one without ``counter``, raises ``ValueError`` naming the problem.
 
         Record i's stored counts become column i of the index matrix, and
         its embedding a read-only view of that column; artifact i's stored
@@ -739,6 +742,8 @@ class MemoryState:
                 raise ValueError(f"snapshot record has unknown status {status!r}")
         if len(records) != len(rows):
             raise ValueError("snapshot holds a record id twice")
+        if len(hash_index) != len(rows) - len(retired):
+            raise ValueError("snapshot holds one content_hash on two active records")
         heapq.heapify(stamps)
         index, topics = state._index, state._topics
         index._adopt([row[0] for row in rows], columns, columns_sq)

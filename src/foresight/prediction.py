@@ -105,22 +105,24 @@ def filter_candidates(
     """
     cfg = cfg or RunConfig()
     survivors = [c for c in raw if c.confidence >= cfg.confidence_threshold]
+    threshold = cfg.topic_dedup_threshold
 
     topics = memory.artifact_topics()
     if len(topics):
-        threshold = cfg.topic_dedup_threshold
         survivors = [c for c in survivors if not topics.search(embed(c.topic), threshold, k=1)]
 
-    # Collapse near-identical topics, keeping the max-confidence representative.
+    # Collapse near-identical topics, keeping the max-confidence
+    # representative; each topic's squared norm is computed once, not per pair.
     survivors.sort(key=lambda c: (-c.confidence, c.topic, c.need))
     result: list[CandidateNeed] = []
-    result_vecs: list = []
+    kept: list[tuple] = []  # (vector, squared norm) of each kept topic
     for candidate in survivors:
         cvec = embed(candidate.topic)
-        if any(cosine(cvec, kv) >= cfg.topic_dedup_threshold for kv in result_vecs):
+        cc = float(cvec.dot(cvec))
+        if any(cosine(cvec, kv, cc, kk) >= threshold for kv, kk in kept):
             continue
         result.append(candidate)
-        result_vecs.append(cvec)
+        kept.append((cvec, cc))
     return result
 
 

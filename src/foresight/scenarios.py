@@ -504,9 +504,14 @@ def _stats_unchecked(scenario: Scenario) -> CompositionStats:
     )
 
 
-def composition_stats(scenario: Scenario) -> CompositionStats:
-    """Structural counts for a valid scenario."""
-    report = validate_scenario(scenario)
+def composition_stats(scenario: Scenario, report: Optional[ValidationReport] = None) -> CompositionStats:
+    """Structural counts for a valid scenario.
+
+    ``report`` is the scenario's ``validate_scenario`` report when the
+    caller already holds it; without one the scenario is validated here.
+    """
+    if report is None:
+        report = validate_scenario(scenario)
     # CROSS_GROUP/AUDITABLE are stratification concerns, not integrity ones;
     # stats still require the integrity checks to pass.
     hard = [v for v in report.violations if v.code not in ("CROSS_GROUP", "AUDITABLE")]
@@ -515,9 +520,10 @@ def composition_stats(scenario: Scenario) -> CompositionStats:
     return _stats_unchecked(scenario)
 
 
-def stratify(scenario: Scenario) -> Strata:
-    """Opportunity (predictable fraction) and fragmentation (group count) strata."""
-    stats = composition_stats(scenario)
+def stratify(scenario: Scenario, report: Optional[ValidationReport] = None) -> Strata:
+    """Opportunity (predictable fraction) and fragmentation (group count)
+    strata; ``report`` as in ``composition_stats``."""
+    stats = composition_stats(scenario, report)
     frac = stats.opportunity_fraction
     if frac >= 0.70:
         opportunity = OpportunityLevel.HIGH

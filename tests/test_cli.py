@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from foresight import cli, scenarios
 from foresight.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from foresight.memory import MemoryState
 
@@ -314,6 +315,25 @@ def test_run_reactive_only(tmp_path):
     assert list(summary["conditions"]) == ["reactive"]
     assert summary["conditions"]["reactive"]["means"]["active_tokens"] == 0.0
     assert summary["micro_anticipation"]["reactive"]["numerator"] == 0
+
+
+def test_run_validates_each_scenario_once(tmp_path, monkeypatch):
+    # Each row's facets come from the report of the check before the run,
+    # not from validating the scenario again.
+    validate = scenarios.validate_scenario
+    validated = []
+
+    def counting(scenario):
+        validated.append(scenario.scenario_id)
+        return validate(scenario)
+
+    monkeypatch.setattr(scenarios, "validate_scenario", counting)
+    monkeypatch.setattr(cli, "validate_scenario", counting)
+    out = tmp_path / "out"
+    assert main(["run", "--scenarios", FINANCE, SWEEP, "--out", str(out), "--conditions", "reactive"]) == EXIT_OK
+    assert validated == ["finance_basic_01", "budget_sweep_01"]
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert sorted(summary["by_opportunity"]) == ["high", "low"]
 
 
 def test_run_http_requires_endpoint(tmp_path, capsys):

@@ -117,6 +117,37 @@ def test_cosine_is_the_exact_integer_score(a, b):
     assert same_bits(cosine(embed(a), embed(b)), reference_cosine(a, b))
 
 
+@given(a=TEXTS, b=TEXTS)
+def test_cosine_with_cached_squared_norms_keeps_its_bits(a, b):
+    u, v = embed(a), embed(b)
+    uu, vv = float(u.dot(u)), float(v.dot(v))
+    want = cosine(u, v)
+    assert same_bits(want, reference_cosine(a, b))
+    for given_norms in ({"uu": uu}, {"vv": vv}, {"uu": uu, "vv": vv}):
+        assert same_bits(cosine(u, v, **given_norms), want)
+
+
+def test_zero_query_scores_every_row_zero_on_both_paths():
+    records = {f"k{i:02d}": f"w{i} w{i + 1}" for i in range(2 * SMALL_INDEX_ROWS)}
+    records["empty"] = "!!"
+    keys = sorted(records)
+    index = SimilarityIndex(records, embed)
+    for key in keys[:SMALL_INDEX_ROWS]:
+        index.add(key)
+    # At most SMALL_INDEX_ROWS keys: scored with ``cosine``, no matrix.
+    assert index.search(embed("!!!"), 0.0) == [(key, 0.0) for key in keys[:SMALL_INDEX_ROWS]]
+    assert index._matrix is None
+    for key in keys[SMALL_INDEX_ROWS:]:
+        index.add(key)
+    index.remove(keys[0])
+    # Past it: the built matrix, where a removed row scores NaN and is left out.
+    hits = index.search(embed("!!!"), 0.0)
+    assert index._matrix is not None
+    assert hits == [(key, 0.0) for key in keys[1:]]
+    assert all(same_bits(score, 0.0) for _, score in hits)
+    assert index.search(embed("!!!"), 1e-300) == []
+
+
 @settings(deadline=None)
 @given(
     texts=st.lists(TEXTS, max_size=3 * SMALL_INDEX_ROWS),

@@ -465,6 +465,11 @@ MALFORMED_PAIRS = [
             "holds a record id twice",
             id="repeated-id",
         ),
+        pytest.param(
+            lambda snapshot: snapshot["records"][2].update(content_hash=snapshot["records"][1]["content_hash"]),
+            "holds one content_hash on two active records",
+            id="repeated-hash",
+        ),
     ]
     + [
         pytest.param(set_pairs(field, value), re.escape(f"snapshot {field} {message}"), id=prefix + case_id)

@@ -500,11 +500,12 @@ def snapshot_of(contents_and_statuses):
     [
         [],
         [(f"r{i} x", "merged") for i in range(8)],
-        [("!!!", "active")] * 8,
+        # Token-less contents, each its own: "!!!", "!!!!", ...
+        [("!" * (3 + i), "active") for i in range(8)],
         [(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS)],
         [(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS)] + [("gone", "merged")] * 3,
         [(f"r{i} x", "active") for i in range(SMALL_INDEX_ROWS + 1)],
-        [("!!!", "active"), ("r1 x", "merged")] * (SMALL_INDEX_ROWS + 1),
+        [pair for i in range(SMALL_INDEX_ROWS + 1) for pair in (("!" * (3 + i), "active"), ("r1 x", "merged"))],
     ],
 )
 def test_bulk_restore_edge_snapshots(entries):

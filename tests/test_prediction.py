@@ -1,10 +1,11 @@
+import itertools
 import logging
 import random
 
 import pytest
 
 from foresight.config import RunConfig
-from foresight.embedding import cosine, embed
+from foresight.embedding import DEFAULT_DIM, _bucket, cosine, embed
 from foresight.memory import MemoryState
 from foresight.prediction import (
     CandidateNeed,
@@ -140,6 +141,50 @@ def test_filter_keeps_distinct_topics():
     raw = [cand("solar panel rebate", 0.8), cand("passport renewal steps", 0.8)]
     out = filter_candidates(raw, MemoryState(), RunConfig())
     assert len(out) == 2
+
+
+def distinct_bucket_words(n):
+    """``n`` words that hash to ``n`` different buckets, so counts never merge."""
+    words, buckets = [], set()
+    for i in itertools.count():
+        bucket = _bucket(f"d{i}", DEFAULT_DIM)
+        if bucket not in buckets:
+            buckets.add(bucket)
+            words.append(f"d{i}")
+            if len(words) == n:
+                return words
+
+
+def test_filter_collapse_keeps_the_survivors_of_a_plain_cosine_loop():
+    words = distinct_bucket_words(32)
+    base, extra = words[:20], words[20:]
+    # By descending confidence: the first is kept; the second scores
+    # 17/20 = 0.85 with it, on the threshold, and is dropped; the third
+    # scores 17/sqrt(20 * 21) with it, just below, and is kept; the fourth
+    # is below the threshold with both and kept; the last scores 20/21 with
+    # the third and is dropped.
+    topics = [
+        base,
+        base[:17] + extra[:3],
+        base[:17] + extra[3:7],
+        base[:16] + extra[7:11],
+        base[:16] + extra[3:7] + extra[11:12],
+    ]
+    raw = [cand(" ".join(topic), conf) for topic, conf in zip(topics, (0.9, 0.8, 0.7, 0.65, 0.62))]
+    cfg = RunConfig()
+    threshold = cfg.topic_dedup_threshold
+    vec = {c.topic: embed(c.topic) for c in raw}
+    assert cosine(vec[raw[0].topic], vec[raw[1].topic]) == threshold
+    assert 0.82 < cosine(vec[raw[0].topic], vec[raw[2].topic]) < threshold
+
+    want = []
+    for candidate in sorted(raw, key=lambda c: (-c.confidence, c.topic, c.need)):
+        if all(cosine(vec[candidate.topic], vec[kept.topic]) < threshold for kept in want):
+            want.append(candidate)
+    assert want == [raw[0], raw[2], raw[3]]
+    shuffled = raw[:]
+    random.Random(3).shuffle(shuffled)
+    assert filter_candidates(shuffled, MemoryState(), cfg) == want
 
 
 def test_queue_pop_order():
