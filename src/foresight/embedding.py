@@ -22,6 +22,15 @@ retrieval queries, contents it stores) again from window to window, and a
 batch runs each scenario under every condition in a row. The memo is a
 cache, not a store: a restored memory reads its artifact topics from the
 snapshot, not from here.
+
+``token_counts`` is memoised the same way, in an LRU of its own with
+``EMBED_MEMO_SIZE`` entries: each text's token multiset as a read-only
+mapping shared by every caller, so writing into one raises ``TypeError``.
+The oracle arbiter reads both texts of a near-duplicate from it, and the
+same texts come back to it across a batch's units and conditions. ``embed``
+tokenises its misses directly: a memory being set up embeds many texts
+once each and arbitrates none, so sending them through this memo would
+only add its upkeep.
 """
 
 from __future__ import annotations
@@ -30,7 +39,9 @@ import functools
 import hashlib
 import math
 import re
-from typing import Optional
+from collections import Counter
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -48,6 +59,13 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
+
+
+@functools.lru_cache(maxsize=EMBED_MEMO_SIZE)
+def token_counts(text: str) -> Mapping[str, int]:
+    """Each token of ``text`` with its number of occurrences, as a
+    read-only mapping shared by every caller that asks for the same text."""
+    return MappingProxyType(Counter(tokenize(text)))
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -88,4 +106,4 @@ def cosine(u: np.ndarray, v: np.ndarray, uu: Optional[float] = None, vv: Optiona
     return float(u.dot(v)) / math.sqrt(nn)
 
 
-__all__ = ["DEFAULT_DIM", "cosine", "embed", "tokenize"]
+__all__ = ["DEFAULT_DIM", "cosine", "embed", "token_counts", "tokenize"]

@@ -200,8 +200,9 @@ class SimilarityIndex:
     ``SMALL_INDEX_ROWS`` keys, or adopted from ``from_snapshot`` whatever
     the number of keys, and kept up to date from then on. Until then each
     query scores every key with ``cosine``, handing it the query's squared
-    norm computed once per search. Either way a score is the same exact
-    value.
+    norm, computed once per search, and the row's, computed by the first
+    search after its ``add`` and kept for as long as the row lives. Either
+    way a score is the same exact value.
     """
 
     __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq")
@@ -214,8 +215,9 @@ class SimilarityIndex:
         self._matrix: Optional[np.ndarray] = None  # None until built
         # Squared norm per row: 1.0 for a row without tokens, whose dot
         # product is 0, so it scores 0.0 as ``cosine`` says; NaN for a
-        # removed row.
-        self._sq = np.empty(0)
+        # removed row. A list until the matrix is built, where a row's entry
+        # is None until the first search after its add; then an array.
+        self._sq: list[Optional[float]] | np.ndarray = []
 
     def __len__(self) -> int:
         return len(self._row)
@@ -248,15 +250,15 @@ class SimilarityIndex:
         row = len(self._keys)
         self._keys.append(key)
         self._row[key] = row
-        if self._matrix is not None:
+        if self._matrix is None:
+            self._sq.append(None)
+        else:
             vec = self._vector_of(self._records[key])
             self._matrix[:, row] = vec
             self._sq[row] = vec.dot(vec) or 1.0
 
     def remove(self, key: str) -> None:
-        row = self._row.pop(key)
-        if self._matrix is not None:
-            self._sq[row] = np.nan
+        self._sq[self._row.pop(key)] = np.nan
 
     def search(self, query: np.ndarray, threshold: float, k: Optional[int] = None) -> list[tuple[str, float]]:
         """``(key, cosine)`` of the ``k`` best rows at or above ``threshold``.
@@ -265,9 +267,16 @@ class SimilarityIndex:
         ``k`` is None.
         """
         if self._matrix is None and len(self._row) <= SMALL_INDEX_ROWS:
-            records, vector_of, qq = self._records, self._vector_of, float(query.dot(query))
-            scored = [(key, cosine(query, vector_of(records[key]), qq)) for key in self._row]
-            hits = [hit for hit in scored if hit[1] >= threshold]
+            records, vector_of, sq, qq = self._records, self._vector_of, self._sq, float(query.dot(query))
+            hits = []
+            for key, row in self._row.items():
+                vec = vector_of(records[key])
+                vv = sq[row]
+                if vv is None:
+                    vv = sq[row] = float(vec.dot(vec)) or 1.0
+                score = cosine(query, vec, qq, vv)
+                if score >= threshold:
+                    hits.append((key, score))
         else:
             scores = self._scores(query)
             rows = (scores >= threshold).nonzero()[0]

@@ -10,14 +10,13 @@ so active-token accounting is testable without a model server.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from foresight.acquisition import Evidence, KnowledgeArtifact, ValueScores
 from foresight.backends import Role, TokenLedger
 from foresight.config import RunConfig
 from foresight.delivery import PushAssessment
-from foresight.embedding import tokenize
+from foresight.embedding import token_counts
 from foresight.memory import ArbiterVerdict, MemoryRecord, MemoryState
 from foresight.metrics import AssistantReply, JudgeVerdict, NeedMark
 from foresight.prediction import CandidateNeed
@@ -48,6 +47,13 @@ def extract_fact_ids(text: str, valid_ids: frozenset[str]) -> tuple[str, ...]:
         if token in valid_ids and token not in seen:
             seen.append(token)
     return tuple(seen)
+
+
+def _within(counts: Mapping[str, int], bound: Mapping[str, int]) -> bool:
+    """Whether no token occurs more often in ``counts`` than in ``bound``,
+    which is when ``Counter`` subtraction of ``bound`` from ``counts`` is
+    empty."""
+    return all(n <= bound.get(token, 0) for token, n in counts.items())
 
 
 def undirected_candidates(domain: str) -> list[CandidateNeed]:
@@ -93,6 +99,10 @@ class OracleBackends:
         self._facts = {f.id: f for f in scenario.facts}
         self._needs = scenario.need_by_id()
         self._need_by_description = {n.description: n for n in scenario.needs}
+        # Each need's id and key facts, in turn order: the order judge marks them.
+        self._need_keys = [
+            (n.id, frozenset(n.key_fact_ids)) for n in sorted(scenario.needs, key=lambda n: n.turn_order)
+        ]
 
     # -- evaluation-only roles (gold-visible) --------------------------------
 
@@ -113,10 +123,10 @@ class OracleBackends:
         hallucinated = tuple(i for i in delivered if i not in self._fact_ids)
         grounded = set(conveyed)
         marks = []
-        for need in sorted(self.scenario.needs, key=lambda n: n.turn_order):
-            if grounded & set(need.key_fact_ids):
-                mode = "reactive" if need.id == target_need_id else "proactive"
-                marks.append(NeedMark(need.id, mode))
+        for need_id, keys in self._need_keys:
+            if not grounded.isdisjoint(keys):
+                mode = "reactive" if need_id == target_need_id else "proactive"
+                marks.append(NeedMark(need_id, mode))
         verdict = JudgeVerdict(conveyed, distorted, hallucinated, tuple(marks))
         self.covered.update(m.need_id for m in marks)
         self.ledger.charge_text(Role.JUDGE, reply.text, repr(verdict.to_dict()))
@@ -236,11 +246,11 @@ class OracleBackends:
     def arbitrate(self, new_content: str, existing: MemoryRecord) -> ArbiterVerdict:
         """Token-multiset containment rule: subset skips, superset replaces,
         anything else merges both texts."""
-        new_tokens = Counter(tokenize(new_content))
-        old_tokens = Counter(tokenize(existing.content))
-        if not (new_tokens - old_tokens):
+        new_tokens = token_counts(new_content)
+        old_tokens = token_counts(existing.content)
+        if _within(new_tokens, old_tokens):
             verdict = ArbiterVerdict(action="skip")
-        elif not (old_tokens - new_tokens):
+        elif _within(old_tokens, new_tokens):
             verdict = ArbiterVerdict(action="replace")
         else:
             verdict = ArbiterVerdict(

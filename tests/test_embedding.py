@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foresight.embedding import DEFAULT_DIM, EMBED_MEMO_SIZE, _bucket, cosine, embed, tokenize
+from foresight.embedding import DEFAULT_DIM, EMBED_MEMO_SIZE, _bucket, cosine, embed, token_counts, tokenize
 from foresight.memory import SMALL_INDEX_ROWS, MemoryState, SimilarityIndex
 from foresight.prediction import CandidateNeed, filter_candidates
 
@@ -245,6 +245,16 @@ def test_embed_vectors_are_read_only():
     with pytest.raises(ValueError):
         vec += 1.0
     assert vec.tobytes() == loop_embed("alpha beta gamma").tobytes()
+
+
+@given(text=TEXTS)
+def test_token_counts_are_shared_read_only_counters(text):
+    counts = token_counts(text)
+    assert counts == Counter(tokenize(text))
+    assert token_counts(text) is counts
+    with pytest.raises(TypeError):
+        counts["w1"] = 1
+    assert counts == Counter(tokenize(text))
 
 
 def _reject(content, record):

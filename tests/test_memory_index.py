@@ -718,3 +718,39 @@ def test_restored_columns_are_written_once(data, n_active):
 
     assert index._matrix is not restored  # the index grew at least once
     assert restored[:, :n_active].tobytes() == restored_columns.tobytes()
+
+
+# -- squared norms kept per row ------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), most_live=st.sampled_from((SMALL_INDEX_ROWS, 2 * SMALL_INDEX_ROWS + 2)))
+def test_search_keeps_each_row_norm_across_remove_and_re_add(data, most_live):
+    # A key removed and added back often holds new text, as a replaced
+    # record does, so its row must score with the new text's squared norm.
+    # Up to SMALL_INDEX_ROWS live keys every search takes the small path;
+    # past it the first search builds the matrix.
+    records: dict[str, str] = {}
+    index = SimilarityIndex(records, embed)
+    free = [f"k{i}" for i in range(most_live + 2)]
+    live: list[str] = []
+    for _ in range(data.draw(st.integers(1, 4 * most_live), label="steps")):
+        if live and (len(live) == most_live or not data.draw(st.booleans(), label="add")):
+            key = data.draw(st.sampled_from(live), label="remove")
+            index.remove(key)
+            live.remove(key)
+            free.append(key)
+        else:
+            key = data.draw(st.sampled_from(free), label="key")
+            records[key] = data.draw(texts, label="text")
+            index.add(key)
+            free.remove(key)
+            live.append(key)
+        query = embed(data.draw(texts, label="query"))
+        threshold = data.draw(st.sampled_from((0.0, 0.5, 0.8)), label="threshold")
+        scored = [(key, cosine(query, embed(records[key]))) for key in live]
+        want = sorted([hit for hit in scored if hit[1] >= threshold], key=lambda hit: (-hit[1], hit[0]))
+        got = index.search(query, threshold)
+        assert [(key, score.hex()) for key, score in got] == [(key, score.hex()) for key, score in want]
+    if most_live <= SMALL_INDEX_ROWS:
+        assert index._matrix is None

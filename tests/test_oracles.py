@@ -1,11 +1,14 @@
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from foresight.acquisition import Evidence, KnowledgeArtifact, ValueScores
 from foresight.backends import Role, TokenLedger
 from foresight.memory import MemoryRecord, MemoryState, content_hash
-from foresight.embedding import embed
+from foresight.embedding import embed, tokenize
 from foresight.metrics import AssistantReply
 from foresight.oracles import (
     MEMORY_GAP_VALUE_ROW,
@@ -274,6 +277,35 @@ def test_arbitrate_token_containment_rule(oracle):
     assert verdict.action == "merge"
     assert verdict.merged_content == "alpha beta\nbeta gamma"
     assert oracle.ledger.calls[Role.ARBITER] == 5
+
+
+def reference_arbitrate(new_content, old_content):
+    """The containment rule as ``Counter`` subtraction: (action, merged text)."""
+    new_tokens, old_tokens = Counter(tokenize(new_content)), Counter(tokenize(old_content))
+    if not new_tokens - old_tokens:
+        return "skip", None
+    if not old_tokens - new_tokens:
+        return "replace", None
+    return "merge", f"{old_content}\n{new_content}"
+
+
+# Few words in two cases, so texts share tokens and repeat them; "!!!" and
+# "--" have no tokens at all.
+ARBITER_WORDS = ["alpha", "Alpha", "BETA", "beta", "g1", "F20", "4.50%", "!!!", "--"]
+ARBITER_TEXTS = st.one_of(
+    st.lists(st.sampled_from(ARBITER_WORDS), max_size=8).map(" ".join),
+    st.sampled_from(("!!!", "alpha alpha", "ALPHA beta alpha")),
+)
+
+
+@given(new_content=ARBITER_TEXTS, old_content=ARBITER_TEXTS)
+def test_arbitrate_matches_counter_subtraction(finance_scenario, new_content, old_content):
+    oracle = OracleBackends(finance_scenario)
+    verdict = oracle.arbitrate(new_content, _record(old_content))
+    assert (verdict.action, verdict.merged_content) == reference_arbitrate(new_content, old_content)
+    want = TokenLedger()
+    want.charge_text(Role.ARBITER, new_content + old_content, verdict.action)
+    assert oracle.ledger.to_dict() == want.to_dict()
 
 
 def test_ledger_separates_active_roles(oracle):
