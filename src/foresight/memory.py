@@ -18,13 +18,25 @@ integer token counts, so the index computes the same exact score as
 a loop of ``cosine`` calls over every active record would.
 
 The index writes each column once and never again, even when it grows into
-a new matrix. That is what lets ``load`` / ``from_snapshot`` share it: every
-record's stored counts, active or retired, go straight into one index
-matrix, and each record's embedding is a read-only view of its column. The
-index drops the retired records' rows as it drops any removed row. The
-artifact topics index is restored the same way from each artifact's stored
-topic counts, so a restored memory embeds no artifact topic until the index
-grows.
+a new matrix. That is what lets ``load`` / ``from_snapshot`` share it. They
+return a ``fork`` of a base memory whose records and filled columns are
+never written, and they keep the last base, so a batch of units that start
+from one snapshot decodes it, checks it and searches its research facts
+once. In a base, every record's stored counts, active or retired, go
+straight into one index matrix, and each record's embedding is a read-only
+view of its column, shared by every fork. The index drops the retired
+records' rows as it drops any removed row. The artifact topics index is
+restored the same way from each artifact's stored topic counts, so a
+restored memory embeds no artifact topic until the index grows.
+
+A fork copies the dicts, lists, sets, stamp heap and both index matrices of
+its origin and shares the records. A fork of a base borrows the base's
+matrices instead, spare columns and all, unless another fork holds them:
+when units run one after another, a unit copies the matrices only while
+the previous unit's memory is still alive. Only ``add_knowledge`` writes a
+record in place: a replace, a retire, and a merge into an existing record.
+Each first puts a copy of a shared record in the writer's own ``records``
+(``_own``), so neither memory sees the other's writes.
 
 ``detect_gaps`` scans no records. Each write keeps its three gap sources up
 to date: the ids of active records whose content holds ``TBD``, a min-heap
@@ -44,12 +56,14 @@ every topic's with another, and rejects a snapshot in any other form with a
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import heapq
 import json
 import logging
 import operator
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Callable, Optional
@@ -193,8 +207,16 @@ class SimilarityIndex:
       never written again.
 
     So a read-only view of a column keeps its values for as long as it
-    lives: ``MemoryState.from_snapshot`` fills the matrix itself and hands
-    each restored record a view of its column as its embedding.
+    lives: ``MemoryState.from_snapshot`` fills a base's matrix itself and
+    hands each restored record a view of its column as its embedding.
+
+    A ``fork`` of the index gets a copy of the matrix with room of its own,
+    or borrows the spare columns of an index that adds no more rows
+    (``_lend_room``), one fork at a time. A borrower fills them as ``add``
+    fills any unused column; its loan ends when it lets go of the matrix,
+    by dying or by growing into a new one, and since nothing views a spare
+    column, nothing reads what it wrote before the next borrower fills
+    them again.
 
     The matrix is built by the first query that finds more than
     ``SMALL_INDEX_ROWS`` keys, or adopted from ``from_snapshot`` whatever
@@ -205,7 +227,7 @@ class SimilarityIndex:
     way a score is the same exact value.
     """
 
-    __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq")
+    __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq", "_room")
 
     def __init__(self, records: dict[str, MemoryRecord], vector_of: Callable[[MemoryRecord], np.ndarray]) -> None:
         self._records = records
@@ -218,6 +240,9 @@ class SimilarityIndex:
         # removed row. A list until the matrix is built, where a row's entry
         # is None until the first search after its add; then an array.
         self._sq: list[Optional[float]] | np.ndarray = []
+        # One entry while the matrix's spare columns are free to lend; empty
+        # for an index that may still add rows.
+        self._room: list[None] = []
 
     def __len__(self) -> int:
         return len(self._row)
@@ -259,6 +284,42 @@ class SimilarityIndex:
 
     def remove(self, key: str) -> None:
         self._sq[self._row.pop(key)] = np.nan
+
+    def fork(self, records: dict[str, MemoryRecord]) -> "SimilarityIndex":
+        """A copy of this index over ``records``, a copy of its records.
+
+        Its matrix has room for more: this matrix with its spare columns on
+        loan, when this index lends them and no other fork holds them, or
+        else a copy with room of its own.
+        """
+        twin = SimilarityIndex(records, self._vector_of)
+        twin._keys = self._keys.copy()
+        twin._row = self._row.copy()
+        if self._matrix is None:
+            twin._sq = self._sq.copy()
+            return twin
+        n = len(self._keys)
+        try:
+            self._room.pop()
+        except IndexError:
+            twin._matrix = _with_room(n)
+            twin._matrix[:, :n] = self._matrix[:, :n]
+        else:
+            # The loan ends when the borrower lets go of this view.
+            twin._matrix = self._matrix.view()
+            weakref.finalize(twin._matrix, self._room.append, None)
+        twin._sq = np.empty(twin._matrix.shape[1])
+        twin._sq[:n] = self._sq[:n]
+        return twin
+
+    def _lend_room(self) -> None:
+        """Lets forks borrow the matrix's spare columns, one at a time.
+
+        Only for an index that adds no more rows, such as a restored base's:
+        it never writes those columns, and a borrower writes them only
+        while no other fork holds them.
+        """
+        self._room.append(None)
 
     def search(self, query: np.ndarray, threshold: float, k: Optional[int] = None) -> list[tuple[str, float]]:
         """``(key, cosine)`` of the ``k`` best rows at or above ``threshold``.
@@ -373,7 +434,8 @@ class LogicalClock:
 
 
 class MemoryState:
-    """Single-writer memory for one conversation run.
+    """Single-writer memory for one conversation run; ``fork`` gives each
+    run a memory of its own that shares the unwritten records.
 
     ``coverage_threshold`` is read-only: the gap sources kept on write hold
     the research facts' support at that threshold.
@@ -403,6 +465,9 @@ class MemoryState:
         self._unchecked: set[str] = set()  # to search for support on the next detect_gaps
         self._weak: set[str] = set()  # no other active record supports it
         self._witness: dict[str, str] = {}  # fact id -> an active record that supports it
+        # Ids of the records this memory may write in place; None for all.
+        # A fork and its origin share every record they held at the fork.
+        self._owned: Optional[set[str]] = None
 
     @property
     def coverage_threshold(self) -> float:
@@ -452,6 +517,7 @@ class MemoryState:
         if verdict.action == "skip":
             return AddResult(AddOutcome.SKIPPED, neighbor.id)
 
+        neighbor = self._own(neighbor)  # replaced or retired below
         if verdict.action == "replace":
             # In-place rewrite; step 1 guarantees the new digest is unindexed.
             del self.hash_index[neighbor.content_hash]
@@ -470,7 +536,7 @@ class MemoryState:
         if existing_id is not None and existing_id != neighbor.id:
             # Merged text already present on another active record: reuse it
             # as the merge target instead of violating hash uniqueness.
-            target = self.records[existing_id]
+            target = self._own(self.records[existing_id])
             self._retire(neighbor, into=target.id)
             target.merged_from = tuple(list(target.merged_from) + [neighbor.id])
             target.updated_at = self.clock.tick()
@@ -498,11 +564,25 @@ class MemoryState:
             merged_from=merged_from,
         )
         self.records[record.id] = record
+        if self._owned is not None:
+            self._owned.add(record.id)
         self.hash_index[digest] = record.id
         self._reindex(record)
         return record
 
+    def _own(self, record: MemoryRecord) -> MemoryRecord:
+        """``record``, ready to be written in place: when a fork or the origin
+        of one shares it, a copy of it that takes its place here."""
+        owned = self._owned
+        if owned is None or record.id in owned:
+            return record
+        record = replace(record)
+        self.records[record.id] = record
+        owned.add(record.id)
+        return record
+
     def _retire(self, record: MemoryRecord, into: Optional[str]) -> None:
+        """Retires ``record``, which this memory must own (``_own``)."""
         record.status = "merged"
         record.merged_into = into
         record.updated_at = self.clock.tick()
@@ -592,6 +672,19 @@ class MemoryState:
 
     # -- gap detection ------------------------------------------------------
 
+    def _search_unchecked(self) -> None:
+        """Gives each marked research fact a witness, or puts it in the weak set."""
+        records, threshold = self.records, self.coverage_threshold
+        for fact in self._unchecked:
+            # The fact itself is one of the two best hits if it qualifies.
+            hits = self._index.search(records[fact].embedding, threshold, k=2)
+            witness = next((rid for rid, _ in hits if rid != fact), None)
+            if witness is None:
+                self._weak.add(fact)
+            else:
+                self._witness[fact] = witness
+        self._unchecked.clear()
+
     def detect_gaps(self, now: datetime, staleness: timedelta) -> list[GapCandidate]:
         """Conservative gaps: stale, marked, or weakly supported content.
 
@@ -604,16 +697,8 @@ class MemoryState:
         Nothing here walks the records: the writes keep the sources, and
         only the facts a write marked since the last call are searched.
         """
-        records, threshold = self.records, self.coverage_threshold
-        for fact in self._unchecked:
-            # The fact itself is one of the two best hits if it qualifies.
-            hits = self._index.search(records[fact].embedding, threshold, k=2)
-            witness = next((rid for rid, _ in hits if rid != fact), None)
-            if witness is None:
-                self._weak.add(fact)
-            else:
-                self._witness[fact] = witness
-        self._unchecked.clear()
+        self._search_unchecked()
+        records = self.records
 
         # Stale stamps are the oldest, so they come off the heap first; the
         # ones that still count go back on.
@@ -665,21 +750,41 @@ class MemoryState:
             fh.write(text)
 
     @classmethod
-    def from_snapshot(cls, snapshot: dict, **kwargs) -> "MemoryState":
-        """The memory that ``to_snapshot`` gave ``snapshot``.
+    def from_snapshot(
+        cls,
+        snapshot: dict,
+        near_dup_threshold: float = RunConfig.near_dup_threshold,
+        coverage_threshold: float = RunConfig.coverage_threshold,
+        clock: Optional[LogicalClock] = None,
+    ) -> "MemoryState":
+        """The memory that ``to_snapshot`` gave ``snapshot``, with ``clock``.
 
-        Every record's embedding pairs are decoded together, with one
-        ``bytes.fromhex``, and so are every artifact's topic pairs. A
-        snapshot in any other form, such as the old
+        Every call returns a ``fork`` of a base memory, whose records and
+        filled columns are never written. The last base is kept with a
+        private copy of the snapshot content it came from and the two
+        thresholds. A call with equal thresholds and a snapshot that
+        compares equal to that copy forks it again; any other call builds a
+        new base and keeps it instead. So a batch of units that start from
+        one snapshot decodes and checks it once, and a snapshot edited in
+        place since it was last restored is restored anew.
+
+        A snapshot in any other form, such as the old
         ``{"buckets": [...], "counts": [...]}`` embeddings, an artifact
         without ``topic``, a record of an unknown ``kind`` or ``status``, a
         record id held twice, two active records with one ``content_hash``,
-        or one without ``counter``, raises ``ValueError`` naming the problem.
+        a ``content_hash`` that is not the SHA-256 of its record's content,
+        or one without ``counter``, raises ``ValueError`` naming the
+        problem. A base runs the support searches of its research facts, so
+        a fork starts with every fact settled.
 
-        Record i's stored counts become column i of the index matrix, and
-        its embedding a read-only view of that column; artifact i's stored
-        topic becomes column i of the topics index. Each index then drops
-        the rows of the retired records.
+        A base decodes every record's embedding pairs together, with one
+        ``bytes.fromhex``, and so every artifact's topic pairs. Record i's
+        stored counts become column i of its index matrix, and its
+        embedding a read-only view of that column, which the records of
+        every fork share; artifact i's stored topic becomes column i of the
+        topics index. Each index then drops the rows of the retired
+        records, and lends its spare columns to one fork at a time; the
+        other forks copy its matrix.
 
         An artifact's ``topic`` is a cache: its content is the source of
         truth, and ``topic`` must be ``embed(artifact_topic(record))``.
@@ -689,31 +794,40 @@ class MemoryState:
         counts until it grows, and from then on embeds each topic from the
         content. ``to_snapshot`` writes each topic from the content.
         """
-        stored = snapshot["records"]
-        try:
-            rows = list(map(_RECORD_FIELDS, stored))
-        except KeyError as exc:
-            raise ValueError(f"snapshot record has no {exc} field") from None
+        global _last_base
+        content = _snapshot_content(snapshot)
+        key = (cls, near_dup_threshold, coverage_threshold)
+        slot = _last_base
+        if slot is None or slot[0] != key or slot[1] != content:
+            base = cls._base(content, near_dup_threshold, coverage_threshold)
+            # Strings are shared, every container is copied: an edit of the
+            # snapshot in place makes the next comparison fail.
+            slot = _last_base = (key, copy.deepcopy(content), base)
+        return slot[2].fork(clock)
+
+    @classmethod
+    def _base(cls, stored: tuple, near_dup_threshold: float, coverage_threshold: float) -> "MemoryState":
+        """The memory that ``stored``, a ``_snapshot_content``, holds, its
+        research facts searched, owning none of its records and lending its
+        index matrices' spare columns."""
+        rows, topic_fields, counter, profile = stored
         owner, buckets, counts = _decode_pairs([row[4] for row in rows], "embedding")
         artifact = [row[1] == "artifact" for row in rows]
-        has_topic = ["topic" in rd for rd in stored]
+        has_topic = [topic != () for topic in topic_fields]
         if has_topic != artifact:
             kind = next(row[1] for row, topic, is_artifact in zip(rows, has_topic, artifact) if topic != is_artifact)
             if kind == "artifact":
                 raise ValueError("snapshot artifact record has no 'topic' field")
             raise ValueError(f"snapshot {kind} record has a 'topic' field, which only artifacts have")
         topic_owner, topic_buckets, topic_counts = _decode_pairs(
-            [rd["topic"] for rd, is_artifact in zip(stored, artifact) if is_artifact], "topic"
+            [topic[0] for topic in topic_fields if topic], "topic"
         )
-        counter = snapshot.get("counter")
-        if type(counter) is not int:
-            raise ValueError("snapshot has no integer 'counter'")
 
-        state = cls(**kwargs)
+        state = cls(near_dup_threshold, coverage_threshold)
         # Embeddings are read-only views, so nothing writes through one
         # record's embedding into another's or into the index; a replaced
-        # record gets the shared vector from ``embed``. The index never
-        # rewrites a column, so a view keeps its record's counts.
+        # record gets the shared vector from ``embed``. No index writes a
+        # filled column of the base's matrix.
         columns, columns_sq = _scatter(len(rows), owner, buckets, counts)
         view = columns.view()
         view.flags.writeable = False
@@ -753,6 +867,9 @@ class MemoryState:
             raise ValueError("snapshot holds a record id twice")
         if len(hash_index) != len(rows) - len(retired):
             raise ValueError("snapshot holds one content_hash on two active records")
+        for rid, _, content, digest, *_ in rows:
+            if not isinstance(content, str) or content_hash(content) != digest:
+                raise ValueError(f"snapshot record {rid!r} has a content_hash that is not its content's")
         heapq.heapify(stamps)
         index, topics = state._index, state._topics
         index._adopt([row[0] for row in rows], columns, columns_sq)
@@ -763,13 +880,71 @@ class MemoryState:
             if records[rid].kind == "artifact":
                 topics.remove(rid)
         state._counter = counter
-        state.profile = dict(snapshot.get("profile", {}))
+        state.profile = dict(profile)
+        state._owned = set()
+        state._search_unchecked()
+        index._lend_room()
+        topics._lend_room()
         return state
+
+    def fork(self, clock: Optional[LogicalClock] = None) -> "MemoryState":
+        """A memory equal to this one that writes nothing this one reads,
+        nor the other way round.
+
+        The fork copies the dicts, lists, sets, stamp heap and both index
+        matrices, each with room for more (or borrows them, from a base that
+        lends them), and shares the records: whichever of the two first
+        writes a shared record in place puts a copy in its own ``records``
+        and writes that. The fork keeps time with ``clock``, or with a copy
+        of this memory's clock.
+        """
+        twin = copy.copy(self)
+        twin.clock = copy.copy(self.clock) if clock is None else clock
+        twin.records = dict(self.records)
+        twin.hash_index = dict(self.hash_index)
+        twin.profile = dict(self.profile)
+        twin._index = self._index.fork(twin.records)
+        twin._topics = self._topics.fork(twin.records)
+        twin._stamps = self._stamps.copy()
+        twin._incomplete = set(self._incomplete)
+        twin._unchecked = set(self._unchecked)
+        twin._weak = set(self._weak)
+        twin._witness = dict(self._witness)
+        twin._owned = set()
+        if self._owned is None or self._owned:  # it now shares every record too
+            self._owned = set()
+        return twin
 
     @classmethod
     def load(cls, path: str, **kwargs) -> "MemoryState":
         with open(path, encoding="utf-8") as fh:
             return cls.from_snapshot(json.load(fh), **kwargs)
+
+
+def _snapshot_content(snapshot: dict) -> tuple:
+    """What a restore reads of ``snapshot``: each record's fields in
+    ``MemoryRecord`` order, each record's ``(topic,)`` or ``()`` when it has
+    none, the id counter and the profile.
+
+    Raises ``ValueError`` when a record lacks a field or the counter is
+    not an integer.
+    """
+    stored = snapshot["records"]
+    try:
+        rows = list(map(_RECORD_FIELDS, stored))
+    except KeyError as exc:
+        raise ValueError(f"snapshot record has no {exc} field") from None
+    counter = snapshot.get("counter")
+    if type(counter) is not int:
+        raise ValueError("snapshot has no integer 'counter'")
+    topics = [(rd["topic"],) if "topic" in rd else () for rd in stored]
+    return rows, topics, counter, snapshot.get("profile", {})
+
+
+# The last base ``MemoryState.from_snapshot`` built: its class and
+# thresholds, a private copy of its snapshot content, and the base. It is
+# swapped as one tuple, so concurrent restores each read a whole slot.
+_last_base: Optional[tuple[tuple, tuple, MemoryState]] = None
 
 
 __all__ = [

@@ -164,3 +164,12 @@ def finance_scenario() -> Scenario:
 @pytest.fixture(scope="session")
 def sweep_scenario() -> Scenario:
     return parse_scenario((SCENARIO_DIR / "budget_sweep_01.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(autouse=True)
+def no_kept_memory_base(monkeypatch):
+    """Every test starts with no base kept by ``MemoryState.from_snapshot``,
+    so no test forks a base that another test built."""
+    from foresight import memory
+
+    monkeypatch.setattr(memory, "_last_base", None)

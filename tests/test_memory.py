@@ -470,6 +470,16 @@ MALFORMED_PAIRS = [
             "holds one content_hash on two active records",
             id="repeated-hash",
         ),
+        pytest.param(
+            lambda snapshot: snapshot["records"][2].update(content_hash=content_hash("tampered")),
+            "record 'm000003' has a content_hash that is not its content's",
+            id="tampered-hash",
+        ),
+        pytest.param(
+            lambda snapshot: snapshot["records"][2].update(content=["b0 b1"]),
+            "record 'm000003' has a content_hash that is not its content's",
+            id="content-not-text",
+        ),
     ]
     + [
         pytest.param(set_pairs(field, value), re.escape(f"snapshot {field} {message}"), id=prefix + case_id)
@@ -487,6 +497,19 @@ def test_from_snapshot_rejects_malformed_snapshots(mutate, message):
     assert MemoryState.from_snapshot(snapshot).to_snapshot() == snapshot
     mutate(snapshot)
     with pytest.raises(ValueError, match=message):
+        MemoryState.from_snapshot(snapshot)
+
+
+def test_from_snapshot_checks_the_hash_of_retired_records_too():
+    state = MemoryState()
+    state.add_knowledge("entity_fact", words("a", 8), no_arbiter)
+    state.add_knowledge("entity_fact", words("a", 8, "more"), merge_arbiter)
+    snapshot = json.loads(json.dumps(state.to_snapshot()))
+    retired = snapshot["records"][0]
+    assert retired["status"] == "merged"
+    assert MemoryState.from_snapshot(snapshot).to_snapshot() == snapshot
+    retired["content"] = words("a", 7)  # its stored hash is of the old text
+    with pytest.raises(ValueError, match="record 'm000001' has a content_hash that is not its content's"):
         MemoryState.from_snapshot(snapshot)
 
 

@@ -1,0 +1,281 @@
+"""Restores fork one kept base memory, and forks write only their own copies.
+
+``MemoryState.from_snapshot`` keeps the last base it built with a private
+copy of the snapshot content, and every call returns a fork of a base. These
+tests check that a fork behaves as a memory of its own: on every unit of the
+bench's ``long_memory`` workload, against an uncached restore; against edits
+of the snapshot in place; and against writes to its origin.
+"""
+
+import json
+import sys
+import threading
+from datetime import timedelta
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from foresight import harness
+from foresight import memory as memory_module
+from foresight.embedding import embed
+from foresight.memory import AddOutcome, ArbiterVerdict, LogicalClock, MemoryState, _sparse, content_hash
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
+
+
+def kept_base():
+    return memory_module._last_base[2]
+
+
+def verdict(action, merged_content=None):
+    return lambda content, record: ArbiterVerdict(action, merged_content)
+
+
+def test_every_long_memory_unit_forked_from_one_base_matches_an_uncached_restore(tmp_path):
+    workload = workloads.LongMemory(workloads.LongMemory.default_seed, tmp_path)
+    workload.setup()
+    cfg = workload.cfg
+
+    def restore():
+        return MemoryState.from_snapshot(
+            workload.snapshot,
+            near_dup_threshold=cfg.near_dup_threshold,
+            coverage_threshold=cfg.coverage_threshold,
+            clock=LogicalClock(start=workload.clock_start),
+        )
+
+    def run(scenario, memory):
+        outcome = harness.run_scenario(scenario, "directed_idle", cfg, memory=memory)
+        return outcome.to_dict(), memory.to_snapshot()
+
+    restore()
+    base = kept_base()
+    # The base searched its research facts: 5 have no support, and no fork
+    # searches any again before it writes.
+    assert not base._unchecked and len(base._weak) == 5
+    forked = [run(scenario, restore()) for scenario in workload.scenarios]
+    assert kept_base() is base
+    assert base.to_snapshot() == workload.snapshot
+    assert len(forked) == 45
+    for scenario, (row, final) in zip(workload.scenarios, forked):
+        memory_module._last_base = None
+        assert run(scenario, restore()) == (row, final)
+        assert kept_base() is not base
+        assert final != workload.snapshot  # each unit wrote to its memory
+
+
+def three_record_snapshot():
+    state = MemoryState()
+    state.add_knowledge("entity_fact", "a1 a2 a3 a4 a5 a6 a7 a8", verdict("skip"))
+    state.add_knowledge("entity_fact", "a1 a2 a3 a4 a5 a6 a7 a8 a9", verdict("merge"))
+    state.add_knowledge("research_fact", "zeta eta theta", verdict("skip"))
+    state.profile["persona"] = "planner"
+    snapshot = json.loads(json.dumps(state.to_snapshot()))
+    assert [rd["status"] for rd in snapshot["records"]] == ["merged", "active", "active"]
+    return snapshot
+
+
+def test_an_edit_of_a_restored_snapshot_in_place_is_restored_next_time():
+    snapshot = three_record_snapshot()
+    first = MemoryState.from_snapshot(snapshot)
+    assert first.to_snapshot() == snapshot
+    base = kept_base()
+    assert MemoryState.from_snapshot(snapshot).to_snapshot() == snapshot
+    assert kept_base() is base
+
+    # A record's content, with its hash and embedding.
+    edited = snapshot["records"][2]
+    text = "zeta eta iota kappa"
+    edited.update(content=text, content_hash=content_hash(text), embedding=_sparse(embed(text)))
+    assert MemoryState.from_snapshot(snapshot).records[edited["id"]].content == text
+    assert kept_base() is not base
+    base = kept_base()
+
+    # A list nested in a record.
+    merged = snapshot["records"][1]
+    merged["merged_from"].append("m000009")
+    restored = MemoryState.from_snapshot(snapshot)
+    assert restored.records[merged["id"]].merged_from == ("m000001", "m000009")
+    assert kept_base() is not base
+    base = kept_base()
+
+    # The profile.
+    snapshot["profile"]["persona"] = "traveller"
+    assert MemoryState.from_snapshot(snapshot).profile == {"persona": "traveller"}
+    assert kept_base() is not base
+
+    # Each restore matches one from a fresh copy of the edited snapshot.
+    assert first.to_snapshot() != snapshot
+    assert MemoryState.from_snapshot(json.loads(json.dumps(snapshot))).to_snapshot() == snapshot
+
+
+def test_other_thresholds_build_a_second_base():
+    snapshot = three_record_snapshot()
+    default = MemoryState.from_snapshot(snapshot)
+    base = kept_base()
+    strict = MemoryState.from_snapshot(snapshot, near_dup_threshold=0.5, coverage_threshold=0.5)
+    second = kept_base()
+    assert second is not base
+    assert (second.near_dup_threshold, second.coverage_threshold) == (0.5, 0.5)
+    assert (strict.near_dup_threshold, strict.coverage_threshold) == (0.5, 0.5)
+    assert (default.near_dup_threshold, default.coverage_threshold) == (base.near_dup_threshold, base.coverage_threshold)
+    MemoryState.from_snapshot(snapshot, near_dup_threshold=0.5, coverage_threshold=0.5)
+    assert kept_base() is second
+
+
+def test_a_hit_still_rejects_a_counter_that_is_not_an_integer():
+    snapshot = three_record_snapshot()
+    snapshot["counter"] = 1
+    MemoryState.from_snapshot(snapshot)
+    snapshot["counter"] = True  # equal to 1, and not an int
+    with pytest.raises(ValueError, match="no integer 'counter'"):
+        MemoryState.from_snapshot(snapshot)
+
+
+def writes(prefix):
+    """As (kind, content, arbiter, outcome) steps: an add named by
+    ``prefix``, its replace and its merge, then the shared memory's three
+    in-place writes: a retire into an existing record (m000001 into
+    m000002) and a replace (m000003)."""
+    return [
+        ("entity_fact", f"{prefix} one two three", verdict("skip"), AddOutcome.ADDED),
+        ("entity_fact", f"{prefix} one two three four", verdict("replace"), AddOutcome.REPLACED),
+        ("entity_fact", f"{prefix} one two three four five", verdict("merge"), AddOutcome.MERGED),
+        ("entity_fact", "alpha beta gamma delta omega", verdict("merge", "zeta eta theta"), AddOutcome.MERGED),
+        ("research_fact", "alpha beta gamma epsilon zeta", verdict("replace"), AddOutcome.REPLACED),
+    ]
+
+
+COMMON = [
+    ("entity_fact", "alpha beta gamma delta", verdict("skip"), AddOutcome.ADDED),
+    ("research_fact", "zeta eta theta", verdict("skip"), AddOutcome.ADDED),
+    ("entity_fact", "alpha beta gamma epsilon", verdict("skip"), AddOutcome.ADDED),
+    ("profile_attr", "lives in oslo near the fjord", verdict("skip"), AddOutcome.ADDED),
+    ("entity_fact", "kappa lambda mu", verdict("skip"), AddOutcome.ADDED),
+]
+# A replace of m000004, a record the fork leaves alone.
+ORIGIN_ONLY = [
+    ("profile_attr", "lives in oslo near the fjord today", verdict("replace"), AddOutcome.REPLACED),
+]
+
+
+def apply(state, steps):
+    for kind, content, arbiter, outcome in steps:
+        assert state.add_knowledge(kind, content, arbiter).outcome is outcome
+    return state
+
+
+def test_a_fork_and_its_origin_each_write_their_own_copies():
+    origin = apply(MemoryState(), COMMON)
+    origin.profile["persona"] = "planner"
+    fork = origin.fork()
+    assert fork.to_snapshot() == origin.to_snapshot()
+    assert all(fork.records[rid] is record for rid, record in origin.records.items())
+
+    # The fork writes first, then its origin; each must end as if alone.
+    apply(fork, writes("fork"))
+    apply(origin, writes("origin") + ORIGIN_ONLY)
+    fork.profile["persona"] = "traveller"
+
+    for state, steps, persona in (
+        (fork, writes("fork"), "traveller"),
+        (origin, writes("origin") + ORIGIN_ONLY, "planner"),
+    ):
+        alone = apply(MemoryState(), COMMON + steps)
+        alone.profile["persona"] = persona
+        assert state.to_snapshot() == alone.to_snapshot()
+        now = alone.clock.now()
+        assert state.clock.now() == now
+        assert state.detect_gaps(now, timedelta(0)) == alone.detect_gaps(now, timedelta(0))
+    shared = [rid for rid, record in origin.records.items() if fork.records.get(rid) is record]
+    assert shared == ["m000005"]
+
+
+def test_threads_restoring_two_snapshots_at_once_each_get_a_memory_of_their_own():
+    # Two snapshots in turn make threads swap the kept base while others
+    # fork it; each fork then replaces a shared record and adds one.
+    snapshots, expected = [], []
+    for name in ("p", "q"):
+        state = MemoryState()
+        for i in range(6):
+            state.add_knowledge("entity_fact", " ".join(f"{name}{i}w{j}" for j in range(9)), verdict("skip"))
+        snapshots.append(json.loads(json.dumps(state.to_snapshot())))
+        edit = apply(MemoryState.from_snapshot(snapshots[-1]), steps_of(name))
+        expected.append(edit.to_snapshot())
+    frozen = json.dumps(snapshots)
+    failures = []
+
+    def restore_and_write(worker):
+        for i in range(40):
+            which = (worker + i) % 2
+            try:
+                memory = apply(MemoryState.from_snapshot(snapshots[which]), steps_of("pq"[which]))
+                if memory.to_snapshot() != expected[which]:
+                    failures.append((worker, i))
+            except Exception as exc:  # a thread's failure must fail the test
+                failures.append((worker, i, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=restore_and_write, args=(worker,)) for worker in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert json.dumps(snapshots) == frozen
+    assert kept_base().to_snapshot() in snapshots
+
+
+def steps_of(name):
+    """A replace of the first record of ``name``'s snapshot, then an add."""
+    return [
+        ("entity_fact", " ".join(f"{name}0w{j}" for j in range(10)), verdict("replace"), AddOutcome.REPLACED),
+        ("entity_fact", f"{name} fresh words", verdict("skip"), AddOutcome.ADDED),
+    ]
+
+
+def test_a_base_lends_its_spare_columns_to_one_fork_at_a_time():
+    origin = apply(MemoryState(), COMMON)
+    snapshot = json.loads(json.dumps(origin.to_snapshot()))
+
+    def restore():
+        return MemoryState.from_snapshot(snapshot, clock=LogicalClock(start=origin.clock.now()))
+
+    first = restore()
+    base = kept_base()
+    matrix, n = base._index._matrix, len(base._index._keys)
+    filled = matrix[:, :n].copy()
+    assert np.shares_memory(first._index._matrix, matrix)
+
+    # While the first fork holds the loan, the next one copies.
+    second = restore()
+    assert not np.shares_memory(second._index._matrix, matrix)
+    for state, prefix in ((first, "first"), (second, "second")):
+        apply(state, writes(prefix))
+    for state, prefix in ((first, "first"), (second, "second")):
+        alone = apply(MemoryState(), COMMON + writes(prefix))
+        assert state.to_snapshot() == alone.to_snapshot()
+        for query in (f"{prefix} one two three four", "alpha beta gamma", "first second"):
+            assert [(r.id, score) for r, score in state.vector_search(query, k=9)] == [
+                (r.id, score) for r, score in alone.vector_search(query, k=9)
+            ]
+
+    # Once the borrower is gone, the loan passes to the next fork, which
+    # fills the same spare columns; the filled ones never change.
+    del first
+    third = restore()
+    assert np.shares_memory(third._index._matrix, matrix)
+    apply(third, writes("third"))
+    assert third.to_snapshot() == apply(MemoryState(), COMMON + writes("third")).to_snapshot()
+    assert matrix[:, :n].tobytes() == filled.tobytes()
+    assert base.to_snapshot() == snapshot

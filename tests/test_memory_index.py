@@ -8,6 +8,7 @@ return exactly what they return: same records, same order, same floats.
 import json
 import math
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -681,20 +682,31 @@ def test_restored_columns_are_written_once(data, n_active):
     words = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=4).map(" ".join)
     contents = [f"c{i} {data.draw(words, label='content')}" for i in range(len(statuses))]
     snapshot = json.loads(json.dumps(snapshot_of(list(zip(contents, statuses)))))
+    # The first fork borrows the base's spare columns and keeps them, so the
+    # second copies the base's matrix into one of its own.
+    borrower = MemoryState.from_snapshot(snapshot, near_dup_threshold=0.5, coverage_threshold=0.5)
     state = MemoryState.from_snapshot(snapshot, near_dup_threshold=0.5, coverage_threshold=0.5)
 
+    # Every restored embedding is a read-only view of a column of the base's
+    # matrix.
+    base = memory_module._last_base[2]
+    assert np.shares_memory(borrower._index._matrix, base._index._matrix)
+    base_matrix = base._index._matrix
+    base_columns = base_matrix.copy()
+    base_records = {rid: (replace(record), record) for rid, record in base.records.items()}
     index = state._index
     restored = index._matrix
-    restored_columns = restored[:, :n_active].copy()
-    for record in state.active_records():
-        assert np.shares_memory(record.embedding, restored)
+    restored_columns = restored[:, : len(statuses)].copy()
+    assert not np.shares_memory(restored, base_matrix)
+    for record in state.records.values():
+        assert np.shares_memory(record.embedding, base_matrix)
         with pytest.raises(ValueError):
             record.embedding[0] = 1.0
     queries = ["!!!", "q1 q2", f"c0 {VOCAB[0]}"]
     assert_reads_see_live_records_only(state, queries)
 
     # Every add, replace and merge takes a new column, so the adds alone
-    # run past the restore's room.
+    # run past the fork's room.
     room = restored.shape[1] - len(index._keys)
     actions = data.draw(
         st.lists(st.sampled_from(("replace", "merge", "merge_existing", "skip")), max_size=8), label="actions"
@@ -717,7 +729,18 @@ def test_restored_columns_are_written_once(data, n_active):
         assert_reads_see_live_records_only(state, queries)
 
     assert index._matrix is not restored  # the index grew at least once
-    assert restored[:, :n_active].tobytes() == restored_columns.tobytes()
+    assert restored[:, : len(statuses)].tobytes() == restored_columns.tobytes()
+    # The fork wrote neither the base's matrix nor any of its records, and
+    # the embeddings it did not replace still view the base's columns.
+    assert base_matrix.tobytes() == base_columns.tobytes()
+    for rid, (saved, record) in base_records.items():
+        assert base.records[rid] is record and record == saved
+        assert record.embedding.tobytes() == saved.embedding.tobytes()
+    assert base.to_snapshot() == snapshot
+    for record in state.records.values():
+        unchanged = record.id in base.records and record.content == base.records[record.id].content
+        assert np.shares_memory(record.embedding, base_matrix) == unchanged
+        assert not record.embedding.flags.writeable
 
 
 # -- squared norms kept per row ------------------------------------------------
