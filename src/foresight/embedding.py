@@ -20,8 +20,8 @@ shares one vector per text. Shared vectors are read-only: writing into one
 raises ``ValueError``. A unit embeds the same texts (candidate topics,
 retrieval queries, contents it stores) again from window to window, and a
 batch runs each scenario under every condition in a row. The memo is a
-cache, not a store: a restored memory reads its artifact topics from the
-snapshot, not from here.
+cache, not a store: a restore copies each record's vector into its index
+matrix, so no restored memory holds on to a memo entry.
 
 ``token_counts`` is memoised the same way, in an LRU of its own with
 ``EMBED_MEMO_SIZE`` entries: each text's token multiset as a read-only

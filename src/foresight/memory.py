@@ -21,13 +21,12 @@ The index writes each column once and never again, even when it grows into
 a new matrix. That is what lets ``load`` / ``from_snapshot`` share it. They
 return a ``fork`` of a base memory whose records and filled columns are
 never written, and they keep the last base, so a batch of units that start
-from one snapshot decodes it, checks it and searches its research facts
-once. In a base, every record's stored counts, active or retired, go
+from one snapshot embeds it, checks it and searches its research facts
+once. In a base, every record's content, active or retired, is embedded
 straight into one index matrix, and each record's embedding is a read-only
 view of its column, shared by every fork. The index drops the retired
-records' rows as it drops any removed row. The artifact topics index is
-restored the same way from each artifact's stored topic counts, so a
-restored memory embeds no artifact topic until the index grows.
+records' rows as it drops any removed row. The base builds its artifact
+topics index from the active artifacts' topics.
 
 A fork copies the dicts, lists, sets, stamp heap and both index matrices of
 its origin and shares the records. A fork of a base borrows the base's
@@ -45,13 +44,10 @@ merge, an active record that supports it (its witness) or none. A write
 marks a fact for a new search when the fact itself or its witness changes,
 and tests its new vector only against the facts that are weak right now.
 
-A snapshot stores each embedding as one hex string of packed little-endian
-``(uint16 bucket, uint32 count)`` pairs, nonzero buckets only, ascending, and
-the id counter next to the records. Each artifact record also stores the
-embedding of its topic, ``embed(artifact_topic(record))``, in the same form.
-A restore decodes every embedding's pairs with one ``bytes.fromhex``, and
-every topic's with another, and rejects a snapshot in any other form with a
-``ValueError``.
+A snapshot stores each record's content and the fields around it, but no
+vector: the content is the source of truth, and a restore embeds it. A
+restore ignores the ``embedding`` and ``topic`` keys that older snapshots
+carry.
 """
 
 from __future__ import annotations
@@ -87,13 +83,10 @@ SMALL_INDEX_ROWS = 4
 # rebuild its matrix on nearly every add; from 64 rows on, the eighth rules.
 MIN_SPARE_COLUMNS = 8
 
-# One stored (bucket, count) pair of an embedding: 6 bytes, 12 hex digits.
-_PAIR = np.dtype([("bucket", "<u2"), ("count", "<u4")])
-_PAIR_HEX = 2 * _PAIR.itemsize
-
-# A stored record's fields, in ``MemoryRecord`` order; every one is required.
+# A stored record's fields, in ``MemoryRecord`` order without the
+# embedding; every one is required.
 _RECORD_FIELDS = operator.itemgetter(
-    "id", "kind", "content", "content_hash", "embedding",
+    "id", "kind", "content", "content_hash",
     "created_at", "updated_at", "status", "merged_into", "merged_from",
 )
 
@@ -166,17 +159,6 @@ def artifact_topic(record: MemoryRecord) -> str:
     return record.content.split("\n", 1)[0]
 
 
-def _sparse(vec: np.ndarray) -> str:
-    """A snapshot's form of an embedding: the hex of its nonzero buckets,
-    ascending, each packed with its count as a little-endian
-    ``(uint16 bucket, uint32 count)`` pair."""
-    buckets = vec.nonzero()[0]
-    pairs = np.empty(len(buckets), _PAIR)
-    pairs["bucket"] = buckets
-    pairs["count"] = vec[buckets]
-    return pairs.tobytes().hex()
-
-
 def _embedding_of(record: MemoryRecord) -> np.ndarray:
     return record.embedding
 
@@ -219,8 +201,8 @@ class SimilarityIndex:
     them again.
 
     The matrix is built by the first query that finds more than
-    ``SMALL_INDEX_ROWS`` keys, or adopted from ``from_snapshot`` whatever
-    the number of keys, and kept up to date from then on. Until then each
+    ``SMALL_INDEX_ROWS`` keys, or by ``from_snapshot`` whatever the number
+    of keys, and kept up to date from then on. Until then each
     query scores every key with ``cosine``, handing it the query's squared
     norm, computed once per search, and the row's, computed by the first
     search after its ``add`` and kept for as long as the row lives. Either
@@ -367,54 +349,6 @@ def _with_room(columns: int) -> np.ndarray:
     """A zero index matrix for ``columns`` vectors plus an eighth, and at
     least ``MIN_SPARE_COLUMNS``, for later additions."""
     return np.zeros((DEFAULT_DIM, columns + max(columns // 8, MIN_SPARE_COLUMNS)))
-
-
-def _scatter(
-    columns: int, column: np.ndarray, buckets: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A ``_with_room(columns)`` matrix holding each pair's count at its
-    ``(bucket, column)``, and the first ``columns`` columns' squared norms."""
-    matrix = _with_room(columns)
-    matrix[buckets, column] = counts
-    return matrix, np.bincount(column, weights=counts * counts, minlength=columns)
-
-
-def _decode_pairs(hexes: list, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every ``(owner, bucket, count)`` stored in ``hexes``, one snapshot
-    field's packed pair hex per record, decoded with one ``bytes.fromhex``.
-
-    ``owner`` is the position in ``hexes`` a pair came from and ``count`` a
-    float64. Raises ``ValueError``, naming the field ``name``, unless each
-    value is a string of whole pairs with buckets below ``DEFAULT_DIM``,
-    strictly ascending, and nonzero counts.
-    """
-    try:
-        text = "".join(hexes)
-    except TypeError:
-        raise ValueError(
-            f"snapshot {name} must be a hex string of (bucket, count) pairs;"
-            " the old {buckets, counts} form is not loaded"
-        ) from None
-    lengths, odd = np.divmod(np.fromiter(map(len, hexes), dtype=np.intp, count=len(hexes)), _PAIR_HEX)
-    if odd.any():
-        raise ValueError(f"snapshot {name} hex length is not a multiple of {_PAIR_HEX}")
-    try:
-        raw = bytes.fromhex(text)
-    except ValueError as exc:
-        raise ValueError(f"snapshot {name} hex: {exc}") from None
-    if 2 * len(raw) != len(text):  # fromhex skips whitespace
-        raise ValueError(f"snapshot {name} hex holds whitespace")
-    pairs = np.frombuffer(raw, _PAIR)
-    buckets, counts = pairs["bucket"], pairs["count"]
-    if (buckets >= DEFAULT_DIM).any():
-        raise ValueError(f"snapshot {name} bucket is not below {DEFAULT_DIM}")
-    if not counts.all():
-        raise ValueError(f"snapshot {name} count is zero")
-    owner = np.repeat(np.arange(len(hexes)), lengths)
-    # Increasing exactly when each record's buckets are strictly ascending.
-    if (np.diff(owner * DEFAULT_DIM + buckets) <= 0).any():
-        raise ValueError(f"snapshot {name} buckets are not strictly ascending")
-    return owner, buckets, counts.astype(np.float64)
 
 
 class LogicalClock:
@@ -644,8 +578,8 @@ class MemoryState:
     def artifact_topics(self) -> SimilarityIndex:
         """Index of ``embed(artifact_topic(record))`` by id over active artifacts.
 
-        Kept up to date by every write, and filled by ``from_snapshot`` from
-        the stored topics, whose counts it scores until it grows.
+        Kept up to date by every write, and built by ``from_snapshot`` from
+        the restored contents.
         """
         return self._topics
 
@@ -724,23 +658,20 @@ class MemoryState:
     # -- persistence --------------------------------------------------------
 
     def to_snapshot(self) -> dict:
-        records = []
-        for record in sorted(self.records.values(), key=lambda r: r.id):
-            stored = {
+        records = [
+            {
                 "id": record.id,
                 "kind": record.kind,
                 "content": record.content,
                 "content_hash": record.content_hash,
-                "embedding": _sparse(record.embedding),
                 "created_at": record.created_at.isoformat(),
                 "updated_at": record.updated_at.isoformat(),
                 "status": record.status,
                 "merged_into": record.merged_into,
                 "merged_from": list(record.merged_from),
             }
-            if record.kind == "artifact":
-                stored["topic"] = _sparse(_topic_embedding_of(record))
-            records.append(stored)
+            for record in sorted(self.records.values(), key=lambda r: r.id)
+        ]
         return {"records": records, "profile": dict(self.profile), "counter": self._counter}
 
     def save(self, path: str) -> None:
@@ -765,34 +696,28 @@ class MemoryState:
         thresholds. A call with equal thresholds and a snapshot that
         compares equal to that copy forks it again; any other call builds a
         new base and keeps it instead. So a batch of units that start from
-        one snapshot decodes and checks it once, and a snapshot edited in
+        one snapshot embeds and checks it once, and a snapshot edited in
         place since it was last restored is restored anew.
 
-        A snapshot in any other form, such as the old
-        ``{"buckets": [...], "counts": [...]}`` embeddings, an artifact
-        without ``topic``, a record of an unknown ``kind`` or ``status``, a
-        record id held twice, two active records with one ``content_hash``,
-        a ``content_hash`` that is not the SHA-256 of its record's content,
-        or one without ``counter``, raises ``ValueError`` naming the
-        problem. A base runs the support searches of its research facts, so
-        a fork starts with every fact settled.
+        A snapshot in any other form, such as one without a ``records``
+        list, a record that is not an object or lacks a field, a record of
+        an unknown ``kind`` or ``status``, a record id held twice, two
+        active records with one ``content_hash``, a ``content_hash`` that is
+        not the SHA-256 of its record's content, one without an integer
+        ``counter``, or a ``profile`` that is not an object of strings,
+        raises ``ValueError`` naming the problem. A base runs the support
+        searches of its research facts, so a fork starts with every fact
+        settled.
 
-        A base decodes every record's embedding pairs together, with one
-        ``bytes.fromhex``, and so every artifact's topic pairs. Record i's
-        stored counts become column i of its index matrix, and its
-        embedding a read-only view of that column, which the records of
-        every fork share; artifact i's stored topic becomes column i of the
-        topics index. Each index then drops the rows of the retired
-        records, and lends its spare columns to one fork at a time; the
-        other forks copy its matrix.
-
-        An artifact's ``topic`` is a cache: its content is the source of
-        truth, and ``topic`` must be ``embed(artifact_topic(record))``.
-        The restore does not check that, since checking would embed every
-        artifact's topic, which is the work the field saves. Whatever the
-        number of artifacts, the restored topics index scores the stored
-        counts until it grows, and from then on embeds each topic from the
-        content. ``to_snapshot`` writes each topic from the content.
+        The content is the source of truth, and the ``embedding`` and
+        ``topic`` keys of older snapshots are ignored. Once every record's
+        ``content_hash`` checks out, a base embeds record i's content into
+        column i of its index matrix, and the record's embedding is a
+        read-only view of that column, which the records of every fork
+        share. It builds its topics index from the active artifacts'
+        topics. Each index then drops the rows of the retired records, and
+        lends its spare columns to one fork at a time; the other forks copy
+        its matrix.
         """
         global _last_base
         content = _snapshot_content(snapshot)
@@ -810,31 +735,19 @@ class MemoryState:
         """The memory that ``stored``, a ``_snapshot_content``, holds, its
         research facts searched, owning none of its records and lending its
         index matrices' spare columns."""
-        rows, topic_fields, counter, profile = stored
-        owner, buckets, counts = _decode_pairs([row[4] for row in rows], "embedding")
-        artifact = [row[1] == "artifact" for row in rows]
-        has_topic = [topic != () for topic in topic_fields]
-        if has_topic != artifact:
-            kind = next(row[1] for row, topic, is_artifact in zip(rows, has_topic, artifact) if topic != is_artifact)
-            if kind == "artifact":
-                raise ValueError("snapshot artifact record has no 'topic' field")
-            raise ValueError(f"snapshot {kind} record has a 'topic' field, which only artifacts have")
-        topic_owner, topic_buckets, topic_counts = _decode_pairs(
-            [topic[0] for topic in topic_fields if topic], "topic"
-        )
-
+        rows, counter, profile = stored
         state = cls(near_dup_threshold, coverage_threshold)
         # Embeddings are read-only views, so nothing writes through one
         # record's embedding into another's or into the index; a replaced
         # record gets the shared vector from ``embed``. No index writes a
         # filled column of the base's matrix.
-        columns, columns_sq = _scatter(len(rows), owner, buckets, counts)
+        columns = _with_room(len(rows))
         view = columns.view()
         view.flags.writeable = False
         records, hash_index = state.records, state.hash_index
         stamps, incomplete, unchecked = state._stamps, state._incomplete, state._unchecked
         retired: list[str] = []
-        for (rid, kind, content, digest, _, created, updated, status, into, sources), embedding in zip(rows, view.T):
+        for (rid, kind, content, digest, created, updated, status, into, sources), embedding in zip(rows, view.T):
             if kind not in MEMORY_KINDS:
                 raise ValueError(f"snapshot record has unknown kind {kind!r}")
             created_at = datetime.fromisoformat(created)
@@ -870,15 +783,18 @@ class MemoryState:
         for rid, _, content, digest, *_ in rows:
             if not isinstance(content, str) or content_hash(content) != digest:
                 raise ValueError(f"snapshot record {rid!r} has a content_hash that is not its content's")
+        for column, row in enumerate(rows):
+            columns[:, column] = embed(row[2])
         heapq.heapify(stamps)
+        filled = columns[:, : len(rows)]
         index, topics = state._index, state._topics
-        index._adopt([row[0] for row in rows], columns, columns_sq)
-        artifacts = [row[0] for row, is_artifact in zip(rows, artifact) if is_artifact]
-        topics._adopt(artifacts, *_scatter(len(artifacts), topic_owner, topic_buckets, topic_counts))
+        index._adopt([row[0] for row in rows], columns, np.einsum("ij,ij->j", filled, filled))
         for rid in retired:
             index.remove(rid)
-            if records[rid].kind == "artifact":
-                topics.remove(rid)
+        for record in records.values():
+            if record.kind == "artifact" and record.status == "active":
+                topics.add(record.id)
+        topics._build()
         state._counter = counter
         state.profile = dict(profile)
         state._owned = set()
@@ -923,22 +839,29 @@ class MemoryState:
 
 def _snapshot_content(snapshot: dict) -> tuple:
     """What a restore reads of ``snapshot``: each record's fields in
-    ``MemoryRecord`` order, each record's ``(topic,)`` or ``()`` when it has
-    none, the id counter and the profile.
+    ``MemoryRecord`` order without the embedding, the id counter and the
+    profile.
 
-    Raises ``ValueError`` when a record lacks a field or the counter is
-    not an integer.
+    Raises ``ValueError`` when ``records`` is not a list of objects that
+    each hold every field, the counter is not an integer, or the profile is
+    not an object of strings.
     """
-    stored = snapshot["records"]
+    stored = snapshot.get("records")
+    if type(stored) is not list:
+        raise ValueError("snapshot has no 'records' list")
     try:
         rows = list(map(_RECORD_FIELDS, stored))
     except KeyError as exc:
         raise ValueError(f"snapshot record has no {exc} field") from None
+    except TypeError:
+        raise ValueError("snapshot record is not an object") from None
     counter = snapshot.get("counter")
     if type(counter) is not int:
         raise ValueError("snapshot has no integer 'counter'")
-    topics = [(rd["topic"],) if "topic" in rd else () for rd in stored]
-    return rows, topics, counter, snapshot.get("profile", {})
+    profile = snapshot.get("profile", {})
+    if type(profile) is not dict or not all(type(k) is str and type(v) is str for k, v in profile.items()):
+        raise ValueError("snapshot 'profile' is not an object of strings")
+    return rows, counter, profile
 
 
 # The last base ``MemoryState.from_snapshot`` built: its class and

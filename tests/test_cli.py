@@ -147,6 +147,28 @@ def test_run_writes_results_and_summary(results_dir):
     ]
 
 
+# The fields of a stored memory record: its content and what surrounds it,
+# and no vector, since a restore embeds the content.
+RECORD_KEYS = {
+    "id", "kind", "content", "content_hash", "created_at", "updated_at", "status", "merged_into", "merged_from",
+}
+
+
+def test_memory_lines_store_records_without_vectors(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--scenarios", str(SCENARIO_DIR), "--out", str(out)]) == EXIT_OK
+    lines = [json.loads(line) for line in (out / "memory.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == 6
+    kinds = set()
+    for line in lines:
+        memory = line["memory"]
+        for record in memory["records"]:
+            assert record.keys() == RECORD_KEYS
+            kinds.add(record["kind"])
+        assert MemoryState.from_snapshot(memory).to_snapshot() == memory
+    assert "artifact" in kinds
+
+
 def test_run_is_deterministic(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

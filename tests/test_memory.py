@@ -1,7 +1,5 @@
 import json
 import random
-import re
-import struct
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -9,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from foresight.embedding import DEFAULT_DIM, cosine, embed
+from foresight.embedding import cosine, embed
 from foresight.memory import (
     MEMORY_KINDS,
     SMALL_INDEX_ROWS,
@@ -18,7 +16,6 @@ from foresight.memory import (
     ArbiterVerdict,
     LogicalClock,
     MemoryState,
-    _sparse,
     content_hash,
 )
 
@@ -316,49 +313,6 @@ def test_snapshot_round_trip(tmp_path):
     assert fresh.record_id not in state.records
 
 
-def test_snapshot_stores_embeddings_as_sparse_buckets(tmp_path):
-    # A snapshot keeps each embedding's nonzero buckets, ascending, each
-    # packed with its token count as a little-endian (uint16, uint32) pair
-    # in one hex string; loading scatters them back bit for bit.
-    a, b = _near_pair()
-    state = MemoryState()
-    for i in range(3):
-        state.add_knowledge("entity_fact", words(f"s{i}x", 7), no_arbiter)
-    state.add_knowledge("entity_fact", "!!!", no_arbiter)
-    state.add_knowledge("research_fact", a, no_arbiter)
-    state.add_knowledge("research_fact", b, merge_arbiter)
-    assert {r.status for r in state.records.values()} == {"active", "merged"}
-    path = tmp_path / "mem.json"
-    state.save(str(path))
-    loaded = MemoryState.load(str(path))
-    loaded.add_knowledge("research_fact", "half of a fraction 1 3 7", no_arbiter)
-    resaved = tmp_path / "again.json"
-    loaded.save(str(resaved))
-    reloaded = MemoryState.load(str(resaved))
-
-    for memory in (state, loaded):
-        for rd in memory.to_snapshot()["records"]:
-            vec = memory.records[rd["id"]].embedding
-            packed = bytes.fromhex(rd["embedding"])
-            assert rd["embedding"] == packed.hex()
-            pairs = list(struct.iter_unpack("<HI", packed))  # raises unless whole 6-byte pairs
-            buckets, counts = [b for b, _ in pairs], [c for _, c in pairs]
-            assert buckets == sorted(set(buckets)) and all(c > 0 for c in counts)
-            assert np.array_equal(np.flatnonzero(vec), buckets)
-            assert vec[buckets].tobytes() == np.array(counts, dtype=np.float64).tobytes()
-    stored = json.loads(path.read_text())["records"]
-    (empty,) = [rd for rd in stored if rd["content"] == "!!!"]
-    assert empty["embedding"] == ""
-    assert not any("emotion" in rd for rd in stored)
-
-    for before, after in ((state, loaded), (loaded, reloaded)):
-        assert before.records.keys() <= after.records.keys()
-        for rid, record in before.records.items():
-            restored = after.records[rid].embedding
-            assert restored.dtype == np.float64 and restored.shape == (DEFAULT_DIM,)
-            assert restored.tobytes() == record.embedding.tobytes() == embed(record.content).tobytes()
-
-
 def test_snapshot_round_trip_restores_every_field():
     state = MemoryState()
     for i in range(6):
@@ -377,8 +331,6 @@ def test_snapshot_round_trip_restores_every_field():
             "kind": "artifact",
             "content": "legacy topic\nbody",
             "content_hash": content_hash("legacy topic\nbody"),
-            "embedding": _sparse(embed("legacy topic\nbody")),
-            "topic": _sparse(embed("legacy topic")),
             "created_at": (EPOCH + timedelta(days=2)).isoformat(),
             "updated_at": (EPOCH + timedelta(days=3)).isoformat(),
             "status": "active",
@@ -400,19 +352,11 @@ def test_snapshot_round_trip_restores_every_field():
         assert restored.records[rid].embedding.tobytes() == record.embedding.tobytes()
     legacy = restored.records["legacy999999"]
     assert (legacy.created_at, legacy.updated_at) == (EPOCH + timedelta(days=2), EPOCH + timedelta(days=3))
+    # Both of its vectors come from its content.
+    assert legacy.embedding.tobytes() == embed(legacy.content).tobytes()
+    assert restored.artifact_topics().search(embed("legacy topic"), 0.99) == [("legacy999999", 1.0)]
     assert restored.hash_index == {**state.hash_index, legacy.content_hash: "legacy999999"}
     assert restored.add_knowledge("entity_fact", "fresh text", no_arbiter).record_id == f"m{state._counter + 1:06d}"
-
-
-def pairs_hex(*pairs):
-    return b"".join(struct.pack("<HI", bucket, count) for bucket, count in pairs).hex()
-
-
-def set_pairs(field, hexes):
-    def mutate(snapshot):
-        snapshot["records"][0][field] = hexes
-
-    return mutate
 
 
 def drop_field(key):
@@ -422,36 +366,27 @@ def drop_field(key):
     return mutate
 
 
-# Each malformed value of a packed pair field, the end of the message that
-# names the field, and the case's id.
-MALFORMED_PAIRS = [
-    (
-        {"buckets": [3, 7], "counts": [1, 2]},
-        "must be a hex string of (bucket, count) pairs; the old {buckets, counts} form is not loaded",
-        "old-form",
-    ),
-    (pairs_hex((3, 1))[:-2], "hex length is not a multiple of 12", "torn-pair"),
-    (pairs_hex((3, 1), (DEFAULT_DIM, 1)), f"bucket is not below {DEFAULT_DIM}", "bucket"),
-    (pairs_hex((3, 1), (7, 0)), "count is zero", "zero-count"),
-    (pairs_hex((7, 1), (3, 1)), "buckets are not strictly ascending", "descending"),
-    (pairs_hex((3, 1), (3, 2)), "buckets are not strictly ascending", "repeated-bucket"),
-    (pairs_hex((3, 1)) + " " * 12, "hex holds whitespace", "whitespace"),
-    ("zz" * 6, "hex: non-hexadecimal number found", "not-hex"),
-]
-
-
 @pytest.mark.parametrize(
     "mutate, message",
     [
+        pytest.param(lambda snapshot: snapshot.pop("records"), "no 'records' list", id="no-records"),
+        pytest.param(lambda snapshot: snapshot.update(records={}), "no 'records' list", id="records-not-list"),
+        pytest.param(
+            lambda snapshot: snapshot["records"].append(["m000004"]), "record is not an object", id="record-not-object"
+        ),
         pytest.param(lambda snapshot: snapshot.pop("counter"), "no integer 'counter'", id="no-counter"),
         pytest.param(lambda snapshot: snapshot.update(counter="2"), "no integer 'counter'", id="text-counter"),
-        pytest.param(drop_field("merged_from"), "no 'merged_from' field", id="missing-field"),
-        pytest.param(drop_field("topic"), "artifact record has no 'topic' field", id="artifact-without-topic"),
         pytest.param(
-            lambda snapshot: snapshot["records"][1].update(topic=pairs_hex((3, 1))),
-            "entity_fact record has a 'topic' field",
-            id="entity-fact-with-topic",
+            lambda snapshot: snapshot.update(profile=["persona"]),
+            "'profile' is not an object of strings",
+            id="profile-not-object",
         ),
+        pytest.param(
+            lambda snapshot: snapshot.update(profile={"age": 3}),
+            "'profile' is not an object of strings",
+            id="profile-not-strings",
+        ),
+        pytest.param(drop_field("merged_from"), "no 'merged_from' field", id="missing-field"),
         pytest.param(
             lambda snapshot: snapshot["records"][1].update(kind="bogus"), "unknown kind 'bogus'", id="bogus-kind"
         ),
@@ -480,11 +415,6 @@ MALFORMED_PAIRS = [
             "record 'm000003' has a content_hash that is not its content's",
             id="content-not-text",
         ),
-    ]
-    + [
-        pytest.param(set_pairs(field, value), re.escape(f"snapshot {field} {message}"), id=prefix + case_id)
-        for field, prefix in (("embedding", ""), ("topic", "topic-"))
-        for value, message, case_id in MALFORMED_PAIRS
     ],
 )
 def test_from_snapshot_rejects_malformed_snapshots(mutate, message):

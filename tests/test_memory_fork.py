@@ -19,7 +19,7 @@ import pytest
 from foresight import harness
 from foresight import memory as memory_module
 from foresight.embedding import embed
-from foresight.memory import AddOutcome, ArbiterVerdict, LogicalClock, MemoryState, _sparse, content_hash
+from foresight.memory import AddOutcome, ArbiterVerdict, LogicalClock, MemoryState, content_hash
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 if str(BENCH) not in sys.path:
@@ -88,11 +88,13 @@ def test_an_edit_of_a_restored_snapshot_in_place_is_restored_next_time():
     assert MemoryState.from_snapshot(snapshot).to_snapshot() == snapshot
     assert kept_base() is base
 
-    # A record's content, with its hash and embedding.
+    # A record's content, with its hash.
     edited = snapshot["records"][2]
     text = "zeta eta iota kappa"
-    edited.update(content=text, content_hash=content_hash(text), embedding=_sparse(embed(text)))
-    assert MemoryState.from_snapshot(snapshot).records[edited["id"]].content == text
+    edited.update(content=text, content_hash=content_hash(text))
+    record = MemoryState.from_snapshot(snapshot).records[edited["id"]]
+    assert record.content == text
+    assert record.embedding.tobytes() == embed(text).tobytes()
     assert kept_base() is not base
     base = kept_base()
 

@@ -5,9 +5,11 @@ and ``filter_candidates`` ran before the index existed. Every read must
 return exactly what they return: same records, same order, same floats.
 """
 
+import copy
 import json
 import math
 import random
+import struct
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -29,7 +31,6 @@ from foresight.memory import (
     LogicalClock,
     MemoryState,
     SimilarityIndex,
-    _sparse,
     artifact_topic,
 )
 from foresight.prediction import CandidateNeed, filter_candidates
@@ -583,9 +584,6 @@ def test_restored_topics_index_equals_a_built_one(monkeypatch):
     state, replaced, gone = memory_with_artifacts(n)
     keys = active_artifacts(state)
     assert len(keys) > SMALL_INDEX_ROWS and replaced in keys and gone not in keys
-    stored = {rd["id"]: rd for rd in state.to_snapshot()["records"]}
-    assert "topic" in stored[gone] and "topic" in stored[replaced]
-    assert all(("topic" in rd) == (rd["kind"] == "artifact") for rd in stored.values())
     raw = topic_candidates(n)
     cfg = RunConfig()
     want = filter_candidates(raw, state, cfg)
@@ -595,8 +593,9 @@ def test_restored_topics_index_equals_a_built_one(monkeypatch):
     loaded, calls = restore_counting_topic_embeds(state, monkeypatch)
     topics = loaded._topics
     assert topics._matrix is not None
+    assert calls == keys  # the restore embedded each active artifact's topic once
     assert filter_candidates(raw, loaded, cfg) == want
-    assert calls == []  # neither the restore nor the first filter embedded a topic
+    assert calls == keys  # and the filter embedded none again
 
     built = SimilarityIndex(loaded.records, lambda record: embed(artifact_topic(record)))
     for key in keys:
@@ -631,25 +630,65 @@ def test_restored_topics_index_grows_past_its_spare_columns():
             assert topics.search(embed(query), threshold) == brute_force_topic_search(loaded, query, threshold)
 
 
+def pairs_hex(*pairs):
+    """``(bucket, count)`` pairs in the form older snapshots stored vectors
+    in: the hex of little-endian ``(uint16 bucket, uint32 count)`` pairs."""
+    return b"".join(struct.pack("<HI", bucket, count) for bucket, count in pairs).hex()
+
+
+def stored_form(text):
+    """The embedding of ``text`` as older snapshots stored it: its nonzero
+    buckets, ascending, with their counts."""
+    vec = embed(text)
+    return pairs_hex(*((bucket, int(vec[bucket])) for bucket in vec.nonzero()[0]))
+
+
+# Values of the ``embedding`` and ``topic`` keys of older snapshots: one that
+# disagrees with the content, and each form an older restore rejected.
+LEFTOVERS = {
+    "stale": stored_form("nothing like it"),
+    "old-form": {"buckets": [3, 7], "counts": [1, 2]},
+    "torn-pair": pairs_hex((3, 1))[:-2],
+    "bucket": pairs_hex((3, 1), (DEFAULT_DIM, 1)),
+    "zero-count": pairs_hex((3, 1), (7, 0)),
+    "descending": pairs_hex((7, 1), (3, 1)),
+    "repeated-bucket": pairs_hex((3, 1), (3, 2)),
+    "whitespace": pairs_hex((3, 1)) + " " * 12,
+    "not-hex": "zz" * 6,
+}
+
+
+@pytest.mark.parametrize("leftover", LEFTOVERS.values(), ids=LEFTOVERS.keys())
 @pytest.mark.parametrize("n", [SMALL_INDEX_ROWS, SMALL_INDEX_ROWS + 4])
-def test_stored_topic_is_a_cache_of_the_content(n):
-    # The content is the source of truth. Whatever the number of artifacts,
-    # a restore takes a stored topic without embedding the content to check
-    # it, the topics index scores the stored counts, and ``to_snapshot``
-    # writes the content's topic.
-    state, replaced, gone = memory_with_artifacts(n)
-    assert (len(active_artifacts(state)) > SMALL_INDEX_ROWS) == (n > SMALL_INDEX_ROWS)
-    snapshot = json.loads(json.dumps(state.to_snapshot()))
+def test_stale_vectors_in_a_snapshot_are_ignored(n, leftover):
+    # The content is the source of truth: the ``embedding`` and ``topic``
+    # keys an older snapshot carries, on any record, change no read and are
+    # not written back.
+    state, _, _ = memory_with_artifacts(n)
+    clean = json.loads(json.dumps(state.to_snapshot()))
+    stale = copy.deepcopy(clean)
+    for rd in stale["records"]:
+        rd.update(embedding=leftover, topic=leftover)
     raw = topic_candidates(n)
     cfg = RunConfig()
-    unchanged = MemoryState.from_snapshot(snapshot, clock=state.clock)
-    assert filter_candidates(raw, unchanged, cfg) == filter_candidates(raw, state, cfg)
-    stored = {rd["id"]: rd for rd in snapshot["records"]}
-    stored[replaced]["topic"] = _sparse(embed("nothing like it"))
-    loaded = MemoryState.from_snapshot(snapshot, clock=state.clock)
-    assert loaded.artifact_topics().search(embed("nothing like it"), 0.99) == [(replaced, 1.0)]
-    assert loaded.artifact_topics().search(embed("t0 a0 c0"), 0.99) == []
-    assert loaded.to_snapshot() == state.to_snapshot()
+    queries = ["nothing like it", "t0 a0 c0", "other1 record1 words1", "!!!"]
+    now = state.clock.now()
+
+    def reads(snapshot):
+        memory_module._last_base = None  # so each snapshot gets a base of its own
+        memory = MemoryState.from_snapshot(snapshot)
+        return (
+            [[(r.id, s) for r, s in memory.vector_search(query, k=len(memory.records))] for query in queries],
+            memory.coverage_check(queries[0], tuple(queries[1:])),
+            memory.detect_gaps(now, timedelta(seconds=3)),
+            filter_candidates(raw, memory, cfg),
+            memory.to_snapshot(),
+        )
+
+    want = reads(clean)
+    assert want[3] == filter_candidates(raw, state, cfg)
+    assert want[4] == clean
+    assert reads(stale) == want
 
 
 # -- write-once columns --------------------------------------------------------
