@@ -45,9 +45,9 @@ marks a fact for a new search when the fact itself or its witness changes,
 and tests its new vector only against the facts that are weak right now.
 
 A snapshot stores each record's content and the fields around it, but no
-vector: the content is the source of truth, and a restore embeds it. A
-restore ignores the ``embedding`` and ``topic`` keys that older snapshots
-carry.
+vector: the content is the source of truth, and a restore embeds it. The
+``embedding`` and ``topic`` keys that older snapshots carry must be well
+formed, but a restore reads no vector from them.
 """
 
 from __future__ import annotations
@@ -85,10 +85,11 @@ MIN_SPARE_COLUMNS = 8
 
 # A stored record's fields, in ``MemoryRecord`` order without the
 # embedding; every one is required.
-_RECORD_FIELDS = operator.itemgetter(
+_RECORD_KEYS = (
     "id", "kind", "content", "content_hash",
     "created_at", "updated_at", "status", "merged_into", "merged_from",
 )
+_RECORD_FIELDS = operator.itemgetter(*_RECORD_KEYS)
 
 
 class ArbitrationError(RuntimeError):
@@ -709,15 +710,17 @@ class MemoryState:
         searches of its research facts, so a fork starts with every fact
         settled.
 
-        The content is the source of truth, and the ``embedding`` and
-        ``topic`` keys of older snapshots are ignored. Once every record's
-        ``content_hash`` checks out, a base embeds record i's content into
-        column i of its index matrix, and the record's embedding is a
-        read-only view of that column, which the records of every fork
-        share. It builds its topics index from the active artifacts'
-        topics. Each index then drops the rows of the retired records, and
-        lends its spare columns to one fork at a time; the other forks copy
-        its matrix.
+        The content is the source of truth: a restore rejects a malformed
+        ``embedding`` or ``topic`` key of an older snapshot, such as the old
+        ``{"buckets": [...], "counts": [...]}`` form or a topic on a record
+        other than an artifact, and otherwise ignores both. Once every
+        record's ``content_hash`` checks out, a base embeds record i's
+        content into column i of its index matrix, and the record's
+        embedding is a read-only view of that column, which the records of
+        every fork share. It builds its topics index from the active
+        artifacts' topics. Each index then drops the rows of the retired
+        records, and lends its spare columns to one fork at a time; the
+        other forks copy its matrix.
         """
         global _last_base
         content = _snapshot_content(snapshot)
@@ -843,8 +846,9 @@ def _snapshot_content(snapshot: dict) -> tuple:
     profile.
 
     Raises ``ValueError`` when ``records`` is not a list of objects that
-    each hold every field, the counter is not an integer, or the profile is
-    not an object of strings.
+    each hold every field, an ``embedding`` or ``topic`` key left from an
+    older snapshot is malformed, the counter is not an integer, or the
+    profile is not an object of strings.
     """
     stored = snapshot.get("records")
     if type(stored) is not list:
@@ -855,6 +859,8 @@ def _snapshot_content(snapshot: dict) -> tuple:
         raise ValueError(f"snapshot record has no {exc} field") from None
     except TypeError:
         raise ValueError("snapshot record is not an object") from None
+    if max(map(len, stored), default=0) > len(_RECORD_KEYS):
+        _check_leftovers(stored)
     counter = snapshot.get("counter")
     if type(counter) is not int:
         raise ValueError("snapshot has no integer 'counter'")
@@ -862,6 +868,46 @@ def _snapshot_content(snapshot: dict) -> tuple:
     if type(profile) is not dict or not all(type(k) is str and type(v) is str for k, v in profile.items()):
         raise ValueError("snapshot 'profile' is not an object of strings")
     return rows, counter, profile
+
+
+def _check_leftovers(stored: list) -> None:
+    """Raises ``ValueError`` unless the ``embedding`` and ``topic`` keys that
+    older snapshots carry in ``stored`` are well formed: a topic only on an
+    artifact, and each value a hex string of little-endian ``(uint16
+    bucket, uint32 count)`` pairs with buckets below ``DEFAULT_DIM``,
+    strictly ascending, and nonzero counts. Their values are not read
+    otherwise."""
+    for rd in stored:
+        if "topic" in rd and rd["kind"] != "artifact":
+            raise ValueError(f"snapshot {rd['kind']} record has a 'topic' field, which only artifacts have")
+    for name in ("embedding", "topic"):
+        hexes = [rd[name] for rd in stored if name in rd]
+        try:
+            text = "".join(hexes)
+        except TypeError:
+            raise ValueError(
+                f"snapshot {name} must be a hex string of (bucket, count) pairs;"
+                " the old {buckets, counts} form is not loaded"
+            ) from None
+        lengths, odd = np.divmod(np.fromiter(map(len, hexes), dtype=np.intp, count=len(hexes)), 12)
+        if odd.any():
+            raise ValueError(f"snapshot {name} hex length is not a multiple of 12")
+        try:
+            raw = bytes.fromhex(text)
+        except ValueError as exc:
+            raise ValueError(f"snapshot {name} hex: {exc}") from None
+        if 2 * len(raw) != len(text):  # fromhex skips whitespace
+            raise ValueError(f"snapshot {name} hex holds whitespace")
+        pairs = np.frombuffer(raw, np.dtype([("bucket", "<u2"), ("count", "<u4")]))
+        buckets = pairs["bucket"]
+        if (buckets >= DEFAULT_DIM).any():
+            raise ValueError(f"snapshot {name} bucket is not below {DEFAULT_DIM}")
+        if not pairs["count"].all():
+            raise ValueError(f"snapshot {name} count is zero")
+        owner = np.repeat(np.arange(len(hexes)), lengths)
+        # Increasing exactly when each value's buckets are strictly ascending.
+        if (np.diff(owner * DEFAULT_DIM + buckets) <= 0).any():
+            raise ValueError(f"snapshot {name} buckets are not strictly ascending")
 
 
 # The last base ``MemoryState.from_snapshot`` built: its class and

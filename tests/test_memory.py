@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import struct
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from foresight.embedding import cosine, embed
+from foresight.embedding import DEFAULT_DIM, cosine, embed
 from foresight.memory import (
     MEMORY_KINDS,
     SMALL_INDEX_ROWS,
@@ -359,11 +361,41 @@ def test_snapshot_round_trip_restores_every_field():
     assert restored.add_knowledge("entity_fact", "fresh text", no_arbiter).record_id == f"m{state._counter + 1:06d}"
 
 
+def pairs_hex(*pairs):
+    return b"".join(struct.pack("<HI", bucket, count) for bucket, count in pairs).hex()
+
+
+def set_pairs(field, hexes):
+    def mutate(snapshot):
+        snapshot["records"][0][field] = hexes
+
+    return mutate
+
+
 def drop_field(key):
     def mutate(snapshot):
         del snapshot["records"][0][key]
 
     return mutate
+
+
+# Each malformed value of an ``embedding`` or ``topic`` key an older
+# snapshot carries, the end of the message that names the key, and the
+# case's id.
+MALFORMED_PAIRS = [
+    (
+        {"buckets": [3, 7], "counts": [1, 2]},
+        "must be a hex string of (bucket, count) pairs; the old {buckets, counts} form is not loaded",
+        "old-form",
+    ),
+    (pairs_hex((3, 1))[:-2], "hex length is not a multiple of 12", "torn-pair"),
+    (pairs_hex((3, 1), (DEFAULT_DIM, 1)), f"bucket is not below {DEFAULT_DIM}", "bucket"),
+    (pairs_hex((3, 1), (7, 0)), "count is zero", "zero-count"),
+    (pairs_hex((7, 1), (3, 1)), "buckets are not strictly ascending", "descending"),
+    (pairs_hex((3, 1), (3, 2)), "buckets are not strictly ascending", "repeated-bucket"),
+    (pairs_hex((3, 1)) + " " * 12, "hex holds whitespace", "whitespace"),
+    ("zz" * 6, "hex: non-hexadecimal number found", "not-hex"),
+]
 
 
 @pytest.mark.parametrize(
@@ -387,6 +419,11 @@ def drop_field(key):
             id="profile-not-strings",
         ),
         pytest.param(drop_field("merged_from"), "no 'merged_from' field", id="missing-field"),
+        pytest.param(
+            lambda snapshot: snapshot["records"][1].update(topic=pairs_hex((3, 1))),
+            "entity_fact record has a 'topic' field",
+            id="entity-fact-with-topic",
+        ),
         pytest.param(
             lambda snapshot: snapshot["records"][1].update(kind="bogus"), "unknown kind 'bogus'", id="bogus-kind"
         ),
@@ -415,6 +452,11 @@ def drop_field(key):
             "record 'm000003' has a content_hash that is not its content's",
             id="content-not-text",
         ),
+    ]
+    + [
+        pytest.param(set_pairs(field, value), re.escape(f"snapshot {field} {message}"), id=prefix + case_id)
+        for field, prefix in (("embedding", ""), ("topic", "topic-"))
+        for value, message, case_id in MALFORMED_PAIRS
     ],
 )
 def test_from_snapshot_rejects_malformed_snapshots(mutate, message):

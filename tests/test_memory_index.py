@@ -643,32 +643,40 @@ def stored_form(text):
     return pairs_hex(*((bucket, int(vec[bucket])) for bucket in vec.nonzero()[0]))
 
 
-# Values of the ``embedding`` and ``topic`` keys of older snapshots: one that
-# disagrees with the content, and each form an older restore rejected.
-LEFTOVERS = {
-    "stale": stored_form("nothing like it"),
-    "old-form": {"buckets": [3, 7], "counts": [1, 2]},
-    "torn-pair": pairs_hex((3, 1))[:-2],
-    "bucket": pairs_hex((3, 1), (DEFAULT_DIM, 1)),
-    "zero-count": pairs_hex((3, 1), (7, 0)),
-    "descending": pairs_hex((7, 1), (3, 1)),
-    "repeated-bucket": pairs_hex((3, 1), (3, 2)),
-    "whitespace": pairs_hex((3, 1)) + " " * 12,
-    "not-hex": "zz" * 6,
-}
-
-
-@pytest.mark.parametrize("leftover", LEFTOVERS.values(), ids=LEFTOVERS.keys())
 @pytest.mark.parametrize("n", [SMALL_INDEX_ROWS, SMALL_INDEX_ROWS + 4])
-def test_stale_vectors_in_a_snapshot_are_ignored(n, leftover):
-    # The content is the source of truth: the ``embedding`` and ``topic``
-    # keys an older snapshot carries, on any record, change no read and are
+def test_stored_topic_is_a_cache_of_the_content(n):
+    # The content is the source of truth. Whatever the number of artifacts,
+    # a restore embeds each artifact's topic from its content, so a stale
+    # topic an older snapshot stored changes no read and is not written back.
+    state, replaced, _ = memory_with_artifacts(n)
+    assert (len(active_artifacts(state)) > SMALL_INDEX_ROWS) == (n > SMALL_INDEX_ROWS)
+    snapshot = json.loads(json.dumps(state.to_snapshot()))
+    stored = {rd["id"]: rd for rd in snapshot["records"]}
+    stored[replaced]["topic"] = stored_form("nothing like it")
+    memory_module._last_base = None  # so the snapshot gets a base of its own
+    loaded = MemoryState.from_snapshot(snapshot, clock=state.clock)
+    assert loaded.artifact_topics().search(embed("nothing like it"), 0.99) == []
+    assert loaded.artifact_topics().search(embed("t0 a0 c0"), 0.99) == [(replaced, 1.0)]
+    raw = topic_candidates(n)
+    cfg = RunConfig()
+    assert filter_candidates(raw, loaded, cfg) == filter_candidates(raw, state, cfg)
+    assert loaded.to_snapshot() == state.to_snapshot()
+
+
+@pytest.mark.parametrize("n", [SMALL_INDEX_ROWS, SMALL_INDEX_ROWS + 4])
+def test_stale_vectors_in_a_snapshot_are_ignored(n):
+    # The content is the source of truth: the well-formed ``embedding`` of
+    # every record and ``topic`` of every artifact that an older snapshot
+    # carries, when they disagree with the content, change no read and are
     # not written back.
+    leftover = stored_form("nothing like it")
     state, _, _ = memory_with_artifacts(n)
     clean = json.loads(json.dumps(state.to_snapshot()))
     stale = copy.deepcopy(clean)
     for rd in stale["records"]:
-        rd.update(embedding=leftover, topic=leftover)
+        rd["embedding"] = leftover
+        if rd["kind"] == "artifact":
+            rd["topic"] = leftover
     raw = topic_candidates(n)
     cfg = RunConfig()
     queries = ["nothing like it", "t0 a0 c0", "other1 record1 words1", "!!!"]

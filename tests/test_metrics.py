@@ -55,7 +55,6 @@ def test_t_alpha_worked_cases():
     assert t_alpha([1, 2, 3, 4, 5], 0.8, 5, 12) == 4
     assert t_alpha([1, 2, 3, 4, 5], 1.0, 5, 12) == 5
     assert t_alpha([0, 0, 1], 1.0, 1, 12) == 3
-    assert t_alpha([0, 1, 2], 1.0, 2, 12) == 3
     # sentinel when never reached inside the timeline
     assert t_alpha([0, 1, 1], 1.0, 2, 12) == 13
     assert t_alpha([], 0.8, 3, 7) == 8
@@ -64,6 +63,12 @@ def test_t_alpha_worked_cases():
 def test_t_alpha_zero_must_haves_is_vacuous():
     assert t_alpha([], 0.8, 0, 12) == 1
     assert t_alpha([0, 0], 1.0, 0, 12) == 1
+
+
+def test_t_alpha_accepts_sets_and_ints():
+    timeline = [set(), {"N1"}, {"N1", "N2"}]
+    assert t_alpha(timeline, 1.0, 2, 12) == 3
+    assert t_alpha([0, 1, 2], 1.0, 2, 12) == 3
 
 
 def test_t_alpha_validates_inputs():
