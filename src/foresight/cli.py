@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import orjson
+
 from foresight import backends as backend_mod
 from foresight.config import VALID_BACKENDS, VALID_CONDITIONS, Condition, RunConfig
 from foresight.harness import RunOutcome, run_many
@@ -94,8 +96,13 @@ def _write_json(path: Path, payload: object) -> None:
     _write_text(path, json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
 
 
-# One compact line per row or memory. MemoryState.save writes the same text.
-_encode_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+def _encode_line(obj: object) -> str:
+    """One compact line per row or memory: sorted keys, no spaces, non-ASCII
+    kept, the text ``MemoryState.save`` writes. Only a float with
+    0 < |x| < 1e-4 or |x| >= 1e16 is written differently from stdlib
+    ``json`` (``0.00001`` for ``1e-05``), and it parses to the same value."""
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS).decode()
+
 
 JOURNAL_NAME = "detailed_results.jsonl"
 MEMORY_NAME = "memory.jsonl"
@@ -113,8 +120,8 @@ def _parse_lines(lines: Iterable[str]) -> dict[UnitKey, tuple[str, dict]]:
     by_key: dict[UnitKey, tuple[str, dict]] = {}
     for line in lines:
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
+            doc = orjson.loads(line)
+        except orjson.JSONDecodeError:
             continue
         by_key[(doc["scenario_id"], doc["condition"])] = (line, doc)
     return by_key
@@ -132,7 +139,7 @@ def _resume(out_dir: Path, wanted: set[UnitKey]) -> tuple[dict[UnitKey, str], di
     if journal.exists():
         docs = [doc for _, doc in _parse_lines(_lines(journal)).values()]
     elif detailed.exists():
-        docs = json.loads(detailed.read_text(encoding="utf-8"))
+        docs = orjson.loads(detailed.read_bytes())
     else:
         return {}, {}
     rows: dict[UnitKey, str] = {}
@@ -290,7 +297,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         AggregateRow(
             scenario_id=key[0],
             condition=key[1],
-            metrics=MetricSet.from_dict(json.loads(line)["metrics"]),
+            metrics=MetricSet.from_dict(orjson.loads(line)["metrics"]),
             **facet_by_id[key[0]],
         )
         for key, line in kept_rows.items()

@@ -66,6 +66,8 @@ class RunConfig:
         for condition in self.conditions:
             if condition not in VALID_CONDITIONS:
                 raise ConfigurationError(f"unknown condition {condition!r}")
+        if len(set(self.conditions)) != len(self.conditions):
+            raise ConfigurationError(f"repeated condition in {list(self.conditions)}")
         if self.backend not in VALID_BACKENDS:
             raise ConfigurationError(f"unknown backend {self.backend!r}")
         if self.backend == "http" and not self.endpoint:

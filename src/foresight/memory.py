@@ -700,15 +700,15 @@ class MemoryState:
         one snapshot embeds and checks it once, and a snapshot edited in
         place since it was last restored is restored anew.
 
-        A snapshot in any other form, such as one without a ``records``
-        list, a record that is not an object or lacks a field, a record of
-        an unknown ``kind`` or ``status``, a record id held twice, two
-        active records with one ``content_hash``, a ``content_hash`` that is
-        not the SHA-256 of its record's content, one without an integer
-        ``counter``, or a ``profile`` that is not an object of strings,
-        raises ``ValueError`` naming the problem. A base runs the support
-        searches of its research facts, so a fork starts with every fact
-        settled.
+        A snapshot in any other form, such as one that is not an object or
+        has no ``records`` list, a record that is not an object or lacks a
+        field, a record of an unknown ``kind`` or ``status``, a record id
+        held twice, two active records with one ``content_hash``, a
+        ``content_hash`` that is not the SHA-256 of its record's content,
+        one without an integer ``counter``, or a ``profile`` that is not an
+        object of strings, raises ``ValueError`` naming the problem. A base
+        runs the support searches of its research facts, so a fork starts
+        with every fact settled.
 
         The content is the source of truth: a restore rejects a malformed
         ``embedding`` or ``topic`` key of an older snapshot, such as the old
@@ -845,11 +845,13 @@ def _snapshot_content(snapshot: dict) -> tuple:
     ``MemoryRecord`` order without the embedding, the id counter and the
     profile.
 
-    Raises ``ValueError`` when ``records`` is not a list of objects that
-    each hold every field, an ``embedding`` or ``topic`` key left from an
-    older snapshot is malformed, the counter is not an integer, or the
-    profile is not an object of strings.
+    Raises ``ValueError`` when the snapshot is not an object, ``records``
+    is not a list of objects that each hold every field, an ``embedding``
+    or ``topic`` key left from an older snapshot is malformed, the counter
+    is not an integer, or the profile is not an object of strings.
     """
+    if type(snapshot) is not dict:
+        raise ValueError("snapshot is not an object")
     stored = snapshot.get("records")
     if type(stored) is not list:
         raise ValueError("snapshot has no 'records' list")

@@ -15,10 +15,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foresight import cli, scenarios
 from foresight.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
+from foresight.harness import Condition, run_scenario
 from foresight.memory import MemoryState
+from scripted_transport import scripted_backends
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FINANCE = str(SCENARIO_DIR / "finance_basic_01.json")
@@ -249,7 +253,7 @@ def test_run_streams_lines_and_removes_journal(batch_dir):
     lines = (batch_dir / "detailed_results.json").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "[" and lines[-1] == "]" and len(lines) == len(rows) + 2
     for line, row in zip(lines[1:-1], rows):
-        assert line.rstrip(",") == json.dumps(row, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        assert line.rstrip(",") == _stdlib_line(row)
     assert not (batch_dir / "detailed_results.jsonl").exists()
     assert not list(batch_dir.glob("*.tmp"))
 
@@ -263,6 +267,56 @@ def test_run_streams_lines_and_removes_journal(batch_dir):
         MemoryState.from_snapshot(doc["memory"]).save(str(path))
         saved = path.read_text(encoding="utf-8")
         assert line == f'{{"condition":"{doc["condition"]}","memory":{saved},"scenario_id":"{doc["scenario_id"]}"}}'
+
+
+def _stdlib_line(value: object) -> str:
+    """The canonical line in stdlib ``json``: compact, keys sorted, non-ASCII kept."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+# Text that JSON must escape or that is easy to mangle: quotes, backslashes,
+# control characters, U+2028 and an astral character, mixed with any other
+# code point a str can encode to UTF-8.
+_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\U0001f600"])
+    | st.characters(blacklist_categories=("Cs",))
+)
+
+
+def _signed(magnitudes):
+    return magnitudes.flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+# Floats that both encoders write in positional form; outside this range
+# orjson writes e.g. 1e-05 as 0.00001 where stdlib json writes 1e-05.
+_PLAIN_FLOATS = _signed(st.just(0.0) | st.floats(min_value=1e-4, max_value=1e16, exclude_max=True))
+_OTHER_FLOATS = _signed(
+    st.floats(min_value=0.0, max_value=1e-4, exclude_min=True, exclude_max=True)
+    | st.floats(min_value=1e16, allow_infinity=False)
+)
+_SCALARS = st.none() | st.booleans() | st.integers(-(2**63), 2**63) | _PLAIN_FLOATS | _TEXT
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_encode_line_matches_stdlib_json(value):
+    assert cli._encode_line(value) == _stdlib_line(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OTHER_FLOATS)
+def test_encode_line_writes_other_floats_to_the_same_value(value):
+    assert json.loads(cli._encode_line([value])) == json.loads(_stdlib_line([value])) == [value]
+
+
+@pytest.mark.parametrize("condition", [c.value for c in Condition])
+def test_http_rows_encode_as_stdlib_json(finance_scenario, condition):
+    backends, _ = scripted_backends(finance_scenario)
+    outcome = run_scenario(finance_scenario, condition, backends=backends)
+    assert outcome.result.status == "completed"
+    row = outcome.to_dict()
+    assert cli._encode_line(row) == _stdlib_line(row)
 
 
 def test_run_killed_batch_resumes_to_same_outputs(batch_dir, tmp_path, capsys):
@@ -401,7 +455,10 @@ def _assert_configuration_error(proc: subprocess.CompletedProcess) -> None:
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("flags", [["--parallel", "0"], ["--horizon", "0"], ["--budget-k", "-1"]])
+@pytest.mark.parametrize(
+    "flags",
+    [["--parallel", "0"], ["--horizon", "0"], ["--budget-k", "-1"], ["--conditions", "reactive", "reactive"]],
+)
 def test_run_configuration_error_exits_2_in_one_line(tmp_path, flags):
     out = tmp_path / "out"
     _assert_configuration_error(_cli("run", "--scenarios", FINANCE, "--out", str(out), *flags))

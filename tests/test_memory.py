@@ -379,6 +379,13 @@ def drop_field(key):
     return mutate
 
 
+class Replaced:
+    """A case that restores ``value`` in place of the whole snapshot."""
+
+    def __init__(self, value):
+        self.value = value
+
+
 # Each malformed value of an ``embedding`` or ``topic`` key an older
 # snapshot carries, the end of the message that names the key, and the
 # case's id.
@@ -401,6 +408,9 @@ MALFORMED_PAIRS = [
 @pytest.mark.parametrize(
     "mutate, message",
     [
+        pytest.param(Replaced([]), "snapshot is not an object", id="list-snapshot"),
+        pytest.param(Replaced("x"), "snapshot is not an object", id="text-snapshot"),
+        pytest.param(Replaced(None), "snapshot is not an object", id="null-snapshot"),
         pytest.param(lambda snapshot: snapshot.pop("records"), "no 'records' list", id="no-records"),
         pytest.param(lambda snapshot: snapshot.update(records={}), "no 'records' list", id="records-not-list"),
         pytest.param(
@@ -467,7 +477,10 @@ def test_from_snapshot_rejects_malformed_snapshots(mutate, message):
     snapshot = json.loads(json.dumps(state.to_snapshot()))
     assert snapshot["records"][0]["kind"] == "artifact"
     assert MemoryState.from_snapshot(snapshot).to_snapshot() == snapshot
-    mutate(snapshot)
+    if isinstance(mutate, Replaced):
+        snapshot = mutate.value
+    else:
+        mutate(snapshot)
     with pytest.raises(ValueError, match=message):
         MemoryState.from_snapshot(snapshot)
 
