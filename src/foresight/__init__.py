@@ -17,7 +17,7 @@ from foresight.acquisition import (
     gate,
     value_score,
 )
-from foresight.config import Condition, Weights
+from foresight.config import Condition
 from foresight.delivery import DeliveryAction, PushAssessment, decide_delivery, push_score
 from foresight.harness import run_scenario
 from foresight.memory import AddOutcome, MemoryState
@@ -48,7 +48,6 @@ __all__ = [
     "PushAssessment",
     "Scenario",
     "ValueScores",
-    "Weights",
     "compute_metrics",
     "composition_stats",
     "decide_delivery",

@@ -1,7 +1,7 @@
 """Idle-time acquisition: value gating, budgeted search, artifact synthesis.
 
 Each queued candidate is scored on four 0-100 components (relevance,
-knowledge gap, incremental value, timeliness) whose weighted sum decides
+knowledge gap, incremental value, timeliness) whose mean decides
 whether to search immediately, defer, store a note, or drop. Acquisition
 itself is tiered by how much existing memory already covers the retrieval
 plan, and every acquisition spends one unit of the per-idle-window budget.
@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from foresight.backends import ConfigurationError
-from foresight.config import RunConfig, Weights
+from foresight.config import RunConfig
 from foresight.memory import Arbiter, MemoryState
 from foresight.prediction import CandidateNeed
 
@@ -46,15 +46,9 @@ class ValueScores:
                 raise ValueError(f"{name} out of [0, 100]: {value}")
 
 
-def value_score(scores: ValueScores, weights: Optional[Weights] = None) -> float:
-    """Weighted composite on the 0-100 scale. Gating uses this exact value."""
-    w = weights or Weights()
-    return (
-        w.relevance * scores.relevance
-        + w.knowledge_gap * scores.knowledge_gap
-        + w.incremental_value * scores.incremental_value
-        + w.timeliness * scores.timeliness
-    )
+def value_score(scores: ValueScores) -> float:
+    """Mean of the four components, on the 0-100 scale. Gating uses this exact value."""
+    return 0.25 * (scores.relevance + scores.knowledge_gap + scores.incremental_value + scores.timeliness)
 
 
 def display_score(score: float) -> int:
@@ -62,10 +56,9 @@ def display_score(score: float) -> int:
     return int(math.floor(score + 0.5))
 
 
-def gate(
-    scores: ValueScores, composite: float, threshold: float = RunConfig.value_threshold
-) -> AcquisitionDecision:
+def gate(scores: ValueScores, composite: float) -> AcquisitionDecision:
     """Threshold rule plus the sub-threshold triage on components."""
+    threshold = RunConfig.value_threshold
     if composite >= threshold:
         return AcquisitionDecision.SEARCH_NOW
     if scores.relevance >= threshold and scores.timeliness >= threshold:
@@ -170,7 +163,6 @@ def acquire(
     arbiter: Arbiter,
     budget: BudgetState,
     value_scores: ValueScores,
-    search_round_cap: int = RunConfig.search_round_cap,
 ) -> AcquisitionOutcome:
     """Tiered acquisition for one gated candidate.
 
@@ -195,7 +187,7 @@ def acquire(
     failed = False
     if report.level in ("partial", "low"):
         unresolved = list(report.missing_subtopics)
-        rounds = 1 if report.level == "partial" else search_round_cap
+        rounds = 1 if report.level == "partial" else RunConfig.search_round_cap
         for _ in range(rounds):
             if not unresolved or failed:
                 break

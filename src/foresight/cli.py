@@ -240,7 +240,7 @@ def _make_run_config(args: argparse.Namespace, budget_k: Optional[int] = None) -
 def _backends_factory(cfg: RunConfig):
     """One unit's role backends; an http client is built (and its credential checked) here."""
     if cfg.backend == "oracle":
-        return lambda scenario: OracleBackends(scenario, cfg=cfg)
+        return lambda scenario: OracleBackends(scenario)
     client = backend_mod.HttpChatClient(endpoint=cfg.endpoint)
     return lambda scenario: HttpRoleBackends(scenario, client, seed=cfg.seed)
 

@@ -1,15 +1,17 @@
 """Run configuration and the evaluation conditions, shared by the harness and the CLI.
 
-``RunConfig`` is the only run configuration: memory, prediction and
-acquisition read their settings from it, and their defaults are its field
-defaults.
+``RunConfig``'s fields are what a run sets: the conditions, seed, horizon,
+idle-search budget, backend and parallelism that ``foresight run`` and
+``foresight sweep`` take. Its class constants are the paper's fixed
+hyperparameters, which memory, prediction and acquisition read as
+``RunConfig.X``; no run changes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import ClassVar, Optional
 
 from foresight.backends import ConfigurationError
 
@@ -22,22 +24,6 @@ class Condition(str, Enum):
 
 VALID_CONDITIONS = tuple(condition.value for condition in Condition)
 VALID_BACKENDS = ("oracle", "http")
-WEIGHT_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class Weights:
-    relevance: float = 0.25
-    knowledge_gap: float = 0.25
-    incremental_value: float = 0.25
-    timeliness: float = 0.25
-
-    def __post_init__(self) -> None:
-        parts = (self.relevance, self.knowledge_gap, self.incremental_value, self.timeliness)
-        if any(w < 0.0 for w in parts):
-            raise ConfigurationError(f"weights must be non-negative: {parts}")
-        if abs(sum(parts) - 1.0) > WEIGHT_TOLERANCE:
-            raise ConfigurationError(f"weights must sum to 1.0, got {sum(parts)!r}")
 
 
 @dataclass(frozen=True)
@@ -46,19 +32,19 @@ class RunConfig:
     seed: int = 42
     horizon: int = 12
     budget_k: int = 3
-    confidence_threshold: float = 0.6
-    value_threshold: float = 60.0
-    weights: Weights = field(default_factory=Weights)
-    max_predictor_candidates: int = 3
-    topic_dedup_threshold: float = 0.85
-    near_dup_threshold: float = 0.88
-    coverage_threshold: float = 0.80
-    memory_gap_confidence: float = 0.70
-    gap_staleness_seconds: float = 3600.0
-    search_round_cap: int = 4  # per-candidate cap on iterative search rounds
     backend: str = "oracle"
     endpoint: Optional[str] = None
     parallel: int = 1
+
+    confidence_threshold: ClassVar[float] = 0.6
+    value_threshold: ClassVar[float] = 60.0
+    max_predictor_candidates: ClassVar[int] = 3
+    topic_dedup_threshold: ClassVar[float] = 0.85
+    near_dup_threshold: ClassVar[float] = 0.88
+    coverage_threshold: ClassVar[float] = 0.80
+    memory_gap_confidence: ClassVar[float] = 0.70
+    gap_staleness_seconds: ClassVar[float] = 3600.0
+    search_round_cap: ClassVar[int] = 4  # per-candidate cap on iterative search rounds
 
     def __post_init__(self) -> None:
         if not self.conditions:
@@ -78,14 +64,6 @@ class RunConfig:
             raise ConfigurationError(f"budget_k must be >= 0, got {self.budget_k}")
         if self.parallel < 1:
             raise ConfigurationError(f"parallel must be >= 1, got {self.parallel}")
-        if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ConfigurationError(f"confidence_threshold out of [0, 1]")
-        if not 0.0 <= self.value_threshold <= 100.0:
-            raise ConfigurationError(f"value_threshold out of [0, 100]")
-        for name in ("topic_dedup_threshold", "near_dup_threshold", "coverage_threshold"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} out of [0, 1]: {value}")
 
 
-__all__ = ["Condition", "RunConfig", "VALID_BACKENDS", "VALID_CONDITIONS", "Weights"]
+__all__ = ["Condition", "RunConfig", "VALID_BACKENDS", "VALID_CONDITIONS"]

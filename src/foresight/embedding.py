@@ -1,10 +1,10 @@
 """Deterministic text embeddings.
 
 Hashed bag-of-tokens vectors: each lowercase alphanumeric token is hashed
-into one of ``dim`` buckets and the vector holds each bucket's occurrence
-count. The construction is order-free, has no model dependency, and gives
-cosine 1.0 for identical token multisets and near 0 for disjoint ones (up
-to rare bucket collisions).
+into one of ``DEFAULT_DIM`` buckets and the vector holds each bucket's
+occurrence count. The construction is order-free, has no model dependency,
+and gives cosine 1.0 for identical token multisets and near 0 for disjoint
+ones (up to rare bucket collisions).
 
 Counts are small integers, so every dot product and squared norm is an
 integer sum, exact in float64 in any summation order. ``cosine`` rounds
@@ -14,7 +14,7 @@ reason a caller scoring one vector against many may compute its squared
 norm once and hand it to ``cosine``: the cached value is the same exact
 integer the call would compute, so the score keeps its bits.
 
-``embed`` is memoised per ``(text, dim)`` in a process-wide LRU of
+``embed`` is memoised per text in a process-wide LRU of
 ``EMBED_MEMO_SIZE`` (256) entries, about 0.5 MB of vectors, so every caller
 shares one vector per text. Shared vectors are read-only: writing into one
 raises ``ValueError``. A unit embeds the same texts (candidate topics,
@@ -73,17 +73,17 @@ def _token_hash(token: str) -> int:
     return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:4], "big")
 
 
-def _bucket(token: str, dim: int) -> int:
-    return _token_hash(token) % dim
+def _bucket(token: str) -> int:
+    return _token_hash(token) % DEFAULT_DIM
 
 
 @functools.lru_cache(maxsize=EMBED_MEMO_SIZE)
-def embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
-    """The token counts of ``text`` in ``dim`` hashed buckets, as a read-only
-    float64 vector shared by every caller that embeds the same text."""
-    vec = np.zeros(dim, dtype=np.float64)
+def embed(text: str) -> np.ndarray:
+    """The token counts of ``text`` in ``DEFAULT_DIM`` hashed buckets, as a
+    read-only float64 vector shared by every caller that embeds the same text."""
+    vec = np.zeros(DEFAULT_DIM, dtype=np.float64)
     for token in tokenize(text):
-        vec[_bucket(token, dim)] += 1.0
+        vec[_bucket(token)] += 1.0
     vec.flags.writeable = False
     return vec
 

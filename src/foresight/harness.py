@@ -24,7 +24,7 @@ from foresight.acquisition import (
 from foresight.acquisition import acquire as acquire_candidate
 from foresight.config import Condition, RunConfig
 from foresight.delivery import commit_window, decide_delivery
-from foresight.memory import LogicalClock, MemoryState
+from foresight.memory import MemoryState
 from foresight.metrics import (
     JudgeVerdict,
     MetricSet,
@@ -64,7 +64,7 @@ def _run_idle_window(
     condition: Condition,
     memory: MemoryState,
     backends,
-    cfg: RunConfig,
+    budget_k: int,
     history: list[dict],
 ):
     """One idle window: predict, gate, acquire, decide delivery.
@@ -72,21 +72,20 @@ def _run_idle_window(
     Returns (notification, push_verdict, queued_for_next_turn).
     """
     if condition is Condition.DIRECTED_IDLE:
-        candidates = generate_candidates(history, memory, backends.predict, cfg)
+        candidates = generate_candidates(history, memory, backends.predict)
     else:
         candidates = backends.unguided(history, memory)
-    candidates = filter_candidates(candidates, memory, cfg)
+    candidates = filter_candidates(candidates, memory)
     queue = CandidateQueue()
     queue.extend(candidates)
 
-    budget = BudgetState(k=cfg.budget_k)
+    budget = BudgetState(k=budget_k)
     artifacts: list[KnowledgeArtifact] = []
     assessments = []
     while len(queue) and budget.k_remaining > 0:
         candidate = queue.pop()
         scores = backends.assess_value(candidate)
-        composite = value_score(scores, cfg.weights)
-        decision = gate(scores, composite, cfg.value_threshold)
+        decision = gate(scores, value_score(scores))
         if decision is AcquisitionDecision.SEARCH_NOW:
             outcome = acquire_candidate(
                 candidate,
@@ -96,7 +95,6 @@ def _run_idle_window(
                 backends.arbitrate,
                 budget,
                 scores,
-                cfg.search_round_cap,
             )
             if outcome.artifact is not None:
                 artifacts.append(outcome.artifact)
@@ -133,13 +131,9 @@ def run_scenario(
     cfg = cfg or RunConfig()
     condition = Condition(condition)
     if backends is None:
-        backends = OracleBackends(scenario, cfg=cfg)
+        backends = OracleBackends(scenario)
     if memory is None:
-        memory = MemoryState(
-            near_dup_threshold=cfg.near_dup_threshold,
-            coverage_threshold=cfg.coverage_threshold,
-            clock=LogicalClock(),
-        )
+        memory = MemoryState()
     profile = scenario.user_profile
     memory.profile.update(
         {
@@ -175,7 +169,7 @@ def run_scenario(
             if condition is not Condition.REACTIVE:
                 before = backends.ledger.active_total()
                 notification, push_verdict, pending = _run_idle_window(
-                    condition, memory, backends, cfg, history
+                    condition, memory, backends, cfg.budget_k, history
                 )
                 idle_spend = backends.ledger.active_total() - before
                 if notification is not None and push_verdict is not None:

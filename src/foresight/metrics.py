@@ -321,14 +321,15 @@ def _means(rows: list[AggregateRow]) -> dict[str, float]:
     return out
 
 
-def aggregate(rows: Sequence[AggregateRow], baseline: str = "reactive") -> dict:
+def aggregate(rows: Sequence[AggregateRow]) -> dict:
     """Condition-level macro means, micro anticipation counts, signed deltas
-    against the baseline condition, and per-facet breakdowns.
+    against the reactive condition, and per-facet breakdowns.
 
     Percentage deltas for turn/ratio metrics; absolute deltas for
     anticipation recall and active tokens. Raises PairingError when the
-    scenario sets differ between a condition and the baseline.
+    scenario sets differ between a condition and reactive.
     """
+    baseline = "reactive"
     by_condition: dict[str, list[AggregateRow]] = {}
     for row in rows:
         by_condition.setdefault(row.condition, []).append(row)

@@ -1,8 +1,8 @@
 """Deterministic gold-data-driven stand-ins for every model role.
 
 These backends make the closed loop exactly reproducible at desk scale: each
-role is a pure function of the scenario, the run config, and the needs the
-judge has marked so far in this run. Token spend is charged synthetically
+role is a pure function of the scenario and the needs the judge has marked
+so far in this run. Token spend is charged synthetically
 (ceil(len/4) of canonical request/response text) through the shared ledger,
 so active-token accounting is testable without a model server.
 """
@@ -88,12 +88,9 @@ class OracleBackends:
     of a learned model. All other roles work from arguments only.
     """
 
-    def __init__(
-        self, scenario: Scenario, ledger: Optional[TokenLedger] = None, cfg: Optional[RunConfig] = None
-    ) -> None:
+    def __init__(self, scenario: Scenario, ledger: Optional[TokenLedger] = None) -> None:
         self.scenario = scenario
         self.ledger = ledger or TokenLedger()
-        self.cfg = cfg or RunConfig()
         self.covered: set[str] = set()
         self._fact_ids = frozenset(f.id for f in scenario.facts)
         self._facts = {f.id: f for f in scenario.facts}
@@ -173,7 +170,7 @@ class OracleBackends:
             and n.predictable_after in self.covered
         ]
         eligible.sort(key=lambda n: n.turn_order)
-        eligible = eligible[: self.cfg.max_predictor_candidates]
+        eligible = eligible[: RunConfig.max_predictor_candidates]
         out = []
         for need in eligible:
             trigger = self._needs[need.predictable_after]

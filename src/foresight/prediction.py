@@ -13,7 +13,7 @@ import heapq
 import logging
 from dataclasses import dataclass, field
 from datetime import timedelta
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from foresight.config import RunConfig
 from foresight.embedding import cosine, embed
@@ -53,7 +53,6 @@ def generate_candidates(
     history: Sequence[dict],
     memory: MemoryState,
     predictor: Predictor,
-    cfg: Optional[RunConfig] = None,
 ) -> list[CandidateNeed]:
     """Raw candidate set for one idle window.
 
@@ -66,7 +65,6 @@ def generate_candidates(
     """
     if not history:
         raise ValueError("prediction requires at least one completed exchange")
-    cfg = cfg or RunConfig()
 
     try:
         raw = list(predictor(history, memory))
@@ -75,9 +73,10 @@ def generate_candidates(
         return []
 
     raw.sort(key=lambda c: (-c.confidence, c.topic, c.need))
-    candidates = raw[: cfg.max_predictor_candidates]
+    candidates = raw[: RunConfig.max_predictor_candidates]
 
-    gaps = memory.detect_gaps(now=memory.clock.now(), staleness=timedelta(seconds=cfg.gap_staleness_seconds))
+    staleness = timedelta(seconds=RunConfig.gap_staleness_seconds)
+    gaps = memory.detect_gaps(now=memory.clock.now(), staleness=staleness)
     for gap in gaps:
         topic = gap.topic[:80]
         candidates.append(
@@ -85,7 +84,7 @@ def generate_candidates(
                 topic=topic,
                 need=f"refresh knowledge: {topic}",
                 reason=f"memory gap ({gap.reason})",
-                confidence=cfg.memory_gap_confidence,
+                confidence=RunConfig.memory_gap_confidence,
                 retrieval_query=topic,
                 subtopics=(),
                 source="memory_gap",
@@ -94,18 +93,15 @@ def generate_candidates(
     return candidates
 
 
-def filter_candidates(
-    raw: Sequence[CandidateNeed], memory: MemoryState, cfg: Optional[RunConfig] = None
-) -> list[CandidateNeed]:
+def filter_candidates(raw: Sequence[CandidateNeed], memory: MemoryState) -> list[CandidateNeed]:
     """Confidence gate, stored-artifact dedup, then per-topic collapse.
 
     A candidate is dropped as already answered when, for some active
     artifact, ``cosine(embed(candidate.topic), embed(artifact_topic(record)))``
     reaches ``topic_dedup_threshold``.
     """
-    cfg = cfg or RunConfig()
-    survivors = [c for c in raw if c.confidence >= cfg.confidence_threshold]
-    threshold = cfg.topic_dedup_threshold
+    survivors = [c for c in raw if c.confidence >= RunConfig.confidence_threshold]
+    threshold = RunConfig.topic_dedup_threshold
 
     topics = memory.artifact_topics()
     if len(topics):

@@ -16,7 +16,6 @@ from typing import Optional
 
 from foresight.acquisition import value_score
 from foresight.backends import HttpChatClient, Role, synthetic_tokens
-from foresight.config import RunConfig
 from foresight.http_roles import (
     HttpRoleBackends,
     build_arbiter_prompt,
@@ -82,10 +81,9 @@ class ScriptedTransport:
     def __init__(
         self,
         scenario: Scenario,
-        cfg: Optional[RunConfig] = None,
         replies: Optional[dict[str, tuple[int, dict]]] = None,
     ) -> None:
-        self.oracle = OracleBackends(scenario, cfg=cfg)
+        self.oracle = OracleBackends(scenario)
         self.replies = dict(replies or {})
         self.prompts: list[tuple[str, str]] = []  # (role, prompt) in arrival order
         self.payloads: list[dict] = []
@@ -198,12 +196,11 @@ class ScriptedTransport:
 
 def scripted_backends(
     scenario: Scenario,
-    cfg: Optional[RunConfig] = None,
     replies: Optional[dict[str, tuple[int, dict]]] = None,
     seed: Optional[int] = None,
 ) -> tuple[HttpRoleBackends, ScriptedTransport]:
     """`HttpRoleBackends` over an `HttpChatClient` wired to a fresh transport."""
-    transport = ScriptedTransport(scenario, cfg, replies)
+    transport = ScriptedTransport(scenario, replies)
     client = HttpChatClient(
         endpoint="https://models.local/v1/chat",
         api_key="test-key",

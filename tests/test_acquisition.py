@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from foresight.acquisition import (
     synthesize_artifact,
     value_score,
 )
-from foresight.config import RunConfig, Weights
+from foresight.config import RunConfig
 from foresight.memory import ArbiterVerdict, MemoryState
 from foresight.prediction import CandidateNeed
 
@@ -45,15 +46,6 @@ def test_value_scores_validation():
         ValueScores(0, -1, 0, 0)
     ValueScores(0, 0, 0, 0)
     ValueScores(100, 100, 100, 100)
-
-
-def test_weights_validation():
-    with pytest.raises(ConfigurationError):
-        Weights(0.5, 0.5, 0.5, 0.5)
-    with pytest.raises(ConfigurationError):
-        Weights(-0.25, 0.5, 0.5, 0.25)
-    assert Weights(0.4, 0.3, 0.2, 0.1)
-    assert Weights()
 
 
 @pytest.mark.parametrize(
@@ -119,10 +111,18 @@ def test_gate_matches_brute_force_oracle():
         assert gate(scores, composite) is want
 
 
-def test_custom_weights_shift_composite():
-    scores = ValueScores(100, 0, 0, 0)
-    assert value_score(scores, Weights(0.7, 0.1, 0.1, 0.1)) == 70.0
-    assert value_score(scores) == 25.0
+def test_value_score_matches_weighted_sum_bit_for_bit():
+    # Scaling the plain sum by 0.25 is exact, so it must give the bits of
+    # the four-term sum with every weight 0.25: the gate compares the exact
+    # value.
+    grid = (0.0, 0.1, 1 / 3, 25.0, 33.3, 59.75, 59.999999999999, 60.0, 77.7, 99.9, 100.0)
+    rng = random.Random(11)
+    randoms = [tuple(rng.uniform(0.0, 100.0) for _ in range(4)) for _ in range(2000)]
+    for parts in [*itertools.product(grid, repeat=4), *randoms]:
+        r, k, i, t = parts
+        weighted = 0.25 * r + 0.25 * k + 0.25 * i + 0.25 * t
+        assert value_score(ValueScores(*parts)).hex() == weighted.hex(), parts
+    assert value_score(ValueScores(100, 0, 0, 0)) == 25.0
 
 
 def test_budget_state_validation():

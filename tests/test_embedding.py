@@ -26,7 +26,7 @@ def test_tokenize_empty():
 def test_embed_returns_integer_token_counts(text):
     vec = embed(text)
     assert vec.shape == (DEFAULT_DIM,) and vec.dtype == np.float64
-    counts = Counter(_bucket(token, DEFAULT_DIM) for token in tokenize(text))
+    counts = Counter(_bucket(token) for token in tokenize(text))
     assert {int(b): int(vec[b]) for b in np.flatnonzero(vec)} == counts
     assert np.array_equal(vec, np.round(vec))
 
@@ -82,7 +82,7 @@ def test_brute_force_cosine_agreement():
 
 @functools.lru_cache(maxsize=None)
 def reference_counts(text):
-    return Counter(_bucket(token, DEFAULT_DIM) for token in tokenize(text))
+    return Counter(_bucket(token) for token in tokenize(text))
 
 
 def reference_cosine(a, b):
@@ -218,7 +218,7 @@ def loop_embed(text):
     """``embed`` without the memo: a fresh count vector per call."""
     vec = np.zeros(DEFAULT_DIM, dtype=np.float64)
     for token in tokenize(text):
-        vec[_bucket(token, DEFAULT_DIM)] += 1.0
+        vec[_bucket(token)] += 1.0
     return vec
 
 

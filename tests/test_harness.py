@@ -282,13 +282,43 @@ def test_run_config_validation():
         RunConfig(backend="quantum")
     with pytest.raises(ConfigurationError):
         RunConfig(parallel=0)
+    with pytest.raises(ConfigurationError):
+        RunConfig(conditions=("reactive", "reactive"))
+    with pytest.raises(ConfigurationError):
+        RunConfig(backend="http")
     cfg = RunConfig()
     assert cfg.seed == 42
     assert cfg.horizon == 12
     assert cfg.budget_k == 3
-    assert dataclasses.asdict(cfg.weights) == {
-        "relevance": 0.25, "knowledge_gap": 0.25, "incremental_value": 0.25, "timeliness": 0.25,
+
+
+def test_run_config_fields_are_what_a_run_sets(monkeypatch):
+    from foresight import cli
+
+    set_by_cli = []
+    monkeypatch.setattr(cli, "RunConfig", lambda **kwargs: set_by_cli.append(sorted(kwargs)))
+    for argv in (["run", "--scenarios", "s", "--out", "o"], ["sweep", "--scenarios", "s", "--budgets", "1"]):
+        cli._make_run_config(cli.build_parser().parse_args(argv))
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert names == ["conditions", "seed", "horizon", "budget_k", "backend", "endpoint", "parallel"]
+    assert set_by_cli == [sorted(names)] * 2
+
+    # The paper's fixed hyperparameters are class constants, not settable fields.
+    constants = {
+        "confidence_threshold": 0.6,
+        "value_threshold": 60.0,
+        "max_predictor_candidates": 3,
+        "topic_dedup_threshold": 0.85,
+        "near_dup_threshold": 0.88,
+        "coverage_threshold": 0.80,
+        "memory_gap_confidence": 0.70,
+        "gap_staleness_seconds": 3600.0,
+        "search_round_cap": 4,
     }
+    for name, value in constants.items():
+        assert getattr(RunConfig, name) == getattr(RunConfig(), name) == value, name
+    with pytest.raises(TypeError):
+        RunConfig(value_threshold=50.0)
 
 
 def test_conditions_vocabulary_is_the_condition_enum():

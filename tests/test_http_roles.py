@@ -38,7 +38,7 @@ def test_http_over_scripted_transport_matches_the_oracle(condition, budget_k):
     cfg = RunConfig(budget_k=budget_k)
     for scenario in _BUNDLED + _GENERATED:
         oracle = run_scenario(scenario, condition, cfg)
-        backends, _ = scripted_backends(scenario, cfg)
+        backends, _ = scripted_backends(scenario)
         http = run_scenario(scenario, condition, cfg, backends=backends)
         assert http.result.status == oracle.result.status == "completed", scenario.scenario_id
         assert _metrics(http) == _metrics(oracle), scenario.scenario_id

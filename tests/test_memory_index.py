@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from foresight.config import RunConfig
-from foresight.embedding import DEFAULT_DIM, _bucket, cosine, embed
+from foresight.embedding import _bucket, cosine, embed
 from foresight import memory as memory_module
 from foresight.memory import (
     MEMORY_KINDS,
@@ -85,8 +85,8 @@ def oracle_detect_gaps(state, now, staleness):
     return gaps
 
 
-def oracle_filter_candidates(raw, memory, cfg):
-    survivors = [c for c in raw if c.confidence >= cfg.confidence_threshold]
+def oracle_filter_candidates(raw, memory):
+    survivors = [c for c in raw if c.confidence >= RunConfig.confidence_threshold]
     artifact_vecs = [
         embed(r.content.split("\n", 1)[0]) for r in memory.active_records() if r.kind == "artifact"
     ]
@@ -94,13 +94,13 @@ def oracle_filter_candidates(raw, memory, cfg):
         survivors = [
             c
             for c in survivors
-            if not any(cosine(embed(c.topic), avec) >= cfg.topic_dedup_threshold for avec in artifact_vecs)
+            if not any(cosine(embed(c.topic), avec) >= RunConfig.topic_dedup_threshold for avec in artifact_vecs)
         ]
     survivors.sort(key=lambda c: (-c.confidence, c.topic, c.need))
     result, result_vecs = [], []
     for candidate in survivors:
         cvec = embed(candidate.topic)
-        if any(cosine(cvec, kv) >= cfg.topic_dedup_threshold for kv in result_vecs):
+        if any(cosine(cvec, kv) >= RunConfig.topic_dedup_threshold for kv in result_vecs):
             continue
         result.append(candidate)
         result_vecs.append(cvec)
@@ -133,9 +133,12 @@ def assert_reads_match(state, queries, topics):
         CandidateNeed(topic=topic, need=f"need {i}", reason="test", confidence=conf, retrieval_query=topic)
         for i, (topic, conf) in enumerate(topics)
     ]
-    for threshold in (0.5, 0.85):
-        cfg = RunConfig(topic_dedup_threshold=threshold)
-        assert filter_candidates(raw, state, cfg) == oracle_filter_candidates(raw, state, cfg)
+    assert filter_candidates(raw, state) == oracle_filter_candidates(raw, state)
+    # The filter reads the topics index at the fixed 0.85; a low threshold
+    # lets many more artifacts through, so the index is checked there too.
+    for topic, _ in topics:
+        want = brute_force_topic_search(state, topic, 0.5)[:1]
+        assert state.artifact_topics().search(embed(topic), 0.5, k=1) == want
 
 
 # -- strategies ----------------------------------------------------------------
@@ -286,7 +289,7 @@ def test_four_of_five_shared_tokens_score_exactly_four_fifths():
     # Six tokens in six distinct buckets; the texts share four of them, so
     # their cosine is exactly 4/5 and meets a 0.80 coverage threshold.
     record, query = "solar panel permit rules county", "solar panel permit rules fees"
-    assert len({_bucket(token, DEFAULT_DIM) for token in set((record + " " + query).split())}) == 6
+    assert len({_bucket(token) for token in set((record + " " + query).split())}) == 6
     assert cosine(embed(record), embed(query)) == 0.8
     fillers = [f"filler{i} x{i}" for i in range(SMALL_INDEX_ROWS + 1)]
     for extra in ([], fillers):  # scalar path, then the built index matrix
@@ -585,16 +588,15 @@ def test_restored_topics_index_equals_a_built_one(monkeypatch):
     keys = active_artifacts(state)
     assert len(keys) > SMALL_INDEX_ROWS and replaced in keys and gone not in keys
     raw = topic_candidates(n)
-    cfg = RunConfig()
-    want = filter_candidates(raw, state, cfg)
-    assert want == oracle_filter_candidates(raw, state, cfg)
+    want = filter_candidates(raw, state)
+    assert want == oracle_filter_candidates(raw, state)
     assert 0 < len(want) < len(raw)
 
     loaded, calls = restore_counting_topic_embeds(state, monkeypatch)
     topics = loaded._topics
     assert topics._matrix is not None
     assert calls == keys  # the restore embedded each active artifact's topic once
-    assert filter_candidates(raw, loaded, cfg) == want
+    assert filter_candidates(raw, loaded) == want
     assert calls == keys  # and the filter embedded none again
 
     built = SimilarityIndex(loaded.records, lambda record: embed(artifact_topic(record)))
@@ -658,8 +660,7 @@ def test_stored_topic_is_a_cache_of_the_content(n):
     assert loaded.artifact_topics().search(embed("nothing like it"), 0.99) == []
     assert loaded.artifact_topics().search(embed("t0 a0 c0"), 0.99) == [(replaced, 1.0)]
     raw = topic_candidates(n)
-    cfg = RunConfig()
-    assert filter_candidates(raw, loaded, cfg) == filter_candidates(raw, state, cfg)
+    assert filter_candidates(raw, loaded) == filter_candidates(raw, state)
     assert loaded.to_snapshot() == state.to_snapshot()
 
 
@@ -678,7 +679,6 @@ def test_stale_vectors_in_a_snapshot_are_ignored(n):
         if rd["kind"] == "artifact":
             rd["topic"] = leftover
     raw = topic_candidates(n)
-    cfg = RunConfig()
     queries = ["nothing like it", "t0 a0 c0", "other1 record1 words1", "!!!"]
     now = state.clock.now()
 
@@ -689,12 +689,12 @@ def test_stale_vectors_in_a_snapshot_are_ignored(n):
             [[(r.id, s) for r, s in memory.vector_search(query, k=len(memory.records))] for query in queries],
             memory.coverage_check(queries[0], tuple(queries[1:])),
             memory.detect_gaps(now, timedelta(seconds=3)),
-            filter_candidates(raw, memory, cfg),
+            filter_candidates(raw, memory),
             memory.to_snapshot(),
         )
 
     want = reads(clean)
-    assert want[3] == filter_candidates(raw, state, cfg)
+    assert want[3] == filter_candidates(raw, state)
     assert want[4] == clean
     assert reads(stale) == want
 

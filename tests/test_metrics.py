@@ -325,7 +325,7 @@ def test_aggregate_micro_vs_macro_recall():
         row("s1", "directed_idle", ms(anticipation_recall=0.5, predictable_count=2, anticipated_count=1)),
         row("s2", "directed_idle", ms(anticipation_recall=0.375, predictable_count=8, anticipated_count=3)),
     ]
-    out = aggregate(rows, baseline="reactive")
+    out = aggregate(rows)
     micro = out["micro_anticipation"]["directed_idle"]
     assert micro == {"numerator": 4, "denominator": 10, "recall": 0.4}
     assert out["conditions"]["directed_idle"]["means"]["anticipation_recall"] == pytest.approx(0.4375)
@@ -339,7 +339,7 @@ def test_aggregate_percent_and_absolute_deltas():
         row("s1", "directed_idle", ms(t100=6.910, anticipation_recall=0.75, active_tokens=647,
                                       predictable_count=2, anticipated_count=1)),
     ]
-    out = aggregate(rows, baseline="reactive")
+    out = aggregate(rows)
     deltas = out["deltas"]["directed_idle_vs_reactive"]
     assert deltas["t100"]["kind"] == "percent"
     assert deltas["t100"]["delta"] == pytest.approx((6.910 - 8.110) / 8.110 * 100.0)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from foresight.config import RunConfig
-from foresight.embedding import DEFAULT_DIM, _bucket, cosine, embed
+from foresight.embedding import _bucket, cosine, embed
 from foresight.memory import MemoryState
 from foresight.prediction import (
     CandidateNeed,
@@ -72,7 +72,8 @@ def test_generate_caps_predictor_candidates_by_confidence():
     def predictor(history, memory):
         return list(pool)
 
-    out = generate_candidates(HISTORY, MemoryState(), predictor, RunConfig(max_predictor_candidates=3))
+    out = generate_candidates(HISTORY, MemoryState(), predictor)
+    assert RunConfig.max_predictor_candidates == 3
     assert [c.confidence for c in out] == [0.75, 0.70, 0.65]
 
 
@@ -80,12 +81,11 @@ def test_generate_appends_memory_gaps_beyond_cap():
     memory = MemoryState()
     memory.add_knowledge("entity_fact", "launch date TBD for the rollout", lambda c, r: None)
     pool = [cand(f"subject {i} item", 0.9 - i * 0.01) for i in range(3)]
-    cfg = RunConfig(max_predictor_candidates=3)
-    out = generate_candidates(HISTORY, memory, lambda h, m: list(pool), cfg)
+    out = generate_candidates(HISTORY, memory, lambda h, m: list(pool))
     assert len(out) == 4
     gap = out[3]
     assert gap.source == "memory_gap"
-    assert gap.confidence == cfg.memory_gap_confidence
+    assert gap.confidence == RunConfig.memory_gap_confidence
     assert gap.reason == "memory gap (incomplete)"
     assert gap.need.startswith("refresh knowledge: ")
     assert gap.retrieval_query == gap.topic
@@ -95,14 +95,14 @@ def test_generate_truncates_gap_topic():
     memory = MemoryState()
     long = "TBD " + " ".join(f"filler{i}" for i in range(40))
     memory.add_knowledge("entity_fact", long, lambda c, r: None)
-    out = generate_candidates(HISTORY, memory, lambda h, m: [], RunConfig())
+    out = generate_candidates(HISTORY, memory, lambda h, m: [])
     assert out and len(out[0].topic) == 80
 
 
 def test_filter_confidence_gate_is_inclusive():
-    cfg = RunConfig(confidence_threshold=0.6)
+    assert RunConfig.confidence_threshold == 0.6
     raw = [cand("alpha subject", 0.6), cand("beta subject", 0.59), cand("gamma subject", 0.61)]
-    out = filter_candidates(raw, MemoryState(), cfg)
+    out = filter_candidates(raw, MemoryState())
     assert {c.topic for c in out} == {"alpha subject", "gamma subject"}
 
 
@@ -114,7 +114,7 @@ def test_filter_drops_topics_covered_by_artifacts():
     sim = cosine(embed("retirement match rules"), embed("retirement match rules today"))
     assert sim >= 0.85, sim
     raw = [cand("retirement match rules today", 0.9), cand("vesting schedule details", 0.9)]
-    out = filter_candidates(raw, memory, RunConfig())
+    out = filter_candidates(raw, memory)
     assert [c.topic for c in out] == ["vesting schedule details"]
 
 
@@ -124,7 +124,7 @@ def test_filter_only_first_artifact_line_counts():
         "artifact", "unrelated headline topic\nvesting schedule details body text", lambda c, r: None
     )
     raw = [cand("vesting schedule details", 0.9)]
-    out = filter_candidates(raw, memory, RunConfig())
+    out = filter_candidates(raw, memory)
     assert [c.topic for c in out] == ["vesting schedule details"]
 
 
@@ -132,14 +132,14 @@ def test_filter_collapses_near_topics_to_max_confidence():
     a = cand("visa appointment slots", 0.7)
     b = cand("visa appointment slots today", 0.9)
     assert cosine(embed(a.topic), embed(b.topic)) >= 0.85
-    out = filter_candidates([a, b], MemoryState(), RunConfig())
+    out = filter_candidates([a, b], MemoryState())
     assert len(out) == 1
     assert out[0].confidence == 0.9
 
 
 def test_filter_keeps_distinct_topics():
     raw = [cand("solar panel rebate", 0.8), cand("passport renewal steps", 0.8)]
-    out = filter_candidates(raw, MemoryState(), RunConfig())
+    out = filter_candidates(raw, MemoryState())
     assert len(out) == 2
 
 
@@ -147,7 +147,7 @@ def distinct_bucket_words(n):
     """``n`` words that hash to ``n`` different buckets, so counts never merge."""
     words, buckets = [], set()
     for i in itertools.count():
-        bucket = _bucket(f"d{i}", DEFAULT_DIM)
+        bucket = _bucket(f"d{i}")
         if bucket not in buckets:
             buckets.add(bucket)
             words.append(f"d{i}")
@@ -171,8 +171,7 @@ def test_filter_collapse_keeps_the_survivors_of_a_plain_cosine_loop():
         base[:16] + extra[3:7] + extra[11:12],
     ]
     raw = [cand(" ".join(topic), conf) for topic, conf in zip(topics, (0.9, 0.8, 0.7, 0.65, 0.62))]
-    cfg = RunConfig()
-    threshold = cfg.topic_dedup_threshold
+    threshold = RunConfig.topic_dedup_threshold
     vec = {c.topic: embed(c.topic) for c in raw}
     assert cosine(vec[raw[0].topic], vec[raw[1].topic]) == threshold
     assert 0.82 < cosine(vec[raw[0].topic], vec[raw[2].topic]) < threshold
@@ -184,7 +183,7 @@ def test_filter_collapse_keeps_the_survivors_of_a_plain_cosine_loop():
     assert want == [raw[0], raw[2], raw[3]]
     shuffled = raw[:]
     random.Random(3).shuffle(shuffled)
-    assert filter_candidates(shuffled, MemoryState(), cfg) == want
+    assert filter_candidates(shuffled, MemoryState()) == want
 
 
 def test_queue_pop_order():
@@ -241,6 +240,6 @@ def test_scenario_candidates_outrank_memory_gaps():
     # Scenario candidates carry predictor confidence 0.9; gap candidates are
     # fixed at 0.70, so a scenario candidate always pops first.
     queue = CandidateQueue()
-    queue.push(cand("gap topic", RunConfig().memory_gap_confidence, source="memory_gap"))
+    queue.push(cand("gap topic", RunConfig.memory_gap_confidence, source="memory_gap"))
     queue.push(cand("real topic", 0.9, source="scenario"))
     assert queue.pop().source == "scenario"
