@@ -27,7 +27,6 @@ from foresight.config import VALID_BACKENDS, VALID_CONDITIONS, Condition, RunCon
 from foresight.harness import RunOutcome, run_many
 from foresight.http_roles import HttpRoleBackends
 from foresight.metrics import (
-    ABSOLUTE_DELTA_METRICS,
     METRIC_FIELDS,
     AggregateRow,
     BootstrapConfig,
@@ -190,8 +189,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     rows = []
     for path, scenario in _load_scenarios(args.paths):
-        stats = composition_stats(scenario)
-        strata = stratify(scenario)
+        report = validate_scenario(scenario)
+        try:
+            stats = composition_stats(scenario, report)
+        except ValueError:
+            # CROSS_GROUP and AUDITABLE, which stats allow, are checked only
+            # once every other check passes, so the first violation is one
+            # that stats reject.
+            print(f"invalid scenario: {_violation_line(path, report)}", file=sys.stderr)
+            return EXIT_FAIL
+        strata = stratify(scenario, report)
         rows.append(
             {
                 "scenario_id": scenario.scenario_id,
@@ -245,15 +252,25 @@ def _backends_factory(cfg: RunConfig):
     return lambda scenario: HttpRoleBackends(scenario, client, seed=cfg.seed)
 
 
+def _violation_line(path: Path, report: ValidationReport) -> str:
+    first = report.violations[0]
+    return f"{path}: {first.code}: {first.message}"
+
+
 def _validate_or_fail(loaded: list[tuple[Path, Scenario]]) -> tuple[list[ValidationReport], Optional[str]]:
-    """Each scenario's report and None, or, at the first invalid scenario,
-    the reports so far and its first violation as an error line."""
+    """Each scenario's report and None, or, at the first invalid scenario or
+    the first that repeats an earlier one's ``scenario_id``, the reports so
+    far and an error line."""
     reports: list[ValidationReport] = []
+    path_by_id: dict[str, Path] = {}
     for path, scenario in loaded:
+        sid = scenario.scenario_id
+        if sid in path_by_id:
+            return reports, f"{path}: DUPLICATE_SCENARIO_ID: scenario_id {sid!r} is also in {path_by_id[sid]}"
+        path_by_id[sid] = path
         report = validate_scenario(scenario)
         if not report.valid:
-            first = report.violations[0]
-            return reports, f"{path}: {first.code}: {first.message}"
+            return reports, _violation_line(path, report)
         reports.append(report)
     return reports, None
 

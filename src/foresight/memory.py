@@ -32,10 +32,10 @@ A fork copies the dicts, lists, sets, stamp heap and both index matrices of
 its origin and shares the records. A fork of a base borrows the base's
 matrices instead, spare columns and all, unless another fork holds them:
 when units run one after another, a unit copies the matrices only while
-the previous unit's memory is still alive. Only ``add_knowledge`` writes a
-record in place: a replace, a retire, and a merge into an existing record.
-Each first puts a copy of a shared record in the writer's own ``records``
-(``_own``), so neither memory sees the other's writes.
+the previous unit's memory is still alive. No record is written after it is
+stored, so a fork and its origin share every record safely: a replace, a
+retire and a merge into an existing record each store a new record under
+the same id.
 
 ``detect_gaps`` scans no records. Each write keeps its three gap sources up
 to date: the ids of active records whose content holds ``TBD``, a min-heap
@@ -59,7 +59,7 @@ import json
 import logging
 import operator
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Callable, Optional
@@ -370,7 +370,8 @@ class LogicalClock:
 
 class MemoryState:
     """Single-writer memory for one conversation run; ``fork`` gives each
-    run a memory of its own that shares the unwritten records.
+    run a memory of its own. No record is written after it is stored, so a
+    fork and its origin share every record safely.
 
     ``coverage_threshold`` is read-only: the gap sources kept on write hold
     the research facts' support at that threshold.
@@ -400,9 +401,6 @@ class MemoryState:
         self._unchecked: set[str] = set()  # to search for support on the next detect_gaps
         self._weak: set[str] = set()  # no other active record supports it
         self._witness: dict[str, str] = {}  # fact id -> an active record that supports it
-        # Ids of the records this memory may write in place; None for all.
-        # A fork and its origin share every record they held at the fork.
-        self._owned: Optional[set[str]] = None
 
     @property
     def coverage_threshold(self) -> float:
@@ -436,7 +434,7 @@ class MemoryState:
 
         neighbors = self.vector_search(content, k=1, threshold=self.near_dup_threshold)
         if not neighbors:
-            record = self._store_new(kind, content, digest)
+            record = self._store_new(self._new_id(), kind, content, digest)
             return AddResult(AddOutcome.ADDED, record.id)
 
         neighbor, _sim = neighbors[0]
@@ -452,18 +450,18 @@ class MemoryState:
         if verdict.action == "skip":
             return AddResult(AddOutcome.SKIPPED, neighbor.id)
 
-        neighbor = self._own(neighbor)  # replaced or retired below
         if verdict.action == "replace":
-            # In-place rewrite; step 1 guarantees the new digest is unindexed.
+            # Same id, new content; step 1 guarantees the new digest is unindexed.
             del self.hash_index[neighbor.content_hash]
             self._unindex(neighbor)
-            neighbor.content = content
-            neighbor.content_hash = digest
-            neighbor.embedding = embed(content)
-            neighbor.updated_at = self.clock.tick()
-            self.hash_index[digest] = neighbor.id
-            self._reindex(neighbor)
-            return AddResult(AddOutcome.REPLACED, neighbor.id)
+            record = MemoryRecord(
+                neighbor.id, neighbor.kind, content, digest, embed(content), neighbor.created_at,
+                self.clock.tick(), neighbor.status, neighbor.merged_into, neighbor.merged_from,
+            )
+            self.records[record.id] = record
+            self.hash_index[digest] = record.id
+            self._reindex(record)
+            return AddResult(AddOutcome.REPLACED, record.id)
 
         merged_content = verdict.merged_content if verdict.merged_content else f"{neighbor.content}\n{content}"
         merged_digest = content_hash(merged_content)
@@ -471,25 +469,28 @@ class MemoryState:
         if existing_id is not None and existing_id != neighbor.id:
             # Merged text already present on another active record: reuse it
             # as the merge target instead of violating hash uniqueness.
-            target = self._own(self.records[existing_id])
-            self._retire(neighbor, into=target.id)
-            target.merged_from = tuple(list(target.merged_from) + [neighbor.id])
-            target.updated_at = self.clock.tick()
+            self._retire(neighbor, into=existing_id)
+            old = self.records[existing_id]
+            target = MemoryRecord(
+                old.id, old.kind, old.content, old.content_hash, old.embedding, old.created_at,
+                self.clock.tick(), old.status, old.merged_into, old.merged_from + (neighbor.id,),
+            )
+            self.records[target.id] = target
             self._forget_fact(target.id)  # a merge built it now
             heapq.heappush(self._stamps, (target.updated_at, target.id))
             return AddResult(AddOutcome.MERGED, target.id)
 
-        self._retire(neighbor, into=None)  # merged_into patched after the new id exists
-        merged = self._store_new(kind, merged_content, merged_digest, merged_from=(neighbor.id,))
-        neighbor.merged_into = merged.id
-        return AddResult(AddOutcome.MERGED, merged.id)
+        merged_id = self._new_id()
+        self._retire(neighbor, into=merged_id)
+        self._store_new(merged_id, kind, merged_content, merged_digest, merged_from=(neighbor.id,))
+        return AddResult(AddOutcome.MERGED, merged_id)
 
     def _store_new(
-        self, kind: str, content: str, digest: str, merged_from: tuple[str, ...] = ()
+        self, rid: str, kind: str, content: str, digest: str, merged_from: tuple[str, ...] = ()
     ) -> MemoryRecord:
         stamp = self.clock.tick()
         record = MemoryRecord(
-            id=self._new_id(),
+            id=rid,
             kind=kind,
             content=content,
             content_hash=digest,
@@ -499,28 +500,16 @@ class MemoryState:
             merged_from=merged_from,
         )
         self.records[record.id] = record
-        if self._owned is not None:
-            self._owned.add(record.id)
         self.hash_index[digest] = record.id
         self._reindex(record)
         return record
 
-    def _own(self, record: MemoryRecord) -> MemoryRecord:
-        """``record``, ready to be written in place: when a fork or the origin
-        of one shares it, a copy of it that takes its place here."""
-        owned = self._owned
-        if owned is None or record.id in owned:
-            return record
-        record = replace(record)
-        self.records[record.id] = record
-        owned.add(record.id)
-        return record
-
-    def _retire(self, record: MemoryRecord, into: Optional[str]) -> None:
-        """Retires ``record``, which this memory must own (``_own``)."""
-        record.status = "merged"
-        record.merged_into = into
-        record.updated_at = self.clock.tick()
+    def _retire(self, record: MemoryRecord, into: str) -> None:
+        """Stores ``record`` again, merged into ``into``."""
+        self.records[record.id] = MemoryRecord(
+            record.id, record.kind, record.content, record.content_hash, record.embedding,
+            record.created_at, self.clock.tick(), "merged", into, record.merged_from,
+        )
         self.hash_index.pop(record.content_hash, None)
         self._unindex(record)
 
@@ -736,8 +725,9 @@ class MemoryState:
     @classmethod
     def _base(cls, stored: tuple, near_dup_threshold: float, coverage_threshold: float) -> "MemoryState":
         """The memory that ``stored``, a ``_snapshot_content``, holds, its
-        research facts searched, owning none of its records and lending its
-        index matrices' spare columns."""
+        research facts searched, lending its index matrices' spare columns.
+        No record is written after it is stored, so its forks share every
+        record safely."""
         rows, counter, profile = stored
         state = cls(near_dup_threshold, coverage_threshold)
         # Embeddings are read-only views, so nothing writes through one
@@ -800,7 +790,6 @@ class MemoryState:
         topics._build()
         state._counter = counter
         state.profile = dict(profile)
-        state._owned = set()
         state._search_unchecked()
         index._lend_room()
         topics._lend_room()
@@ -812,10 +801,10 @@ class MemoryState:
 
         The fork copies the dicts, lists, sets, stamp heap and both index
         matrices, each with room for more (or borrows them, from a base that
-        lends them), and shares the records: whichever of the two first
-        writes a shared record in place puts a copy in its own ``records``
-        and writes that. The fork keeps time with ``clock``, or with a copy
-        of this memory's clock.
+        lends them), and shares the records: no record is written after it
+        is stored, so a fork and its origin share every record safely. The
+        fork keeps time with ``clock``, or with a copy of this memory's
+        clock.
         """
         twin = copy.copy(self)
         twin.clock = copy.copy(self.clock) if clock is None else clock
@@ -829,9 +818,6 @@ class MemoryState:
         twin._unchecked = set(self._unchecked)
         twin._weak = set(self._weak)
         twin._witness = dict(self._witness)
-        twin._owned = set()
-        if self._owned is None or self._owned:  # it now shares every record too
-            self._owned = set()
         return twin
 
     @classmethod

@@ -38,6 +38,21 @@ def results_dir(tmp_path_factory) -> Path:
     return out
 
 
+@pytest.fixture
+def validated(monkeypatch) -> list[str]:
+    """The ids of the scenarios ``validate_scenario`` checks, in call order."""
+    validate = scenarios.validate_scenario
+    calls: list[str] = []
+
+    def counting(scenario):
+        calls.append(scenario.scenario_id)
+        return validate(scenario)
+
+    monkeypatch.setattr(scenarios, "validate_scenario", counting)
+    monkeypatch.setattr(cli, "validate_scenario", counting)
+    return calls
+
+
 def _broken_scenario(tmp_path: Path) -> Path:
     # key_fact_ids pointing at a fact that does not exist -> FACT_REF
     doc = json.loads(Path(FINANCE).read_text(encoding="utf-8"))
@@ -110,6 +125,60 @@ def test_stats_json_payload(capsys):
     assert row["fragmentation"] == "medium"
     assert row["cross_group_links"] == 3
     assert row["intra_group_links"] == 1
+
+
+def test_stats_rejects_an_invalid_scenario_in_one_line(tmp_path, capsys):
+    bad = _broken_scenario(tmp_path)
+    rc = main(["stats", FINANCE, str(bad)])
+    assert rc == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"invalid scenario: {bad}: FACT_REF: need N1 references unknown fact F99"
+    ]
+
+
+def test_stats_validates_each_scenario_once_and_allows_stratification_violations(tmp_path, capsys, validated):
+    # No cross-group link: only CROSS_GROUP or AUDITABLE fail, which stats allow.
+    doc = json.loads(Path(FINANCE).read_text(encoding="utf-8"))
+    for need in doc["user_needs"]:
+        need["predictable_after"] = None
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps(doc), encoding="utf-8")
+    report = scenarios.validate_scenario(scenarios.parse_scenario(loose.read_text(encoding="utf-8")))
+    codes = {v.code for v in report.violations}
+    assert codes and codes <= {"CROSS_GROUP", "AUDITABLE"}
+
+    validated.clear()
+    assert main(["stats", str(loose), SWEEP]) == EXIT_OK
+    assert validated == ["finance_basic_01", "budget_sweep_01"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("finance_basic_01: domain=financial_planning ")
+    assert "predictable=0 " in lines[0]
+    assert len(lines) == 3
+
+
+def _two_copies_of_finance(tmp_path: Path) -> tuple[Path, Path]:
+    copies = tmp_path / "copies"
+    copies.mkdir()
+    first, second = copies / "a.json", copies / "b.json"
+    for path in (first, second):
+        path.write_text(Path(FINANCE).read_text(encoding="utf-8"), encoding="utf-8")
+    return first, second
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--budgets", "1"]])
+def test_run_and_sweep_reject_a_repeated_scenario_id(tmp_path, capsys, command):
+    first, second = _two_copies_of_finance(tmp_path)
+    out = tmp_path / "out"
+    rc = main([*command, "--scenarios", str(first.parent), "--out", str(out)])
+    assert rc == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"invalid scenario: {second}: DUPLICATE_SCENARIO_ID: scenario_id 'finance_basic_01' is also in {first}"
+    ]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- run
@@ -393,18 +462,9 @@ def test_run_reactive_only(tmp_path):
     assert summary["micro_anticipation"]["reactive"]["numerator"] == 0
 
 
-def test_run_validates_each_scenario_once(tmp_path, monkeypatch):
+def test_run_validates_each_scenario_once(tmp_path, validated):
     # Each row's facets come from the report of the check before the run,
     # not from validating the scenario again.
-    validate = scenarios.validate_scenario
-    validated = []
-
-    def counting(scenario):
-        validated.append(scenario.scenario_id)
-        return validate(scenario)
-
-    monkeypatch.setattr(scenarios, "validate_scenario", counting)
-    monkeypatch.setattr(cli, "validate_scenario", counting)
     out = tmp_path / "out"
     assert main(["run", "--scenarios", FINANCE, SWEEP, "--out", str(out), "--conditions", "reactive"]) == EXIT_OK
     assert validated == ["finance_basic_01", "budget_sweep_01"]

@@ -102,23 +102,33 @@ def test_near_dup_skip():
 
 
 def test_near_dup_replace_rewrites_in_place():
+    # The replaced record was built by a merge, so every field it keeps
+    # through a replace differs from a fresh record's default.
     a, b = _near_pair()
+    c = words("w", 20, "x0")
     state = MemoryState()
     first = state.add_knowledge("entity_fact", a, no_arbiter)
-    old = state.records[first.record_id]
-    old_hash, old_created = old.content_hash, old.created_at
-    result = state.add_knowledge("entity_fact", b, replace_arbiter)
+    built = state.add_knowledge("entity_fact", b, merge_arbiter)
+    assert built.outcome is AddOutcome.MERGED
+    old = state.records[built.record_id]
+    assert old.merged_from == (first.record_id,)
+    old_id, old_hash, old_created, old_updated = old.id, old.content_hash, old.created_at, old.updated_at
+    result = state.add_knowledge("entity_fact", c, replace_arbiter)
     assert result.outcome is AddOutcome.REPLACED
-    assert result.record_id == first.record_id
-    assert len(state.records) == 1
-    rec = state.records[first.record_id]
-    assert rec.content == b
-    assert rec.content_hash == content_hash(b)
-    assert np.array_equal(rec.embedding, embed(b))
+    assert result.record_id == old_id
+    assert len(state.records) == 2
+    rec = state.records[old_id]
+    assert rec.content == c
+    assert rec.content_hash == content_hash(c)
+    assert np.array_equal(rec.embedding, embed(c))
+    assert rec.merged_from == (first.record_id,)
     assert rec.created_at == old_created
-    assert rec.updated_at > old_created
+    assert rec.status == "active"
+    assert rec.merged_into is None
+    assert rec.updated_at > old_updated
     assert old_hash not in state.hash_index
     assert state.hash_index[rec.content_hash] == rec.id
+    assert [r.id for r in state.active_records()] == [rec.id]
 
 
 def test_near_dup_merge_default_concatenation():

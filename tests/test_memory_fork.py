@@ -7,6 +7,7 @@ bench's ``long_memory`` workload, against an uncached restore; against edits
 of the snapshot in place; and against writes to its origin.
 """
 
+import dataclasses
 import json
 import sys
 import threading
@@ -19,7 +20,7 @@ import pytest
 from foresight import harness
 from foresight import memory as memory_module
 from foresight.embedding import embed
-from foresight.memory import AddOutcome, ArbiterVerdict, LogicalClock, MemoryState, content_hash
+from foresight.memory import AddOutcome, ArbiterVerdict, LogicalClock, MemoryRecord, MemoryState, content_hash
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 if str(BENCH) not in sys.path:
@@ -281,3 +282,31 @@ def test_a_base_lends_its_spare_columns_to_one_fork_at_a_time():
     assert third.to_snapshot() == apply(MemoryState(), COMMON + writes("third")).to_snapshot()
     assert matrix[:, :n].tobytes() == filled.tobytes()
     assert base.to_snapshot() == snapshot
+
+
+def test_no_record_is_written_after_it_is_stored(monkeypatch, tmp_path):
+    # A frozen stand-in for MemoryRecord raises on any write of a stored
+    # record's field, so a write would fail a unit or a step below.
+    frozen = dataclasses.make_dataclass(
+        "MemoryRecord",
+        [
+            (f.name, f.type, dataclasses.field(
+                default=f.default, default_factory=f.default_factory, repr=f.repr, compare=f.compare,
+            ))
+            for f in dataclasses.fields(MemoryRecord)
+        ],
+        frozen=True,
+        slots=True,
+    )
+    monkeypatch.setattr(memory_module, "MemoryRecord", frozen)
+    monkeypatch.setattr(memory_module, "_last_base", None)
+
+    workload = workloads.LongMemory(workloads.LongMemory.default_seed, tmp_path)
+    workload.setup()
+    rounds = [workload.round() for _ in range(2)]
+    assert [result.failed for result in rounds] == [0, 0]
+    assert rounds[0].rows == rounds[1].rows
+    assert all(type(record) is frozen for record in kept_base().records.values())
+
+    test_a_fork_and_its_origin_each_write_their_own_copies()
+    test_a_base_lends_its_spare_columns_to_one_fork_at_a_time()
