@@ -13,7 +13,6 @@ from foresight.acquisition import (
     BudgetState,
     KnowledgeArtifact,
     ValueScores,
-    display_score,
     gate,
     value_score,
 )
@@ -27,7 +26,6 @@ from foresight.scenarios import (
     Scenario,
     composition_stats,
     parse_scenario,
-    runtime_view,
     serialize_scenario,
     stratify,
     validate_scenario,
@@ -51,7 +49,6 @@ __all__ = [
     "compute_metrics",
     "composition_stats",
     "decide_delivery",
-    "display_score",
     "filter_candidates",
     "gate",
     "generate_candidates",
@@ -59,7 +56,6 @@ __all__ = [
     "parse_scenario",
     "push_score",
     "run_scenario",
-    "runtime_view",
     "serialize_scenario",
     "stratify",
     "t_alpha",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -49,11 +48,6 @@ class ValueScores:
 def value_score(scores: ValueScores) -> float:
     """Mean of the four components, on the 0-100 scale. Gating uses this exact value."""
     return 0.25 * (scores.relevance + scores.knowledge_gap + scores.incremental_value + scores.timeliness)
-
-
-def display_score(score: float) -> int:
-    """Half-up integer rounding for logs and reports only (82.5 -> 83)."""
-    return int(math.floor(score + 0.5))
 
 
 def gate(scores: ValueScores, composite: float) -> AcquisitionDecision:
@@ -228,7 +222,6 @@ __all__ = [
     "Synthesizer",
     "ValueScores",
     "acquire",
-    "display_score",
     "gate",
     "synthesize_artifact",
     "value_score",

@@ -41,6 +41,7 @@ from foresight.scenarios import (
     ScenarioParseError,
     ScenarioSchemaError,
     ValidationReport,
+    Violation,
     composition_stats,
     parse_scenario,
     stratify,
@@ -73,7 +74,10 @@ def _collect_paths(paths: Sequence[str]) -> list[Path]:
 def _load_scenarios(paths: Sequence[str]) -> list[tuple[Path, Scenario]]:
     loaded = []
     for path in _collect_paths(paths):
-        loaded.append((path, parse_scenario(path.read_text(encoding="utf-8"))))
+        try:
+            loaded.append((path, parse_scenario(path.read_bytes())))
+        except (ScenarioParseError, ScenarioSchemaError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     return loaded
 
 
@@ -161,17 +165,19 @@ def _join_lines(lines: Iterable[str]) -> str:
 def cmd_validate(args: argparse.Namespace) -> int:
     files = _collect_paths(args.paths)
     valid = 0
+    path_by_id: dict[str, Path] = {}
     for path in files:
         try:
-            scenario = parse_scenario(path.read_text(encoding="utf-8"))
+            scenario = parse_scenario(path.read_bytes())
         except (ScenarioParseError, ScenarioSchemaError) as exc:
             print(json.dumps({"file": str(path), "code": "parse_error", "message": str(exc)}))
             continue
-        report = validate_scenario(scenario)
-        if report.valid:
+        repeated = _repeated_id(path, scenario, path_by_id)
+        violations = validate_scenario(scenario).violations + ((repeated,) if repeated else ())
+        if not violations:
             valid += 1
             continue
-        for violation in report.violations:
+        for violation in violations:
             print(
                 json.dumps(
                     {
@@ -188,6 +194,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     rows = []
+    path_by_id: dict[str, Path] = {}
     for path, scenario in _load_scenarios(args.paths):
         report = validate_scenario(scenario)
         try:
@@ -196,7 +203,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
             # CROSS_GROUP and AUDITABLE, which stats allow, are checked only
             # once every other check passes, so the first violation is one
             # that stats reject.
-            print(f"invalid scenario: {_violation_line(path, report)}", file=sys.stderr)
+            print(f"invalid scenario: {_violation_line(path, report.violations[0])}", file=sys.stderr)
+            return EXIT_FAIL
+        repeated = _repeated_id(path, scenario, path_by_id)
+        if repeated:
+            print(f"invalid scenario: {_violation_line(path, repeated)}", file=sys.stderr)
             return EXIT_FAIL
         strata = stratify(scenario, report)
         rows.append(
@@ -252,9 +263,18 @@ def _backends_factory(cfg: RunConfig):
     return lambda scenario: HttpRoleBackends(scenario, client, seed=cfg.seed)
 
 
-def _violation_line(path: Path, report: ValidationReport) -> str:
-    first = report.violations[0]
-    return f"{path}: {first.code}: {first.message}"
+def _violation_line(path: Path, violation: Violation) -> str:
+    return f"{path}: {violation.code}: {violation.message}"
+
+
+def _repeated_id(path: Path, scenario: Scenario, path_by_id: dict[str, Path]) -> Optional[Violation]:
+    """The violation of a scenario that repeats the ``scenario_id`` of an
+    earlier file in ``path_by_id``; otherwise None, and ``path`` is noted."""
+    sid = scenario.scenario_id
+    if sid in path_by_id:
+        return Violation("DUPLICATE_SCENARIO_ID", f"scenario_id {sid!r} is also in {path_by_id[sid]}", (sid,))
+    path_by_id[sid] = path
+    return None
 
 
 def _validate_or_fail(loaded: list[tuple[Path, Scenario]]) -> tuple[list[ValidationReport], Optional[str]]:
@@ -264,13 +284,12 @@ def _validate_or_fail(loaded: list[tuple[Path, Scenario]]) -> tuple[list[Validat
     reports: list[ValidationReport] = []
     path_by_id: dict[str, Path] = {}
     for path, scenario in loaded:
-        sid = scenario.scenario_id
-        if sid in path_by_id:
-            return reports, f"{path}: DUPLICATE_SCENARIO_ID: scenario_id {sid!r} is also in {path_by_id[sid]}"
-        path_by_id[sid] = path
         report = validate_scenario(scenario)
         if not report.valid:
-            return reports, _violation_line(path, report)
+            return reports, _violation_line(path, report.violations[0])
+        repeated = _repeated_id(path, scenario, path_by_id)
+        if repeated:
+            return reports, _violation_line(path, repeated)
         reports.append(report)
     return reports, None
 
@@ -326,18 +345,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         # The memory line goes first: the row line commits the unit.
         result = outcome.result
         key = (result.scenario_id, result.condition)
-        if outcome.memory is not None:
-            memory_fh.write(
-                _encode_line(
-                    {
-                        "condition": result.condition,
-                        "memory": outcome.memory.to_snapshot(),
-                        "scenario_id": result.scenario_id,
-                    }
-                )
-                + "\n"
+        memory_fh.write(
+            _encode_line(
+                {
+                    "condition": result.condition,
+                    "memory": outcome.memory.to_snapshot(),
+                    "scenario_id": result.scenario_id,
+                }
             )
-            memory_fh.flush()
+            + "\n"
+        )
+        memory_fh.flush()
         line = _encode_line(outcome.to_dict())
         journal_fh.write(line + "\n")
         journal_fh.flush()
@@ -391,9 +409,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not args.budgets:
-        print("sweep requires at least one --budgets value", file=sys.stderr)
-        return EXIT_IO
     configs = [_make_run_config(args, budget_k=k) for k in args.budgets]
     factories = [_backends_factory(cfg) for cfg in configs]
 

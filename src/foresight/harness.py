@@ -43,7 +43,7 @@ logger = logging.getLogger(__name__)
 class RunOutcome:
     """A finished (scenario, condition) unit: judged turns plus metrics."""
 
-    def __init__(self, result: ScenarioResult, metrics: MetricSet, memory: Optional[MemoryState] = None):
+    def __init__(self, result: ScenarioResult, metrics: MetricSet, memory: MemoryState):
         self.result = result
         self.metrics = metrics
         self.memory = memory
@@ -221,16 +221,16 @@ def run_many(
     cfg: Optional[RunConfig] = None,
     backends_factory: Optional[BackendsFactory] = None,
     skip: Optional[set] = None,
-    on_outcome: Optional[Callable[[RunOutcome], None]] = None,
-) -> Optional[list[RunOutcome]]:
+    *,
+    on_outcome: Callable[[RunOutcome], None],
+) -> None:
     """All (scenario, condition) units, optionally in parallel.
 
     Each unit gets a fresh memory state and backend session. Units run in
     (scenario_id, condition) order; failures are recorded per unit and do
-    not stop the batch. With ``on_outcome``, each outcome is handed to it on
-    the calling thread as soon as it and every unit before it have finished,
-    and nothing is kept: the return value is None. Without it, the outcomes
-    come back as a list in unit order.
+    not stop the batch. Each outcome is handed to ``on_outcome`` on the
+    calling thread as soon as it and every unit before it have finished,
+    and nothing is kept.
     """
     cfg = cfg or RunConfig()
     units = sorted(
@@ -248,10 +248,6 @@ def run_many(
         backends = backends_factory(scenario) if backends_factory else None
         return run_scenario(scenario, condition, cfg, backends=backends)
 
-    outcomes: Optional[list[RunOutcome]] = None
-    if on_outcome is None:
-        outcomes = []
-        on_outcome = outcomes.append
     if cfg.parallel > 1 and len(units) > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
             # map yields lazily and in submission order.
@@ -260,7 +256,6 @@ def run_many(
     else:
         for unit in units:
             on_outcome(_one(unit))
-    return outcomes
 
 
 __all__ = ["Condition", "RunOutcome", "run_many", "run_scenario"]

@@ -55,6 +55,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import heapq
+import itertools
 import json
 import logging
 import operator
@@ -90,6 +91,19 @@ _RECORD_KEYS = (
     "created_at", "updated_at", "status", "merged_into", "merged_from",
 )
 _RECORD_FIELDS = operator.itemgetter(*_RECORD_KEYS)
+
+# The fields whose type no other restore check settles, the types each may
+# hold and their name in an error. An unknown ``kind`` or ``status`` is
+# rejected by value, and a ``content`` that is not text fails its hash check.
+_FIELD_TYPES = {
+    "id": ({str}, "a string"),
+    "content_hash": ({str}, "a string"),
+    "created_at": ({str}, "a string"),
+    "updated_at": ({str}, "a string"),
+    "merged_into": ({str, type(None)}, "a string or null"),
+    "merged_from": ({list}, "a list"),
+    "merged_from entry": ({str}, "a string"),
+}
 
 
 class ArbitrationError(RuntimeError):
@@ -691,11 +705,12 @@ class MemoryState:
 
         A snapshot in any other form, such as one that is not an object or
         has no ``records`` list, a record that is not an object or lacks a
-        field, a record of an unknown ``kind`` or ``status``, a record id
-        held twice, two active records with one ``content_hash``, a
-        ``content_hash`` that is not the SHA-256 of its record's content,
-        one without an integer ``counter``, or a ``profile`` that is not an
-        object of strings, raises ``ValueError`` naming the problem. A base
+        field, a field of the wrong type, a record of an unknown ``kind``
+        or ``status``, a record id held twice, two active records with one
+        ``content_hash``, a ``content_hash`` that is not the SHA-256 of its
+        record's content, one without an integer ``counter``, or a
+        ``profile`` that is not an object of strings, raises ``ValueError``
+        naming the problem. A base
         runs the support searches of its research facts, so a fork starts
         with every fact settled.
 
@@ -729,6 +744,7 @@ class MemoryState:
         No record is written after it is stored, so its forks share every
         record safely."""
         rows, counter, profile = stored
+        _check_types(rows)
         state = cls(near_dup_threshold, coverage_threshold)
         # Embeddings are read-only views, so nothing writes through one
         # record's embedding into another's or into the index; a replaced
@@ -856,6 +872,21 @@ def _snapshot_content(snapshot: dict) -> tuple:
     if type(profile) is not dict or not all(type(k) is str and type(v) is str for k, v in profile.items()):
         raise ValueError("snapshot 'profile' is not an object of strings")
     return rows, counter, profile
+
+
+def _check_types(rows: list) -> None:
+    """Raises ``ValueError`` naming the field when a row of ``rows``, each
+    a record's fields in ``_RECORD_KEYS`` order, holds a value of a type
+    that ``_FIELD_TYPES`` does not allow."""
+    columns = dict(zip(_RECORD_KEYS, zip(*rows)))
+    for name, (types, expected) in _FIELD_TYPES.items():
+        if name == "merged_from entry":  # checked after every merged_from
+            values = tuple(itertools.chain.from_iterable(columns.get("merged_from", ())))
+        else:
+            values = columns.get(name, ())
+        if not types.issuperset(map(type, values)):
+            bad = next(value for value in values if type(value) not in types)
+            raise ValueError(f"snapshot record {name} is not {expected}: {bad!r}")
 
 
 def _check_leftovers(stored: list) -> None:

@@ -222,10 +222,11 @@ class MetricSet:
 
 
 def t_alpha(
-    coverage_timeline: Sequence, alpha: float, must_have_count: int, horizon: int
+    coverage_timeline: Sequence[int], alpha: float, must_have_count: int, horizon: int
 ) -> int:
-    """First 1-based turn reaching ceil(alpha * must_have_count) covered
-    must-haves; horizon + 1 when never reached within the timeline."""
+    """First 1-based turn whose count of covered must-haves reaches
+    ceil(alpha * must_have_count); horizon + 1 when never reached within
+    the timeline."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha out of (0, 1]: {alpha}")
     if must_have_count < 0:
@@ -234,8 +235,7 @@ def t_alpha(
         logger.info("t_alpha with no must-have needs; vacuously satisfied at turn 1")
         return 1
     threshold = math.ceil(alpha * must_have_count)
-    for turn_index, entry in enumerate(coverage_timeline, start=1):
-        count = len(entry) if hasattr(entry, "__len__") else int(entry)
+    for turn_index, count in enumerate(coverage_timeline, start=1):
         if count >= threshold:
             return turn_index
     return horizon + 1

@@ -4,10 +4,6 @@ A scenario is a closed world for one evaluated conversation: a fact sheet,
 a set of user needs bound to key facts, and reveal groups that stage when
 topics become visible. Needs may carry a ``predictable_after`` edge marking
 them as anticipatable once their predecessor has been addressed.
-
-The runtime view deliberately strips everything the system under test must
-not see: need identifiers, key-fact bindings, predictability edges, and
-reveal groups.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ _ID_RE = re.compile(r"^[A-Z]+[0-9]+$")
 
 
 class ScenarioParseError(ValueError):
-    """Input is not well-formed JSON."""
+    """Input is not UTF-8 or not well-formed JSON."""
 
 
 class ScenarioSchemaError(ValueError):
@@ -142,28 +138,6 @@ class Strata:
     fragmentation: FragmentationLevel
 
 
-@dataclass(frozen=True)
-class RuntimeView:
-    """What the system under test is allowed to see before the run."""
-
-    scenario_id: str
-    domain: str
-    user_profile: UserProfile
-    facts: tuple[Fact, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "domain": self.domain,
-            "user_profile": {
-                "persona": self.user_profile.persona,
-                "context": self.user_profile.context,
-                "communication_style": self.user_profile.communication_style,
-            },
-            "facts": [{"id": f.id, "category": f.category, "content": f.content} for f in self.facts],
-        }
-
-
 def _require(obj: dict, key: str, kind: type, path: str) -> Any:
     if not isinstance(obj, dict) or key not in obj:
         raise ScenarioSchemaError(f"missing required field: {path}.{key}")
@@ -182,11 +156,15 @@ def _extras(obj: dict, known: tuple[str, ...]) -> dict:
 def parse_scenario(data: bytes | str) -> Scenario:
     """Parse scenario JSON. Unknown fields are preserved for round-tripping.
 
-    Raises ScenarioParseError for malformed JSON and ScenarioSchemaError for
-    missing or mistyped required fields. Validation is a separate step.
+    Raises ScenarioParseError for bytes that are not UTF-8 or malformed
+    JSON, and ScenarioSchemaError for missing or mistyped required fields.
+    Validation is a separate step.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScenarioParseError(f"not UTF-8: byte {exc.start}: {exc.reason}") from exc
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -540,20 +518,6 @@ def stratify(scenario: Scenario, report: Optional[ValidationReport] = None) -> S
     return Strata(opportunity=opportunity, fragmentation=fragmentation)
 
 
-def runtime_view(scenario: Scenario) -> RuntimeView:
-    """Strip gold structure: no needs, no key facts, no groups, no edges."""
-    return RuntimeView(
-        scenario_id=scenario.scenario_id,
-        domain=scenario.domain,
-        user_profile=UserProfile(
-            persona=scenario.user_profile.persona,
-            context=scenario.user_profile.context,
-            communication_style=scenario.user_profile.communication_style,
-        ),
-        facts=tuple(Fact(id=f.id, category=f.category, content=f.content) for f in scenario.facts),
-    )
-
-
 __all__ = [
     "ARCHETYPES",
     "IMPORTANCE_LEVELS",
@@ -562,7 +526,6 @@ __all__ = [
     "FragmentationLevel",
     "OpportunityLevel",
     "RevealGroup",
-    "RuntimeView",
     "Scenario",
     "ScenarioParseError",
     "ScenarioSchemaError",
@@ -573,7 +536,6 @@ __all__ = [
     "Violation",
     "composition_stats",
     "parse_scenario",
-    "runtime_view",
     "serialize_scenario",
     "stratify",
     "validate_scenario",

@@ -38,7 +38,7 @@ from foresight.metrics import (
     paired_bootstrap,
     t_alpha,
 )
-from foresight.scenarios import composition_stats, parse_scenario, runtime_view, validate_scenario
+from foresight.scenarios import composition_stats, parse_scenario, validate_scenario
 from scripted_transport import RUNTIME_ROLES, scripted_backends
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -398,7 +398,7 @@ def test_criterion_7_bootstrap_determinism_and_correctness():
 
 
 def test_criterion_8_information_hiding_audit():
-    with _gate(8, "no gold labels in runtime prompts or runtime view", limit=5.0):
+    with _gate(8, "no gold labels in runtime prompts", limit=5.0):
         # Audit the prompts HttpRoleBackends actually sends, as received by
         # an in-process transport; only the simulator and judge see gold data.
         scenario = _load("finance_basic_01.json")
@@ -409,20 +409,13 @@ def test_criterion_8_information_hiding_audit():
         runtime_prompts = [(role, p) for role, p in transport.prompts if role not in ("simulator", "judge")]
         assert {role for role, _ in runtime_prompts} == RUNTIME_ROLES
 
-        view_json = json.dumps(runtime_view(scenario).to_dict(), sort_keys=True)
-        surfaces = [p for _, p in runtime_prompts] + [view_json]
-
         forbidden_ids = [n.id for n in scenario.needs] + [g.id for g in scenario.groups]
         forbidden_literals = ["key_fact_ids", "predictable_after", "reveal_group"]
-        for surface in surfaces:
+        for _, prompt in runtime_prompts:
             for ident in forbidden_ids:
-                assert not re.search(rf"\b{re.escape(ident)}\b", surface), ident
+                assert not re.search(rf"\b{re.escape(ident)}\b", prompt), ident
             for literal in forbidden_literals:
-                assert literal not in surface, literal
-
-        # sanity: the view still carries what the runtime IS allowed to see
-        assert "persona" in view_json
-        assert any(f.id in view_json for f in scenario.facts)
+                assert literal not in prompt, literal
 
 
 def test_criterion_9_budget_sweep_monotonicity():

@@ -10,7 +10,6 @@ from foresight.acquisition import (
     Evidence,
     ValueScores,
     acquire,
-    display_score,
     gate,
     synthesize_artifact,
     value_score,
@@ -64,14 +63,6 @@ def test_worked_scoring_rows(components, expected, decision):
     assert gate(scores, composite) is decision
 
 
-def test_display_score_rounds_half_up():
-    assert display_score(82.5) == 83
-    assert display_score(82.49) == 82
-    assert display_score(53.75) == 54
-    assert display_score(90.0) == 90
-    assert display_score(0.5) == 1
-
-
 def test_gate_thresholds_are_inclusive():
     at = ValueScores(60, 60, 60, 60)
     assert gate(at, value_score(at)) is AcquisitionDecision.SEARCH_NOW
@@ -85,11 +76,10 @@ def test_gate_thresholds_are_inclusive():
 
 
 def test_gate_uses_exact_composite_not_display():
-    # 59.75 displays as 60 but must not pass the >= 60 gate.
+    # 59.75 rounds to 60 but must not pass the >= 60 gate.
     scores = ValueScores(59, 60, 60, 60)
     composite = value_score(scores)
     assert composite == 59.75
-    assert display_score(composite) == 60
     assert gate(scores, composite) is not AcquisitionDecision.SEARCH_NOW
 
 

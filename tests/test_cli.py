@@ -95,6 +95,40 @@ def test_validate_unparseable_file(tmp_path, capsys):
     assert lines[-1] == "0/1 valid"
 
 
+def _not_utf8(tmp_path: Path) -> Path:
+    path = tmp_path / "bad" / "x.json"
+    path.parent.mkdir()
+    path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+def test_validate_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = _not_utf8(tmp_path)
+    assert main(["validate", str(path.parent)]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [json.loads(line) for line in captured.out.splitlines()[:-1]] == [
+        {"file": str(path), "code": "parse_error", "message": "not UTF-8: byte 0: invalid start byte"}
+    ]
+    assert captured.out.splitlines()[-1] == "0/1 valid"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["stats"], ["run", "--scenarios"], ["sweep", "--budgets", "1", "--scenarios"]],
+    ids=["stats", "run", "sweep"],
+)
+def test_a_file_that_is_not_utf8_is_a_scenario_error_in_one_line(tmp_path, capsys, command):
+    path = _not_utf8(tmp_path)
+    out = tmp_path / "out"
+    flags = ["--out", str(out)] if command[0] != "stats" else []
+    assert main([*command, str(path.parent), *flags]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"scenario error: {path}: not UTF-8: byte 0: invalid start byte"]
+    assert not out.exists()
+
+
 def test_validate_missing_path_is_io_error(tmp_path, capsys):
     rc = main(["validate", str(tmp_path / "nope.json")])
     assert rc == EXIT_IO
@@ -179,6 +213,31 @@ def test_run_and_sweep_reject_a_repeated_scenario_id(tmp_path, capsys, command):
         f"invalid scenario: {second}: DUPLICATE_SCENARIO_ID: scenario_id 'finance_basic_01' is also in {first}"
     ]
     assert not out.exists()
+
+
+def test_validate_flags_a_repeated_scenario_id(tmp_path, capsys):
+    first, second = _two_copies_of_finance(tmp_path)
+    assert main(["validate", str(first.parent)]) == EXIT_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line) for line in lines[:-1]] == [
+        {
+            "file": str(second),
+            "code": "DUPLICATE_SCENARIO_ID",
+            "message": f"scenario_id 'finance_basic_01' is also in {first}",
+            "offending_ids": ["finance_basic_01"],
+        }
+    ]
+    assert lines[-1] == "1/2 valid"
+
+
+def test_stats_rejects_a_repeated_scenario_id_in_one_line(tmp_path, capsys):
+    first, second = _two_copies_of_finance(tmp_path)
+    assert main(["stats", str(first.parent)]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"invalid scenario: {second}: DUPLICATE_SCENARIO_ID: scenario_id 'finance_basic_01' is also in {first}"
+    ]
 
 
 # ---------------------------------------------------------------- run

@@ -227,7 +227,8 @@ def test_undirected_idle_sends_no_predictor_prompt(finance_scenario):
 
 
 def test_run_many_ordering(finance_scenario, sweep_scenario):
-    outcomes = run_many([finance_scenario, sweep_scenario], ["directed_idle", "reactive"])
+    outcomes = []
+    run_many([finance_scenario, sweep_scenario], ["directed_idle", "reactive"], on_outcome=outcomes.append)
     keys = [(o.result.scenario_id, o.result.condition) for o in outcomes]
     assert keys == [
         ("budget_sweep_01", "directed_idle"),
@@ -238,10 +239,12 @@ def test_run_many_ordering(finance_scenario, sweep_scenario):
 
 
 def test_run_many_skip(finance_scenario, sweep_scenario):
-    outcomes = run_many(
+    outcomes = []
+    run_many(
         [finance_scenario, sweep_scenario],
         ["directed_idle", "reactive"],
         skip={("finance_basic_01", "reactive")},
+        on_outcome=outcomes.append,
     )
     keys = [(o.result.scenario_id, o.result.condition) for o in outcomes]
     assert ("finance_basic_01", "reactive") not in keys
@@ -252,8 +255,9 @@ def test_run_many_parallel_equivalence(finance_scenario, sweep_scenario):
     serial_cfg = RunConfig(parallel=1)
     parallel_cfg = RunConfig(parallel=4)
     conditions = ["reactive", "directed_idle", "undirected_idle"]
-    serial = run_many([finance_scenario, sweep_scenario], conditions, serial_cfg)
-    parallel = run_many([finance_scenario, sweep_scenario], conditions, parallel_cfg)
+    serial, parallel = [], []
+    run_many([finance_scenario, sweep_scenario], conditions, serial_cfg, on_outcome=serial.append)
+    run_many([finance_scenario, sweep_scenario], conditions, parallel_cfg, on_outcome=parallel.append)
     assert [o.to_dict() for o in serial] == [o.to_dict() for o in parallel]
 
 

@@ -1,9 +1,13 @@
-"""Every module-level import in ``src/foresight`` is read by its module.
+"""``src/foresight`` holds no unused import and no code that only tests call.
 
-No linter ships with the project, so this is its unused-import check: each
-module but ``__init__.py`` is parsed with ``ast``, and every name that a
-top-level ``import`` binds must be loaded somewhere in that module or be
-listed in its ``__all__``.
+No linter ships with the project, so these are its checks. Each module but
+``__init__.py`` is parsed with ``ast``:
+
+- every name that a top-level ``import`` binds must be loaded somewhere in
+  that module or be listed in its ``__all__``;
+- every top-level function and class must be referred to by a name, an
+  attribute or an import in ``src/foresight`` or ``bench``. The package's
+  re-exports in ``__init__.py`` and the ``__all__`` lists are not callers.
 """
 
 import ast
@@ -11,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "foresight"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "foresight"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+CALLERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +46,47 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def referred_names(source: str) -> set[str]:
+    """Every name that a ``Name``, an ``Attribute`` or an import alias in ``source`` refers to."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def uncalled_definitions(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.name`` of each top-level function or class in ``modules``
+    (name -> source) that no source in ``callers`` refers to."""
+    referred = set().union(*map(referred_names, callers))
+    return sorted(
+        f"{module}.{node.name}"
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in referred
+    )
+
+
+def test_the_check_finds_an_uncalled_definition():
+    source = (
+        "import os\n"
+        "class Used: pass\n"
+        "class Unused: pass\n"
+        "def helper(): return Used()\n"
+        "def uncalled(): return os.sep\n"
+        "__all__ = ['uncalled']\n"
+    )
+    caller = "from m import helper\n"
+    assert uncalled_definitions({"m": source}, [source, caller]) == ["m.Unused", "m.uncalled"]
+
+
+def test_src_holds_only_definitions_the_program_calls():
+    sources = [path.read_text(encoding="utf-8") for path in CALLERS]
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert uncalled_definitions(modules, sources) == []

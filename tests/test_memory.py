@@ -375,9 +375,9 @@ def pairs_hex(*pairs):
     return b"".join(struct.pack("<HI", bucket, count) for bucket, count in pairs).hex()
 
 
-def set_pairs(field, hexes):
+def set_field(field, value):
     def mutate(snapshot):
-        snapshot["records"][0][field] = hexes
+        snapshot["records"][0][field] = value
 
     return mutate
 
@@ -474,7 +474,24 @@ MALFORMED_PAIRS = [
         ),
     ]
     + [
-        pytest.param(set_pairs(field, value), re.escape(f"snapshot {field} {message}"), id=prefix + case_id)
+        pytest.param(
+            set_field(field, value),
+            re.escape(f"snapshot record {name} is not {expected}: {bad!r}"),
+            id=f"{field}-{type(value).__name__}",
+        )
+        for field, value, name, expected, bad in (
+            ("id", 2, "id", "a string", 2),
+            ("content_hash", [1], "content_hash", "a string", [1]),
+            ("created_at", 7, "created_at", "a string", 7),
+            ("updated_at", 7, "updated_at", "a string", 7),
+            ("merged_into", 7, "merged_into", "a string or null", 7),
+            ("merged_from", 7, "merged_from", "a list", 7),
+            ("merged_from", "m000009", "merged_from", "a list", "m000009"),
+            ("merged_from", ["m000009", 7], "merged_from entry", "a string", 7),
+        )
+    ]
+    + [
+        pytest.param(set_field(field, value), re.escape(f"snapshot {field} {message}"), id=prefix + case_id)
         for field, prefix in (("embedding", ""), ("topic", "topic-"))
         for value, message, case_id in MALFORMED_PAIRS
     ],

@@ -65,10 +65,9 @@ def test_t_alpha_zero_must_haves_is_vacuous():
     assert t_alpha([0, 0], 1.0, 0, 12) == 1
 
 
-def test_t_alpha_accepts_sets_and_ints():
-    timeline = [set(), {"N1"}, {"N1", "N2"}]
-    assert t_alpha(timeline, 1.0, 2, 12) == 3
+def test_t_alpha_reads_integer_counts():
     assert t_alpha([0, 1, 2], 1.0, 2, 12) == 3
+    assert t_alpha([0, 2, 2], 1.0, 2, 12) == 2
 
 
 def test_t_alpha_validates_inputs():

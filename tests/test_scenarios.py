@@ -10,7 +10,6 @@ from foresight.scenarios import (
     ScenarioSchemaError,
     composition_stats,
     parse_scenario,
-    runtime_view,
     serialize_scenario,
     stratify,
     validate_scenario,
@@ -155,26 +154,6 @@ def test_stratify_levels(finance_scenario, sweep_scenario):
     assert stratify(finance_scenario).opportunity.value == "low"
     assert stratify(sweep_scenario).opportunity.value == "high"
     assert stratify(sweep_scenario).fragmentation.value == "low"
-
-
-def test_runtime_view_hides_gold_labels(finance_scenario):
-    view = runtime_view(finance_scenario)
-    payload = json.dumps(view.to_dict(), ensure_ascii=False)
-    assert "key_fact_ids" not in payload
-    assert "predictable_after" not in payload
-    assert "reveal_group" not in payload
-    for need in finance_scenario.needs:
-        assert f'"{need.id}"' not in payload
-    # facts and profile remain visible
-    assert "F20" in payload
-    assert "Priya" in payload
-
-
-def test_runtime_view_fields(finance_scenario):
-    view = runtime_view(finance_scenario)
-    assert view.scenario_id == finance_scenario.scenario_id
-    assert len(view.facts) == len(finance_scenario.facts)
-    assert not any(hasattr(f, "key_fact_ids") for f in view.facts)
 
 
 def test_generated_scenarios_are_valid_and_fresh():
