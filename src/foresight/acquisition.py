@@ -101,8 +101,7 @@ class KnowledgeArtifact:
 
 @dataclass(frozen=True)
 class AcquisitionOutcome:
-    artifact: Optional[KnowledgeArtifact]
-    demoted_to_store: bool = False
+    artifact: Optional[KnowledgeArtifact]  # None: no evidence, so the candidate is demoted to store_only
 
 
 # Search backends take a query string and return evidence items.
@@ -200,7 +199,7 @@ def acquire(
             unresolved = still_missing
 
     if not evidence:
-        return AcquisitionOutcome(artifact=None, demoted_to_store=True)
+        return AcquisitionOutcome(artifact=None)
 
     artifact = synthesize_artifact(candidate, evidence, synthesizer, memory, arbiter, value_scores)
     # Extracted search evidence is kept as standalone research facts so later
@@ -208,7 +207,7 @@ def acquire(
     for item in evidence:
         if item.source == "search":
             memory.add_knowledge("research_fact", item.excerpt, arbiter)
-    return AcquisitionOutcome(artifact=artifact, demoted_to_store=False)
+    return AcquisitionOutcome(artifact=artifact)
 
 
 __all__ = [

@@ -13,12 +13,13 @@ stopped; see ``cmd_run``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import orjson
 
@@ -113,6 +114,23 @@ MEMORY_NAME = "memory.jsonl"
 UnitKey = tuple[str, str]  # (scenario_id, condition)
 
 
+class ResultsFileError(Exception):
+    """A results file that is not UTF-8 JSON of the form a command reads."""
+
+
+@contextlib.contextmanager
+def _reading(path: Path) -> Iterator[None]:
+    """Turns a failed read of ``path``'s content inside the block, such as
+    bytes that are not UTF-8 JSON or a field it lacks, into a
+    ``ResultsFileError`` naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ResultsFileError(f"malformed results file {path}: no {exc} field") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ResultsFileError(f"malformed results file {path}: {exc}") from None
+
+
 def _lines(path: Path) -> list[str]:
     # Not splitlines: with ensure_ascii=False a line may hold U+2028 or U+0085.
     return path.read_text(encoding="utf-8").split("\n")
@@ -130,30 +148,36 @@ def _parse_lines(lines: Iterable[str]) -> dict[UnitKey, tuple[str, dict]]:
     return by_key
 
 
-def _resume(out_dir: Path, wanted: set[UnitKey]) -> tuple[dict[UnitKey, str], dict[UnitKey, str]]:
-    """Row and memory lines of the wanted units an earlier run completed.
+def _resume(
+    out_dir: Path, wanted: set[UnitKey]
+) -> tuple[dict[UnitKey, tuple[str, MetricSet]], dict[UnitKey, str]]:
+    """Row lines with their metrics, and memory lines, of the wanted units
+    an earlier run completed.
 
     Rows come from the journal when a killed run left one, else from the
     roll-up. Rows are re-encoded canonically; failed rows are dropped, so
-    their units rerun. Memory lines are kept only for the kept rows.
+    their units rerun. Memory lines are kept only for the kept rows. A file
+    that is not UTF-8 JSON of this form raises ``ResultsFileError``.
     """
     journal = out_dir / JOURNAL_NAME
-    detailed = out_dir / "detailed_results.json"
-    if journal.exists():
-        docs = [doc for _, doc in _parse_lines(_lines(journal)).values()]
-    elif detailed.exists():
-        docs = orjson.loads(detailed.read_bytes())
-    else:
+    source = journal if journal.exists() else out_dir / "detailed_results.json"
+    if not source.exists():
         return {}, {}
-    rows: dict[UnitKey, str] = {}
-    for doc in docs:
-        key = (doc["scenario_id"], doc["condition"])
-        if key in wanted and doc["status"] != "failed":
-            rows[key] = _encode_line(doc)
+    rows: dict[UnitKey, tuple[str, MetricSet]] = {}
+    with _reading(source):
+        if source == journal:
+            docs = [doc for _, doc in _parse_lines(_lines(journal)).values()]
+        else:
+            docs = orjson.loads(source.read_bytes())
+        for doc in docs:
+            key = (doc["scenario_id"], doc["condition"])
+            if key in wanted and doc["status"] != "failed":
+                rows[key] = (_encode_line(doc), MetricSet.from_dict(doc["metrics"]))
     memory_path = out_dir / MEMORY_NAME
     memories: dict[UnitKey, str] = {}
     if memory_path.exists():
-        parsed = _parse_lines(_lines(memory_path))
+        with _reading(memory_path):
+            parsed = _parse_lines(_lines(memory_path))
         memories = {key: line for key, (line, _) in parsed.items() if key in rows}
     return rows, memories
 
@@ -324,21 +348,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     # memory.jsonl restart from the kept lines, in unit order.
     wanted = {(s.scenario_id, c) for _, s in loaded for c in cfg.conditions}
     kept_rows, kept_memories = _resume(out_dir, wanted)
-    _write_text(journal_path, _join_lines(kept_rows[key] for key in sorted(kept_rows)))
+    _write_text(journal_path, _join_lines(kept_rows[key][0] for key in sorted(kept_rows)))
     _write_text(memory_path, _join_lines(kept_memories[key] for key in sorted(kept_memories)))
 
     scenarios = [s for _, s in loaded]
     facet_by_id = {s.scenario_id: _facets(s, report) for s, report in zip(scenarios, reports)}
     agg_rows = [
-        AggregateRow(
-            scenario_id=key[0],
-            condition=key[1],
-            metrics=MetricSet.from_dict(orjson.loads(line)["metrics"]),
-            **facet_by_id[key[0]],
-        )
-        for key, line in kept_rows.items()
+        AggregateRow(scenario_id=key[0], condition=key[1], metrics=metrics, **facet_by_id[key[0]])
+        for key, (_, metrics) in kept_rows.items()
     ]
-    row_lines = dict(kept_rows)
+    row_lines = {key: line for key, (line, _) in kept_rows.items()}
     failed: list[tuple[UnitKey, Optional[str]]] = []
 
     def record(outcome: RunOutcome) -> None:
@@ -463,11 +482,12 @@ def cmd_ci(args: argparse.Namespace) -> int:
     if not detailed_path.exists():
         print(f"missing {detailed_path}", file=sys.stderr)
         return EXIT_IO
-    rows = json.loads(detailed_path.read_text(encoding="utf-8"))
-
-    by_condition: dict[str, dict[str, dict]] = {}
-    for row in rows:
-        by_condition.setdefault(row["condition"], {})[row["scenario_id"]] = row["metrics"]
+    by_condition: dict[str, dict[str, dict[str, float]]] = {}
+    with _reading(detailed_path):
+        for row in json.loads(detailed_path.read_text(encoding="utf-8")):
+            metrics = row["metrics"]
+            values = {name: float(metrics[name]) for name in METRIC_FIELDS}
+            by_condition.setdefault(row["condition"], {})[row["scenario_id"]] = values
 
     target = "directed_idle"
     if target not in by_condition:
@@ -487,8 +507,8 @@ def cmd_ci(args: argparse.Namespace) -> int:
             return EXIT_FAIL
         entry = {}
         for name in METRIC_FIELDS:
-            a = [float(by_condition[target][i][name]) for i in ids]
-            b = [float(by_condition[baseline][i][name]) for i in ids]
+            a = [by_condition[target][i][name] for i in ids]
+            b = [by_condition[baseline][i][name] for i in ids]
             entry[name] = paired_bootstrap(a, b, cfg).to_dict()
         report[f"{target}_vs_{baseline}"] = entry
 
@@ -574,57 +594,58 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not summary_path.exists():
         print(f"missing {summary_path}", file=sys.stderr)
         return EXIT_IO
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
-
-    lines = ["# Run Report", ""]
-    run = summary.get("run", {})
-    if run:
-        lines.append(
-            f"backend={run.get('backend')} seed={run.get('seed')} horizon={run.get('horizon')} "
-            f"budget_k={run.get('budget_k')} scenarios={run.get('scenario_count')}"
-        )
-        lines.append("")
-
-    lines += _metric_table(summary, ("t80", "t100", "user_effort"), "Efficiency")
-    lines += _metric_table(
-        summary,
-        ("total_coverage", "must_have_coverage", "anticipation_recall", "judge_anticipation_recall"),
-        "Coverage and Anticipation",
-    )
-    micro = summary.get("micro_anticipation", {})
-    if micro:
-        lines.append("Micro anticipation recall (pooled predictable needs):")
-        for condition in sorted(micro):
-            m = micro[condition]
+    with _reading(summary_path):
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        lines = ["# Run Report", ""]
+        run = summary.get("run", {})
+        if run:
             lines.append(
-                f"- {condition}: {m['numerator']}/{m['denominator']} = {m['recall']:.4f}"
+                f"backend={run.get('backend')} seed={run.get('seed')} horizon={run.get('horizon')} "
+                f"budget_k={run.get('budget_k')} scenarios={run.get('scenario_count')}"
             )
-        lines.append("")
-    lines += _metric_table(
-        summary, ("fact_accuracy", "hallucination_rate", "active_tokens"), "Integrity and Cost"
-    )
+            lines.append("")
+
+        lines += _metric_table(summary, ("t80", "t100", "user_effort"), "Efficiency")
+        lines += _metric_table(
+            summary,
+            ("total_coverage", "must_have_coverage", "anticipation_recall", "judge_anticipation_recall"),
+            "Coverage and Anticipation",
+        )
+        micro = summary.get("micro_anticipation", {})
+        if micro:
+            lines.append("Micro anticipation recall (pooled predictable needs):")
+            for condition in sorted(micro):
+                m = micro[condition]
+                lines.append(
+                    f"- {condition}: {m['numerator']}/{m['denominator']} = {m['recall']:.4f}"
+                )
+            lines.append("")
+        lines += _metric_table(
+            summary, ("fact_accuracy", "hallucination_rate", "active_tokens"), "Integrity and Cost"
+        )
+        appendix = _facet_table(summary, "by_domain", "Domain") + _facet_table(
+            summary, "by_archetype", "Archetype"
+        )
 
     ci_path = results_dir / "ci.json"
     if ci_path.exists():
-        ci = json.loads(ci_path.read_text(encoding="utf-8"))
-        lines.append("## Confidence Intervals")
-        lines.append("")
-        lines.append("| comparison | metric | delta | 95% CI |")
-        lines.append("|---|---|---|---|")
-        for comparison in sorted(k for k in ci if k != "config"):
-            for name in METRIC_FIELDS:
-                entry = ci[comparison].get(name)
-                if entry is None:
-                    continue
-                lines.append(
-                    f"| {comparison} | {name} | {entry['point_delta']:+.4f} "
-                    f"| [{entry['ci_low']:.4f}, {entry['ci_high']:.4f}] |"
-                )
-        lines.append("")
+        with _reading(ci_path):
+            ci = json.loads(ci_path.read_text(encoding="utf-8"))
+            lines.append("## Confidence Intervals")
+            lines.append("")
+            lines.append("| comparison | metric | delta | 95% CI |")
+            lines.append("|---|---|---|---|")
+            for comparison in sorted(k for k in ci if k != "config"):
+                for name in METRIC_FIELDS:
+                    entry = ci[comparison].get(name)
+                    if entry is None:
+                        continue
+                    lines.append(
+                        f"| {comparison} | {name} | {entry['point_delta']:+.4f} "
+                        f"| [{entry['ci_low']:.4f}, {entry['ci_high']:.4f}] |"
+                    )
+            lines.append("")
 
-    appendix = _facet_table(summary, "by_domain", "Domain") + _facet_table(
-        summary, "by_archetype", "Archetype"
-    )
     if appendix:
         lines.append("## Appendix: Facet Breakdowns")
         lines.append("")
@@ -713,8 +734,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ScenarioParseError, ScenarioSchemaError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except json.JSONDecodeError as exc:
-        print(f"malformed JSON input: {exc}", file=sys.stderr)
+    except ResultsFileError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(str(exc), file=sys.stderr)

@@ -99,7 +99,7 @@ def _run_idle_window(
             if outcome.artifact is not None:
                 artifacts.append(outcome.artifact)
                 assessments.append(backends.assess_push(outcome.artifact))
-            elif outcome.demoted_to_store:
+            else:
                 _store_breadcrumb(memory, candidate, backends.arbitrate)
         elif decision is AcquisitionDecision.STORE_ONLY:
             _store_breadcrumb(memory, candidate, backends.arbitrate)
@@ -157,9 +157,8 @@ def run_scenario(
                 status = "completed"
                 break
             target_id, user_message = step
-            queued = pending if condition is not Condition.REACTIVE else []
-            pending = []
-            reply = backends.respond(target_id, condition.value, queued, user_message)
+            # Artifacts an idle window queued; the reactive condition runs none.
+            reply = backends.respond(target_id, pending, user_message)
             verdict = backends.judge(reply, target_id)
             covered |= {m.need_id for m in verdict.needs_addressed}
             history.append({"user": user_message, "assistant": reply.text})

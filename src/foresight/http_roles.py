@@ -375,7 +375,6 @@ class HttpRoleBackends:
     def respond(
         self,
         target_need_id: Optional[str],
-        condition: str,
         queued_artifacts: Sequence[KnowledgeArtifact] = (),
         user_message: str = "",
     ) -> AssistantReply:
@@ -388,7 +387,7 @@ class HttpRoleBackends:
             "[Reference Sheet]",
         ]
         lines.extend(self._fact_lines)
-        if condition != "reactive" and queued_artifacts:
+        if queued_artifacts:
             lines.append("")
             lines.append("[Prepared notes to weave in if relevant]")
             for artifact in queued_artifacts:

@@ -44,10 +44,9 @@ merge, an active record that supports it (its witness) or none. A write
 marks a fact for a new search when the fact itself or its witness changes,
 and tests its new vector only against the facts that are weak right now.
 
-A snapshot stores each record's content and the fields around it, but no
-vector: the content is the source of truth, and a restore embeds it. The
-``embedding`` and ``topic`` keys that older snapshots carry must be well
-formed, but a restore reads no vector from them.
+A snapshot holds each record's content and the fields around it, and
+nothing else: no vector, since a restore embeds the content, and no key
+outside ``_RECORD_KEYS``.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ SMALL_INDEX_ROWS = 4
 MIN_SPARE_COLUMNS = 8
 
 # A stored record's fields, in ``MemoryRecord`` order without the
-# embedding; every one is required.
+# embedding; every one is required, and no other is allowed.
 _RECORD_KEYS = (
     "id", "kind", "content", "content_hash",
     "created_at", "updated_at", "status", "merged_into", "merged_from",
@@ -703,28 +702,25 @@ class MemoryState:
         one snapshot embeds and checks it once, and a snapshot edited in
         place since it was last restored is restored anew.
 
-        A snapshot in any other form, such as one that is not an object or
-        has no ``records`` list, a record that is not an object or lacks a
-        field, a field of the wrong type, a record of an unknown ``kind``
-        or ``status``, a record id held twice, two active records with one
-        ``content_hash``, a ``content_hash`` that is not the SHA-256 of its
-        record's content, one without an integer ``counter``, or a
-        ``profile`` that is not an object of strings, raises ``ValueError``
-        naming the problem. A base
-        runs the support searches of its research facts, so a fork starts
-        with every fact settled.
+        A snapshot holds content and nothing else. Any other form raises
+        ``ValueError`` naming the problem: a snapshot that is not an object,
+        has no ``records`` list or no integer ``counter``, or whose
+        ``profile`` is not an object of strings; a record that is not an
+        object, lacks a field of ``_RECORD_KEYS`` or holds any other (such
+        as the ``embedding`` or ``topic`` of older snapshots), holds a value
+        of the wrong type, a time that is not ISO 8601 with a UTC offset, or
+        an unknown ``kind`` or ``status``; a record id held twice, two active
+        records with one ``content_hash``, or a ``content_hash`` that is not
+        the SHA-256 of its record's content.
 
-        The content is the source of truth: a restore rejects a malformed
-        ``embedding`` or ``topic`` key of an older snapshot, such as the old
-        ``{"buckets": [...], "counts": [...]}`` form or a topic on a record
-        other than an artifact, and otherwise ignores both. Once every
-        record's ``content_hash`` checks out, a base embeds record i's
-        content into column i of its index matrix, and the record's
-        embedding is a read-only view of that column, which the records of
-        every fork share. It builds its topics index from the active
-        artifacts' topics. Each index then drops the rows of the retired
-        records, and lends its spare columns to one fork at a time; the
-        other forks copy its matrix.
+        Once every record's ``content_hash`` checks out, a base embeds
+        record i's content into column i of its index matrix, and the
+        record's embedding is a read-only view of that column, which the
+        records of every fork share. It builds its topics index from the
+        active artifacts' topics. Each index then drops the rows of the
+        retired records, and lends its spare columns to one fork at a time;
+        the other forks copy its matrix. A base runs the support searches
+        of its research facts, so a fork starts with every fact settled.
         """
         global _last_base
         content = _snapshot_content(snapshot)
@@ -759,20 +755,11 @@ class MemoryState:
         for (rid, kind, content, digest, created, updated, status, into, sources), embedding in zip(rows, view.T):
             if kind not in MEMORY_KINDS:
                 raise ValueError(f"snapshot record has unknown kind {kind!r}")
-            created_at = datetime.fromisoformat(created)
+            created_at = _parse_time(rid, "created_at", created)
             # Datetimes are immutable, so an unchanged record shares one.
-            updated_at = created_at if updated == created else datetime.fromisoformat(updated)
+            updated_at = created_at if updated == created else _parse_time(rid, "updated_at", updated)
             records[rid] = MemoryRecord(
-                rid,
-                kind,
-                content,
-                digest,
-                embedding,
-                created_at,
-                updated_at,
-                status,
-                into,
-                tuple(sources),
+                rid, kind, content, digest, embedding, created_at, updated_at, status, into, tuple(sources)
             )
             if status == "active":
                 hash_index[digest] = rid
@@ -843,15 +830,14 @@ class MemoryState:
 
 
 def _snapshot_content(snapshot: dict) -> tuple:
-    """What a restore reads of ``snapshot``: each record's fields in
-    ``MemoryRecord`` order without the embedding, the id counter and the
-    profile.
+    """All that ``snapshot`` holds, since a snapshot holds content and
+    nothing else: each record's fields in ``MemoryRecord`` order without
+    the embedding, the id counter and the profile.
 
-    Raises ``ValueError`` when the snapshot is not an object, ``records``
-    is not a list of objects that each hold every field, an ``embedding``
-    or ``topic`` key left from an older snapshot is malformed, the counter
-    is not an integer, or the profile is not an object of strings.
-    """
+    Raises ``ValueError`` unless the snapshot is an object whose
+    ``records`` are objects that each hold the fields of ``_RECORD_KEYS``
+    and no other, whose counter is an integer and whose profile is an
+    object of strings."""
     if type(snapshot) is not dict:
         raise ValueError("snapshot is not an object")
     stored = snapshot.get("records")
@@ -864,7 +850,9 @@ def _snapshot_content(snapshot: dict) -> tuple:
     except TypeError:
         raise ValueError("snapshot record is not an object") from None
     if max(map(len, stored), default=0) > len(_RECORD_KEYS):
-        _check_leftovers(stored)
+        # Every record holds all of _RECORD_KEYS, so a longer one holds another key.
+        rid, name = next((rd["id"], name) for rd in stored for name in rd if name not in _RECORD_KEYS)
+        raise ValueError(f"snapshot record {rid!r} has unknown field {name!r}")
     counter = snapshot.get("counter")
     if type(counter) is not int:
         raise ValueError("snapshot has no integer 'counter'")
@@ -889,44 +877,16 @@ def _check_types(rows: list) -> None:
             raise ValueError(f"snapshot record {name} is not {expected}: {bad!r}")
 
 
-def _check_leftovers(stored: list) -> None:
-    """Raises ``ValueError`` unless the ``embedding`` and ``topic`` keys that
-    older snapshots carry in ``stored`` are well formed: a topic only on an
-    artifact, and each value a hex string of little-endian ``(uint16
-    bucket, uint32 count)`` pairs with buckets below ``DEFAULT_DIM``,
-    strictly ascending, and nonzero counts. Their values are not read
-    otherwise."""
-    for rd in stored:
-        if "topic" in rd and rd["kind"] != "artifact":
-            raise ValueError(f"snapshot {rd['kind']} record has a 'topic' field, which only artifacts have")
-    for name in ("embedding", "topic"):
-        hexes = [rd[name] for rd in stored if name in rd]
-        try:
-            text = "".join(hexes)
-        except TypeError:
-            raise ValueError(
-                f"snapshot {name} must be a hex string of (bucket, count) pairs;"
-                " the old {buckets, counts} form is not loaded"
-            ) from None
-        lengths, odd = np.divmod(np.fromiter(map(len, hexes), dtype=np.intp, count=len(hexes)), 12)
-        if odd.any():
-            raise ValueError(f"snapshot {name} hex length is not a multiple of 12")
-        try:
-            raw = bytes.fromhex(text)
-        except ValueError as exc:
-            raise ValueError(f"snapshot {name} hex: {exc}") from None
-        if 2 * len(raw) != len(text):  # fromhex skips whitespace
-            raise ValueError(f"snapshot {name} hex holds whitespace")
-        pairs = np.frombuffer(raw, np.dtype([("bucket", "<u2"), ("count", "<u4")]))
-        buckets = pairs["bucket"]
-        if (buckets >= DEFAULT_DIM).any():
-            raise ValueError(f"snapshot {name} bucket is not below {DEFAULT_DIM}")
-        if not pairs["count"].all():
-            raise ValueError(f"snapshot {name} count is zero")
-        owner = np.repeat(np.arange(len(hexes)), lengths)
-        # Increasing exactly when each value's buckets are strictly ascending.
-        if (np.diff(owner * DEFAULT_DIM + buckets) <= 0).any():
-            raise ValueError(f"snapshot {name} buckets are not strictly ascending")
+def _parse_time(rid: str, name: str, text: str) -> datetime:
+    """The time that ``text``, record ``rid``'s field ``name``, holds;
+    ``ValueError`` naming both unless it is ISO 8601 with a UTC offset."""
+    try:
+        moment = datetime.fromisoformat(text)
+    except ValueError:
+        moment = None
+    if moment is None or moment.tzinfo is None:
+        raise ValueError(f"snapshot record {rid!r} {name} is not an ISO 8601 time with a UTC offset: {text!r}")
+    return moment
 
 
 # The last base ``MemoryState.from_snapshot`` built: its class and

@@ -134,20 +134,18 @@ class OracleBackends:
     def respond(
         self,
         target_need_id: Optional[str],
-        condition: str,
         queued_artifacts: Sequence[KnowledgeArtifact] = (),
         user_message: str = "",
     ) -> AssistantReply:
-        """Reactive answer plus, outside the reactive condition, integration
-        of facts carried by queued artifacts. Never leaves the fact sheet."""
+        """Reactive answer plus integration of facts carried by queued
+        artifacts. Never leaves the fact sheet."""
         delivered: list[str] = []
         if target_need_id is not None:
             delivered.extend(self._needs[target_need_id].key_fact_ids)
-        if condition != "reactive":
-            for artifact in queued_artifacts:
-                for fact_id in extract_fact_ids(artifact.preparation_note, self._fact_ids):
-                    if fact_id not in delivered:
-                        delivered.append(fact_id)
+        for artifact in queued_artifacts:
+            for fact_id in extract_fact_ids(artifact.preparation_note, self._fact_ids):
+                if fact_id not in delivered:
+                    delivered.append(fact_id)
         text = "\n".join(f"{fid}: {self._facts[fid].content}" for fid in delivered)
         return AssistantReply(text=text, delivered_fact_ids=tuple(delivered))
 

@@ -174,7 +174,6 @@ def test_acquire_high_coverage_uses_memory_only():
     )
     artifact = outcome.artifact
     assert artifact is not None
-    assert not outcome.demoted_to_store
     assert [e.source for e in artifact.provenance] == ["memory"]
     assert artifact.provenance[0].ref == rid
     assert artifact.preparation_note == "branch office hours"
@@ -233,7 +232,6 @@ def test_acquire_low_coverage_respects_round_cap():
     )
     assert len(calls) == RunConfig.search_round_cap * 2
     assert outcome.artifact is None
-    assert outcome.demoted_to_store
 
 
 def test_acquire_searcher_fault_degrades_to_partial_artifact():
@@ -263,7 +261,6 @@ def test_acquire_searcher_fault_with_no_evidence_demotes():
         BudgetState(k=3), ValueScores(95, 80, 90, 95),
     )
     assert outcome.artifact is None
-    assert outcome.demoted_to_store
     assert [r for r in memory.active_records() if r.kind == "artifact"] == []
 
 

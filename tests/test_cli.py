@@ -476,6 +476,22 @@ def test_run_resume_skips_torn_lines(batch_dir, tmp_path, capsys):
     _assert_same_outputs(out, batch_dir)
 
 
+def _assert_results_file_error(err: str, path: Path) -> None:
+    assert err.startswith(f"malformed results file {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_run_resume_from_rows_without_keys_exits_2_in_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    detailed = out / "detailed_results.json"
+    detailed.write_text('[{"x": 1}]', encoding="utf-8")
+    assert main(["run", "--scenarios", FINANCE, "--out", str(out)]) == EXIT_IO
+    _assert_results_file_error(capsys.readouterr().err, detailed)
+    assert list(out.iterdir()) == [detailed]
+    assert detailed.read_text(encoding="utf-8") == '[{"x": 1}]'
+
+
 def test_run_resume_keeps_lines_with_unicode_line_separators(tmp_path):
     # Compact lines keep U+2028 and U+0085 unescaped; they must not split a line.
     doc = json.loads(Path(FINANCE).read_text(encoding="utf-8"))
@@ -673,6 +689,17 @@ def test_ci_missing_results_is_io_error(tmp_path, capsys):
     assert "detailed_results.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe[]", b'[{"x": 1}]'], ids=["not-utf-8", "no-metrics"])
+def test_ci_malformed_results_exit_2_in_one_line(tmp_path, capsys, content):
+    results = tmp_path / "results"
+    results.mkdir()
+    detailed = results / "detailed_results.json"
+    detailed.write_bytes(content)
+    assert main(["ci", str(results)]) == EXIT_IO
+    _assert_results_file_error(capsys.readouterr().err, detailed)
+    assert list(results.iterdir()) == [detailed]
+
+
 @pytest.mark.parametrize("flags", [["--confidence", "1.5"], ["--resamples", "0"]])
 def test_ci_configuration_error_exits_2_in_one_line(results_dir, tmp_path, flags):
     out = tmp_path / "ci.json"
@@ -735,3 +762,16 @@ def test_report_missing_summary_is_io_error(tmp_path, capsys):
     rc = main(["report", str(tmp_path / "empty")])
     assert rc == EXIT_IO
     assert "summary.json" in capsys.readouterr().err
+
+
+def test_report_malformed_summary_exits_2_in_one_line(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    summary = results / "summary.json"
+    summary.write_text('{"x": 1}', encoding="utf-8")
+    out = tmp_path / "report.md"
+    assert main(["report", str(results), "--out", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    _assert_results_file_error(captured.err, summary)
+    assert captured.out == ""
+    assert not out.exists()

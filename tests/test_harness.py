@@ -153,7 +153,7 @@ class EndlessBackends:
     def simulate(self, covered):
         return "N1", "same question again"
 
-    def respond(self, target, condition, queued, user_message=""):
+    def respond(self, target, queued, user_message=""):
         return AssistantReply(text="unhelpful", delivered_fact_ids=())
 
     def judge(self, reply, target):
@@ -161,7 +161,7 @@ class EndlessBackends:
 
 
 class ExplodingBackends(EndlessBackends):
-    def respond(self, target, condition, queued, user_message=""):
+    def respond(self, target, queued, user_message=""):
         raise RuntimeError("boom")
 
 

@@ -5,11 +5,9 @@ and ``filter_candidates`` ran before the index existed. Every read must
 return exactly what they return: same records, same order, same floats.
 """
 
-import copy
 import json
 import math
 import random
-import struct
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -630,73 +628,6 @@ def test_restored_topics_index_grows_past_its_spare_columns():
     for query in queries:
         for threshold in (0.0, 0.5, 0.85):
             assert topics.search(embed(query), threshold) == brute_force_topic_search(loaded, query, threshold)
-
-
-def pairs_hex(*pairs):
-    """``(bucket, count)`` pairs in the form older snapshots stored vectors
-    in: the hex of little-endian ``(uint16 bucket, uint32 count)`` pairs."""
-    return b"".join(struct.pack("<HI", bucket, count) for bucket, count in pairs).hex()
-
-
-def stored_form(text):
-    """The embedding of ``text`` as older snapshots stored it: its nonzero
-    buckets, ascending, with their counts."""
-    vec = embed(text)
-    return pairs_hex(*((bucket, int(vec[bucket])) for bucket in vec.nonzero()[0]))
-
-
-@pytest.mark.parametrize("n", [SMALL_INDEX_ROWS, SMALL_INDEX_ROWS + 4])
-def test_stored_topic_is_a_cache_of_the_content(n):
-    # The content is the source of truth. Whatever the number of artifacts,
-    # a restore embeds each artifact's topic from its content, so a stale
-    # topic an older snapshot stored changes no read and is not written back.
-    state, replaced, _ = memory_with_artifacts(n)
-    assert (len(active_artifacts(state)) > SMALL_INDEX_ROWS) == (n > SMALL_INDEX_ROWS)
-    snapshot = json.loads(json.dumps(state.to_snapshot()))
-    stored = {rd["id"]: rd for rd in snapshot["records"]}
-    stored[replaced]["topic"] = stored_form("nothing like it")
-    memory_module._last_base = None  # so the snapshot gets a base of its own
-    loaded = MemoryState.from_snapshot(snapshot, clock=state.clock)
-    assert loaded.artifact_topics().search(embed("nothing like it"), 0.99) == []
-    assert loaded.artifact_topics().search(embed("t0 a0 c0"), 0.99) == [(replaced, 1.0)]
-    raw = topic_candidates(n)
-    assert filter_candidates(raw, loaded) == filter_candidates(raw, state)
-    assert loaded.to_snapshot() == state.to_snapshot()
-
-
-@pytest.mark.parametrize("n", [SMALL_INDEX_ROWS, SMALL_INDEX_ROWS + 4])
-def test_stale_vectors_in_a_snapshot_are_ignored(n):
-    # The content is the source of truth: the well-formed ``embedding`` of
-    # every record and ``topic`` of every artifact that an older snapshot
-    # carries, when they disagree with the content, change no read and are
-    # not written back.
-    leftover = stored_form("nothing like it")
-    state, _, _ = memory_with_artifacts(n)
-    clean = json.loads(json.dumps(state.to_snapshot()))
-    stale = copy.deepcopy(clean)
-    for rd in stale["records"]:
-        rd["embedding"] = leftover
-        if rd["kind"] == "artifact":
-            rd["topic"] = leftover
-    raw = topic_candidates(n)
-    queries = ["nothing like it", "t0 a0 c0", "other1 record1 words1", "!!!"]
-    now = state.clock.now()
-
-    def reads(snapshot):
-        memory_module._last_base = None  # so each snapshot gets a base of its own
-        memory = MemoryState.from_snapshot(snapshot)
-        return (
-            [[(r.id, s) for r, s in memory.vector_search(query, k=len(memory.records))] for query in queries],
-            memory.coverage_check(queries[0], tuple(queries[1:])),
-            memory.detect_gaps(now, timedelta(seconds=3)),
-            filter_candidates(raw, memory),
-            memory.to_snapshot(),
-        )
-
-    want = reads(clean)
-    assert want[3] == filter_candidates(raw, state)
-    assert want[4] == clean
-    assert reads(stale) == want
 
 
 # -- write-once columns --------------------------------------------------------

@@ -101,22 +101,22 @@ def test_judge_push_reply_has_no_reactive_marks(oracle):
 
 
 def test_respond_reactive_delivers_target_keys_only(oracle, finance_scenario):
+    # A reactive turn has no queued artifacts: the harness runs no idle window.
     needs = finance_scenario.need_by_id()
-    queued = [make_artifact(free_candidate(), note="F07: no fees\nF08: no minimum")]
-    reply = oracle.respond("N2", "reactive", queued_artifacts=queued)
+    reply = oracle.respond("N2", user_message="what do I need?")
     assert reply.delivered_fact_ids == tuple(needs["N2"].key_fact_ids)
     assert reply.text.startswith("F06: ")
 
 
 def test_respond_idle_integrates_queued_artifacts(oracle):
     queued = [make_artifact(free_candidate(), note="F07: no fees\nF08: no minimum\nF06: duplicate")]
-    reply = oracle.respond("N2", "directed_idle", queued_artifacts=queued)
+    reply = oracle.respond("N2", queued_artifacts=queued)
     assert reply.delivered_fact_ids == ("F06", "F07", "F08")
     assert "F07" in reply.text
 
 
 def test_respond_without_target(oracle):
-    reply = oracle.respond(None, "directed_idle", queued_artifacts=[make_artifact(free_candidate())])
+    reply = oracle.respond(None, queued_artifacts=[make_artifact(free_candidate())])
     assert reply.delivered_fact_ids == ("F20",)
 
 
@@ -150,7 +150,7 @@ def test_judge_marks_reach_the_predictor_with_no_covered_assignment(oracle, fina
     needs = finance_scenario.need_by_id()
     memory = MemoryState()
     assert oracle.predict([], memory) == []
-    verdict = oracle.judge(oracle.respond("N1", "reactive"), "N1")
+    verdict = oracle.judge(oracle.respond("N1"), "N1")
     assert [m.need_id for m in verdict.needs_addressed] == ["N1", "N12"]  # N12 shares F20
     follow_ups = [needs["N6"].description, needs["N9"].description]
     assert [c.topic for c in oracle.predict([], memory)] == follow_ups
