@@ -10,7 +10,6 @@ undirected_idle, directed_idle) and scores the resulting conversations.
 
 from foresight.acquisition import (
     AcquisitionDecision,
-    BudgetState,
     KnowledgeArtifact,
     ValueScores,
     gate,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AcquisitionDecision",
     "AddOutcome",
-    "BudgetState",
     "CandidateNeed",
     "Condition",
     "DeliveryAction",

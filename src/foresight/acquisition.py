@@ -1,10 +1,11 @@
-"""Idle-time acquisition: value gating, budgeted search, artifact synthesis.
+"""Idle-time acquisition: value gating, tiered search, artifact synthesis.
 
-Each queued candidate is scored on four 0-100 components (relevance,
-knowledge gap, incremental value, timeliness) whose mean decides
-whether to search immediately, defer, store a note, or drop. Acquisition
-itself is tiered by how much existing memory already covers the retrieval
-plan, and every acquisition spends one unit of the per-idle-window budget.
+Each candidate is scored on four 0-100 components (relevance, knowledge
+gap, incremental value, timeliness) whose mean decides whether to search
+immediately, defer, store a note, or drop. Acquisition itself is tiered by
+how much existing memory already covers the retrieval plan. The idle
+window's search budget is the caller's count: each ``acquire`` call spends
+one unit of it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from datetime import datetime
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from foresight.backends import ConfigurationError
 from foresight.config import RunConfig
 from foresight.memory import Arbiter, MemoryState
 from foresight.prediction import CandidateNeed
@@ -60,18 +60,6 @@ def gate(scores: ValueScores, composite: float) -> AcquisitionDecision:
     if scores.knowledge_gap >= threshold:
         return AcquisitionDecision.STORE_ONLY
     return AcquisitionDecision.DROP
-
-
-@dataclass
-class BudgetState:
-    k: int  # max acquisitions per idle window
-    k_remaining: int = -1
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ConfigurationError(f"invalid budget: k={self.k}")
-        if self.k_remaining < 0:
-            self.k_remaining = self.k
 
 
 @dataclass(frozen=True)
@@ -154,7 +142,6 @@ def acquire(
     searcher: Searcher,
     synthesizer: Synthesizer,
     arbiter: Arbiter,
-    budget: BudgetState,
     value_scores: ValueScores,
 ) -> AcquisitionOutcome:
     """Tiered acquisition for one gated candidate.
@@ -165,12 +152,9 @@ def acquire(
 
     A searcher fault mid-way degrades gracefully: the artifact is built from
     evidence gathered so far, or the candidate is demoted to store_only when
-    nothing was gathered.
+    nothing was gathered. The caller counts this call against its window's
+    search budget, whatever the outcome.
     """
-    if budget.k_remaining < 1:
-        raise ConfigurationError("acquisition requires k_remaining >= 1")
-    budget.k_remaining -= 1
-
     report = memory.coverage_check(candidate.retrieval_query, candidate.subtopics)
     evidence: list[Evidence] = []
     for record_id in report.supporting_record_ids:
@@ -213,8 +197,6 @@ def acquire(
 __all__ = [
     "AcquisitionDecision",
     "AcquisitionOutcome",
-    "BudgetState",
-    "ConfigurationError",
     "Evidence",
     "KnowledgeArtifact",
     "Searcher",

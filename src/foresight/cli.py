@@ -131,14 +131,17 @@ def _reading(path: Path) -> Iterator[None]:
         raise ResultsFileError(f"malformed results file {path}: {exc}") from None
 
 
-def _lines(path: Path) -> list[str]:
-    # Not splitlines: with ensure_ascii=False a line may hold U+2028 or U+0085.
-    return path.read_text(encoding="utf-8").split("\n")
+def _lines(path: Path) -> list[bytes]:
+    # Bytes, so a line torn inside a character fails only its own parse; no
+    # UTF-8 sequence holds 0x0A. Not splitlines: with ensure_ascii=False a
+    # line may hold U+2028 or U+0085.
+    return path.read_bytes().split(b"\n")
 
 
-def _parse_lines(lines: Iterable[str]) -> dict[UnitKey, tuple[str, dict]]:
-    """The JSON lines by unit; a torn (unparsable) line is skipped, the last line of a unit wins."""
-    by_key: dict[UnitKey, tuple[str, dict]] = {}
+def _parse_lines(lines: Iterable[bytes]) -> dict[UnitKey, tuple[bytes, dict]]:
+    """The JSON lines by unit; a torn (unparsable or not UTF-8) line is
+    skipped, the last line of a unit wins."""
+    by_key: dict[UnitKey, tuple[bytes, dict]] = {}
     for line in lines:
         try:
             doc = orjson.loads(line)
@@ -178,7 +181,7 @@ def _resume(
     if memory_path.exists():
         with _reading(memory_path):
             parsed = _parse_lines(_lines(memory_path))
-        memories = {key: line for key, (line, _) in parsed.items() if key in rows}
+        memories = {key: line.decode() for key, (line, _) in parsed.items() if key in rows}
     return rows, memories
 
 
@@ -233,7 +236,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if repeated:
             print(f"invalid scenario: {_violation_line(path, repeated)}", file=sys.stderr)
             return EXIT_FAIL
-        strata = stratify(scenario, report)
+        strata = stratify(stats)
         rows.append(
             {
                 "scenario_id": scenario.scenario_id,
@@ -319,7 +322,7 @@ def _validate_or_fail(loaded: list[tuple[Path, Scenario]]) -> tuple[list[Validat
 
 
 def _facets(scenario: Scenario, report: ValidationReport) -> dict:
-    strata = stratify(scenario, report)
+    strata = stratify(composition_stats(scenario, report))
     return {
         "domain": scenario.domain,
         "archetype": scenario.archetype,
@@ -399,7 +402,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if kept_memories:
         # Kept and rerun units interleave; restore unit order.
         memories = _parse_lines(_lines(memory_path))
-        _write_text(memory_path, _join_lines(memories[key][0] for key in sorted(memories)))
+        _write_text(memory_path, _join_lines(memories[key][0].decode() for key in sorted(memories)))
     journal_path.unlink()
 
     agg_rows.sort(key=lambda row: (row.scenario_id, row.condition))

@@ -1,7 +1,8 @@
 """Delivery decisions for prepared artifacts.
 
-An artifact that survived acquisition is either pushed to the user right
-away, queued for the next natural conversation turn, or silently stored.
+An artifact that survived acquisition is already stored in memory. Delivery
+decides whether to push it to the user right away, queue it for the next
+natural conversation turn, or leave it silently stored, and writes no memory.
 Interruption is rationed: at most one push per idle window, and only when
 the push score clears the floor.
 """
@@ -14,7 +15,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from foresight.acquisition import KnowledgeArtifact
-from foresight.memory import Arbiter, MemoryState
 
 PUSH_FLOOR = 40.0
 HIGH_PRIORITY = 70.0
@@ -94,19 +94,17 @@ class Notification:
 
 
 def commit_window(
-    memory: MemoryState,
     actions: dict[str, DeliveryAction],
     artifacts: Sequence[KnowledgeArtifact],
     assessments: Sequence[PushAssessment],
     pending: list[KnowledgeArtifact],
-    arbiter: Arbiter,
 ) -> Optional[Notification]:
-    """Apply one window's delivery decisions.
+    """Route one window's delivery decisions; memory is not touched.
 
-    Artifacts were already persisted at synthesis time; re-adding the same
-    content is a no-op through exact dedup, so this stays idempotent. Queued
-    artifacts land in the caller's pending list for the next turn. Returns
-    the notification for the pushed artifact, if any.
+    Every artifact was stored in memory when it was synthesized, so a
+    stored one needs nothing more. Queued artifacts land in the caller's
+    pending list for the next turn. Returns the notification for the
+    pushed artifact, if any.
     """
     by_id = {a.id: a for a in artifacts}
     scores = {a.artifact_id: push_score(a.value, a.cost) for a in assessments}
@@ -115,9 +113,6 @@ def commit_window(
         artifact = by_id.get(artifact_id)
         if artifact is None:
             raise KeyError(f"decision references unknown artifact {artifact_id}")
-        memory.add_knowledge(
-            "artifact", f"{artifact.candidate.topic}\n{artifact.preparation_note}", arbiter
-        )
         if action is DeliveryAction.QUEUE:
             pending.append(artifact)
         elif action is DeliveryAction.PUSH:

@@ -14,13 +14,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
-from foresight.acquisition import (
-    AcquisitionDecision,
-    BudgetState,
-    KnowledgeArtifact,
-    gate,
-    value_score,
-)
+from foresight.acquisition import AcquisitionDecision, KnowledgeArtifact, gate, value_score
 from foresight.acquisition import acquire as acquire_candidate
 from foresight.config import Condition, RunConfig
 from foresight.delivery import commit_window, decide_delivery
@@ -34,7 +28,7 @@ from foresight.metrics import (
     merge_verdicts,
 )
 from foresight.oracles import OracleBackends
-from foresight.prediction import CandidateQueue, filter_candidates, generate_candidates
+from foresight.prediction import candidate_order, filter_candidates, generate_candidates
 from foresight.scenarios import Scenario
 
 logger = logging.getLogger(__name__)
@@ -69,32 +63,26 @@ def _run_idle_window(
 ):
     """One idle window: predict, gate, acquire, decide delivery.
 
-    Returns (notification, push_verdict, queued_for_next_turn).
+    Candidates are taken in ``candidate_order`` until ``budget_k`` of them
+    have gated ``SEARCH_NOW``. Returns (notification, push_verdict,
+    queued_for_next_turn).
     """
     if condition is Condition.DIRECTED_IDLE:
         candidates = generate_candidates(history, memory, backends.predict)
     else:
         candidates = backends.unguided(history, memory)
-    candidates = filter_candidates(candidates, memory)
-    queue = CandidateQueue()
-    queue.extend(candidates)
-
-    budget = BudgetState(k=budget_k)
+    searches_left = budget_k
     artifacts: list[KnowledgeArtifact] = []
     assessments = []
-    while len(queue) and budget.k_remaining > 0:
-        candidate = queue.pop()
+    for candidate in sorted(filter_candidates(candidates, memory), key=candidate_order):
+        if searches_left == 0:
+            break
         scores = backends.assess_value(candidate)
         decision = gate(scores, value_score(scores))
         if decision is AcquisitionDecision.SEARCH_NOW:
+            searches_left -= 1
             outcome = acquire_candidate(
-                candidate,
-                memory,
-                backends.search,
-                backends.synthesize,
-                backends.arbitrate,
-                budget,
-                scores,
+                candidate, memory, backends.search, backends.synthesize, backends.arbitrate, scores
             )
             if outcome.artifact is not None:
                 artifacts.append(outcome.artifact)
@@ -108,7 +96,7 @@ def _run_idle_window(
 
     actions = decide_delivery(assessments)
     queued_next: list[KnowledgeArtifact] = []
-    notification = commit_window(memory, actions, artifacts, assessments, queued_next, backends.arbitrate)
+    notification = commit_window(actions, artifacts, assessments, queued_next)
     push_verdict: Optional[JudgeVerdict] = None
     if notification is not None:
         artifact = next(a for a in artifacts if a.id == notification.artifact_id)

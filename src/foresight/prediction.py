@@ -1,17 +1,17 @@
-"""Future-need prediction: candidate generation, filtering, and queueing.
+"""Future-need prediction: candidate generation, filtering, and ordering.
 
 A predictor backend proposes candidate needs from the conversation so far;
 detected memory gaps contribute additional candidates. Candidates below the
 confidence threshold are dropped, candidates already answered by a stored
 artifact are dropped, and near-identical topics are collapsed to their
-highest-confidence representative before entering the priority queue.
+highest-confidence representative. The idle window takes the survivors in
+``candidate_order``.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import timedelta
 from typing import Callable, Sequence
 
@@ -122,37 +122,16 @@ def filter_candidates(raw: Sequence[CandidateNeed], memory: MemoryState) -> list
     return result
 
 
-@dataclass
-class CandidateQueue:
-    """Priority queue ordered by confidence desc, source rank, topic, need."""
-
-    _heap: list = field(default_factory=list)
-    _tick: int = 0
-
-    @staticmethod
-    def _key(candidate: CandidateNeed) -> tuple:
-        return (-candidate.confidence, _SOURCE_RANK[candidate.source], candidate.topic, candidate.need)
-
-    def push(self, candidate: CandidateNeed) -> None:
-        self._tick += 1
-        heapq.heappush(self._heap, (self._key(candidate), self._tick, candidate))
-
-    def extend(self, candidates: Sequence[CandidateNeed]) -> None:
-        for candidate in candidates:
-            self.push(candidate)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def pop(self) -> CandidateNeed:
-        return heapq.heappop(self._heap)[2]
+def candidate_order(candidate: CandidateNeed) -> tuple:
+    """Sort key of the idle window: confidence desc, source rank, topic, need."""
+    return (-candidate.confidence, _SOURCE_RANK[candidate.source], candidate.topic, candidate.need)
 
 
 __all__ = [
     "CANDIDATE_SOURCES",
     "CandidateNeed",
-    "CandidateQueue",
     "Predictor",
+    "candidate_order",
     "filter_candidates",
     "generate_candidates",
 ]

@@ -498,10 +498,9 @@ def composition_stats(scenario: Scenario, report: Optional[ValidationReport] = N
     return _stats_unchecked(scenario)
 
 
-def stratify(scenario: Scenario, report: Optional[ValidationReport] = None) -> Strata:
+def stratify(stats: CompositionStats) -> Strata:
     """Opportunity (predictable fraction) and fragmentation (group count)
-    strata; ``report`` as in ``composition_stats``."""
-    stats = composition_stats(scenario, report)
+    strata of a scenario's ``composition_stats``."""
     frac = stats.opportunity_fraction
     if frac >= 0.70:
         opportunity = OpportunityLevel.HIGH

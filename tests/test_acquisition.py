@@ -5,8 +5,6 @@ import pytest
 
 from foresight.acquisition import (
     AcquisitionDecision,
-    BudgetState,
-    ConfigurationError,
     Evidence,
     ValueScores,
     acquire,
@@ -115,45 +113,11 @@ def test_value_score_matches_weighted_sum_bit_for_bit():
     assert value_score(ValueScores(100, 0, 0, 0)) == 25.0
 
 
-def test_budget_state_validation():
-    with pytest.raises(ConfigurationError):
-        BudgetState(k=-1)
-    budget = BudgetState(k=3)
-    assert budget.k_remaining == 3
-    resumed = BudgetState(k=3, k_remaining=1)
-    assert resumed.k_remaining == 1
-
-
 def test_evidence_source_vocabulary():
     with pytest.raises(ValueError):
         Evidence(source="wiki", ref="x", excerpt="y")
     Evidence(source="memory", ref="m1", excerpt="y")
     Evidence(source="search", ref="query", excerpt="y")
-
-
-def test_acquire_decrements_budget_and_refuses_when_exhausted():
-    memory = MemoryState()
-    budget = BudgetState(k=1)
-    acquire(
-        make_candidate(),
-        memory,
-        searcher=lambda q: [Evidence("search", q, "found text")],
-        synthesizer=simple_synth,
-        arbiter=skip_arbiter,
-        budget=budget,
-        value_scores=ValueScores(95, 80, 90, 95),
-    )
-    assert budget.k_remaining == 0
-    with pytest.raises(ConfigurationError):
-        acquire(
-            make_candidate(),
-            memory,
-            searcher=lambda q: [],
-            synthesizer=simple_synth,
-            arbiter=skip_arbiter,
-            budget=budget,
-            value_scores=ValueScores(95, 80, 90, 95),
-        )
 
 
 def test_acquire_high_coverage_uses_memory_only():
@@ -169,7 +133,6 @@ def test_acquire_high_coverage_uses_memory_only():
         searcher,
         simple_synth,
         skip_arbiter,
-        BudgetState(k=3),
         ValueScores(95, 80, 90, 95),
     )
     artifact = outcome.artifact
@@ -191,7 +154,7 @@ def test_acquire_partial_coverage_searches_missing_subtopics_once():
 
     candidate = make_candidate(subtopics=("lobby opens at nine", "weekend drive through window"))
     outcome = acquire(
-        candidate, memory, searcher, simple_synth, skip_arbiter, BudgetState(k=3), ValueScores(95, 80, 90, 95)
+        candidate, memory, searcher, simple_synth, skip_arbiter, ValueScores(95, 80, 90, 95)
     )
     assert calls == ["weekend drive through window"]
     sources = [e.source for e in outcome.artifact.provenance]
@@ -210,8 +173,7 @@ def test_acquire_low_coverage_iterates_until_cap():
 
     candidate = make_candidate(query="nothing stored about this", subtopics=("sub one",))
     outcome = acquire(
-        candidate, memory, flaky_searcher, simple_synth, skip_arbiter, BudgetState(k=3),
-        ValueScores(95, 80, 90, 95),
+        candidate, memory, flaky_searcher, simple_synth, skip_arbiter, ValueScores(95, 80, 90, 95)
     )
     assert calls == ["sub one"] * 3
     assert outcome.artifact is not None
@@ -227,8 +189,7 @@ def test_acquire_low_coverage_respects_round_cap():
 
     candidate = make_candidate(query="nothing stored about this", subtopics=("sub one", "sub two"))
     outcome = acquire(
-        candidate, memory, empty_searcher, simple_synth, skip_arbiter, BudgetState(k=3),
-        ValueScores(95, 80, 90, 95),
+        candidate, memory, empty_searcher, simple_synth, skip_arbiter, ValueScores(95, 80, 90, 95)
     )
     assert len(calls) == RunConfig.search_round_cap * 2
     assert outcome.artifact is None
@@ -243,8 +204,7 @@ def test_acquire_searcher_fault_degrades_to_partial_artifact():
 
     candidate = make_candidate(subtopics=("lobby opens at nine", "weekend drive through window"))
     outcome = acquire(
-        candidate, memory, broken_searcher, simple_synth, skip_arbiter, BudgetState(k=3),
-        ValueScores(95, 80, 90, 95),
+        candidate, memory, broken_searcher, simple_synth, skip_arbiter, ValueScores(95, 80, 90, 95)
     )
     assert outcome.artifact is not None
     assert [e.source for e in outcome.artifact.provenance] == ["memory"]
@@ -258,7 +218,7 @@ def test_acquire_searcher_fault_with_no_evidence_demotes():
 
     outcome = acquire(
         make_candidate(query="totally uncovered"), memory, broken_searcher, simple_synth, skip_arbiter,
-        BudgetState(k=3), ValueScores(95, 80, 90, 95),
+        ValueScores(95, 80, 90, 95),
     )
     assert outcome.artifact is None
     assert [r for r in memory.active_records() if r.kind == "artifact"] == []
@@ -272,7 +232,7 @@ def test_acquire_persists_artifact_then_search_facts():
 
     outcome = acquire(
         make_candidate(query="uncovered topic"), memory, searcher, simple_synth, skip_arbiter,
-        BudgetState(k=3), ValueScores(95, 80, 90, 95),
+        ValueScores(95, 80, 90, 95),
     )
     actives = sorted(memory.active_records(), key=lambda r: r.id)
     assert [r.kind for r in actives] == ["artifact", "research_fact"]
@@ -326,12 +286,13 @@ def test_synthesizer_fault_propagates_without_store():
 
 
 def test_configuration_error_is_one_value_error_class():
-    from foresight import acquisition, backends, config
+    from foresight import backends, config, metrics
 
-    assert acquisition.ConfigurationError is backends.ConfigurationError is config.ConfigurationError
+    ConfigurationError = backends.ConfigurationError
+    assert config.ConfigurationError is ConfigurationError is metrics.ConfigurationError
     assert issubclass(ConfigurationError, ValueError)
     assert not issubclass(ConfigurationError, backends.BackendError)
-    with pytest.raises(backends.ConfigurationError):
-        BudgetState(k=-1)
+    with pytest.raises(ConfigurationError):
+        RunConfig(budget_k=-1)
     with pytest.raises(ConfigurationError):
         backends.HttpChatClient(endpoint="e", api_key="")  # missing credential

@@ -513,6 +513,40 @@ def test_run_resume_keeps_lines_with_unicode_line_separators(tmp_path):
     assert {name: (out / name).read_bytes() for name in RUN_OUTPUTS} == pristine
 
 
+@pytest.mark.parametrize("torn", [cli.JOURNAL_NAME, cli.MEMORY_NAME])
+def test_run_resume_skips_a_line_torn_inside_a_character(tmp_path, torn):
+    # A kill can cut a line between the two bytes of "é"; only that line is lost.
+    doc = json.loads(Path(FINANCE).read_text(encoding="utf-8"))
+    doc["user_profile"]["persona"] += " at the café"
+    for fact in doc["facts"]:
+        fact["content"] += " (café)"
+    scenario = tmp_path / "finance.json"
+    scenario.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--scenarios", str(scenario), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    pristine = {name: (out / name).read_bytes() for name in RUN_OUTPUTS}
+
+    # What a kill leaves while it writes the last unit's memory line (the
+    # row is not written yet) or its row line (the memory line is whole).
+    rows = pristine["detailed_results.json"].split(b"\n")[1:-2]
+    lines = {
+        cli.JOURNAL_NAME: [row.rstrip(b",") for row in rows],
+        cli.MEMORY_NAME: pristine[cli.MEMORY_NAME].split(b"\n")[:-1],
+    }
+    if torn == cli.MEMORY_NAME:
+        del lines[cli.JOURNAL_NAME][-1]
+    last = lines[torn][-1]
+    lines[torn][-1] = last[: last.index("é".encode()) + 1]
+    for name, kept in lines.items():
+        (out / name).write_bytes(b"\n".join(kept) + (b"" if name == torn else b"\n"))
+    (out / "detailed_results.json").unlink()
+    (out / "summary.json").unlink()
+
+    assert main(argv) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in RUN_OUTPUTS} == pristine
+
+
 def test_run_parallel_writes_same_bytes(batch_dir, tmp_path):
     out = tmp_path / "out"
     assert main([*BATCH, "--out", str(out), "--parallel", "2"]) == EXIT_OK

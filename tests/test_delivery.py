@@ -13,14 +13,9 @@ from foresight.delivery import (
     is_high_priority,
     push_score,
 )
-from foresight.memory import ArbiterVerdict, MemoryState
 from foresight.prediction import CandidateNeed
 
 T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
-
-
-def skip_arbiter(content, record):
-    return ArbiterVerdict("skip")
 
 
 def assessment(artifact_id, value, cost, at=T0):
@@ -140,7 +135,6 @@ def test_decide_matches_brute_force_oracle():
 
 
 def test_commit_window_routes_actions():
-    memory = MemoryState()
     art_push = make_artifact("art-p", "match rules", "the employer matches four percent")
     art_queue = make_artifact("art-q", "vesting split", "vesting completes after three years")
     art_store = make_artifact("art-s", "fee waiver note", "fees are waived on this tier")
@@ -151,53 +145,31 @@ def test_commit_window_routes_actions():
     ]
     actions = decide_delivery(assessments)
     pending = []
-    note = commit_window(memory, actions, [art_push, art_queue, art_store], assessments, pending, skip_arbiter)
+    note = commit_window(actions, [art_push, art_queue, art_store], assessments, pending)
     assert isinstance(note, Notification)
     assert note.artifact_id == "art-p"
     assert note.topic == "match rules"
     assert note.body == "the employer matches four percent"
     assert note.high_priority  # score 100 >= 70
     assert [a.id for a in pending] == ["art-q"]
-    stored = {r.content for r in memory.active_records() if r.kind == "artifact"}
-    assert stored == {
-        "match rules\nthe employer matches four percent",
-        "vesting split\nvesting completes after three years",
-        "fee waiver note\nfees are waived on this tier",
-    }
 
 
 def test_commit_window_low_score_push_is_not_high_priority():
-    memory = MemoryState()
     art = make_artifact("art-m", "mild nudge", "minor update text")
     assessments = [assessment("art-m", 50, 45)]  # score 55: pushes, below 70
     actions = decide_delivery(assessments)
-    note = commit_window(memory, actions, [art], assessments, [], skip_arbiter)
+    note = commit_window(actions, [art], assessments, [])
     assert note is not None
     assert not note.high_priority
 
 
 def test_commit_window_no_push_returns_none():
-    memory = MemoryState()
     art = make_artifact("art-s", "quiet note", "stored silently")
     assessments = [assessment("art-s", 10, 60)]
-    note = commit_window(memory, decide_delivery(assessments), [art], assessments, [], skip_arbiter)
+    note = commit_window(decide_delivery(assessments), [art], assessments, [])
     assert note is None
 
 
 def test_commit_window_unknown_artifact_raises():
-    memory = MemoryState()
     with pytest.raises(KeyError):
-        commit_window(
-            memory, {"art-ghost": DeliveryAction.STORE}, [], [], [], skip_arbiter
-        )
-
-
-def test_commit_window_is_idempotent_on_memory():
-    memory = MemoryState()
-    art = make_artifact("art-i", "stable topic", "stable body")
-    assessments = [assessment("art-i", 88, 22)]
-    actions = decide_delivery(assessments)
-    commit_window(memory, actions, [art], assessments, [], skip_arbiter)
-    before = memory.to_snapshot()
-    commit_window(memory, actions, [art], assessments, [], skip_arbiter)
-    assert memory.to_snapshot() == before
+        commit_window({"art-ghost": DeliveryAction.STORE}, [], [], [])

@@ -1,13 +1,17 @@
 import dataclasses
+import random
 
 import pytest
 
+from foresight.acquisition import Evidence, ValueScores
 from foresight.backends import ACTIVE_ROLES, Role, TokenLedger
 from foresight.config import RunConfig
+from foresight.delivery import PushAssessment
 from foresight.harness import Condition, run_many, run_scenario
-from foresight.memory import MemoryState
+from foresight.memory import ArbiterVerdict, MemoryState
 from foresight.metrics import AssistantReply, JudgeVerdict
 from foresight.oracles import OracleBackends
+from foresight.prediction import CandidateNeed
 from scripted_transport import ASSISTANT, scripted_backends
 
 
@@ -177,6 +181,67 @@ class SlottedBackends:
         return getattr(self._oracle, name)
 
 
+class CountingIdleBackends(EndlessBackends):
+    """One idle window over fixed candidates; records each ``assess_value``
+    call and searches only the topics in ``searched``."""
+
+    def __init__(self, candidates, searched):
+        super().__init__()
+        self.candidates = candidates
+        self.searched = searched
+        self.assessed = []
+        self.searches = []
+
+    def unguided(self, history, memory):
+        return list(self.candidates)
+
+    def assess_value(self, candidate):
+        self.assessed.append(candidate.topic)
+        return ValueScores(90, 90, 90, 90) if candidate.topic in self.searched else ValueScores(0, 0, 0, 0)
+
+    def search(self, query):
+        self.searches.append(query)
+        return [Evidence("search", query, f"notes on {query}")]
+
+    def synthesize(self, candidate, evidence):
+        return evidence[0].excerpt
+
+    def arbitrate(self, content, record):
+        return ArbiterVerdict("skip")
+
+    def assess_push(self, artifact):
+        return PushAssessment(artifact.id, value=0, cost=100, created_at=artifact.created_at)
+
+
+def test_idle_window_assesses_in_order_and_stops_at_the_budget(sweep_scenario):
+    def cand(topic, confidence, source):
+        return CandidateNeed(
+            topic=topic, need=f"know {topic}", reason="test", confidence=confidence,
+            retrieval_query=topic, source=source,
+        )
+
+    # In (-confidence, source rank, topic, need) order; the budget of 2
+    # is spent on the second searched topic, so the last is never assessed.
+    ordered = [
+        cand("zulu harbour tides", 0.9, "scenario"),
+        cand("alpha river bank", 0.9, "related"),
+        cand("bravo mountain pass", 0.8, "related"),
+        cand("charlie desert road", 0.8, "related"),
+        cand("able forest trail", 0.8, "memory_gap"),
+        cand("delta city tram", 0.7, "scenario"),
+        cand("echo island ferry", 0.65, "scenario"),
+    ]
+    shuffled = ordered[:]
+    random.Random(7).shuffle(shuffled)
+    searched = {"zulu harbour tides", "delta city tram", "echo island ferry"}
+    backends = CountingIdleBackends(shuffled, searched)
+    cfg = RunConfig(horizon=1, budget_k=2)
+    outcome = run_scenario(sweep_scenario, "undirected_idle", cfg, backends=backends)
+    assert outcome.result.status == "horizon", outcome.result.error
+    assert backends.assessed == [c.topic for c in ordered[:-1]]
+    assert backends.searches == ["zulu harbour tides", "delta city tram"]
+
+
 def test_directed_run_sets_no_covered_attribute_on_the_backends(finance_scenario):
     backends = SlottedBackends(OracleBackends(finance_scenario))
     with pytest.raises(AttributeError):
@@ -272,7 +337,7 @@ def test_budget_zero_disables_acquisition(finance_scenario):
 
 
 def test_run_config_validation():
-    from foresight.acquisition import ConfigurationError
+    from foresight.backends import ConfigurationError
 
     with pytest.raises(ConfigurationError):
         RunConfig(conditions=())

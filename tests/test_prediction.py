@@ -9,7 +9,7 @@ from foresight.embedding import _bucket, cosine, embed
 from foresight.memory import MemoryState
 from foresight.prediction import (
     CandidateNeed,
-    CandidateQueue,
+    candidate_order,
     filter_candidates,
     generate_candidates,
 )
@@ -27,13 +27,6 @@ def cand(topic, conf, source="scenario", need=None):
 
 
 HISTORY = [{"turn": 1, "user": "hello", "assistant": "hi"}]
-
-
-def pop_all(queue):
-    out = []
-    while len(queue):
-        out.append(queue.pop())
-    return out
 
 
 def test_candidate_validation():
@@ -187,7 +180,6 @@ def test_filter_collapse_keeps_the_survivors_of_a_plain_cosine_loop():
 
 
 def test_queue_pop_order():
-    queue = CandidateQueue()
     items = [
         cand("b topic", 0.8, source="memory_gap"),
         cand("a topic", 0.8, source="scenario"),
@@ -195,8 +187,7 @@ def test_queue_pop_order():
         cand("a topic", 0.8, source="related"),
         cand("a topic", 0.8, source="related", need="second need"),
     ]
-    queue.extend(items)
-    drained = pop_all(queue)
+    drained = sorted(items, key=candidate_order)
     assert [(c.topic, c.source, c.need) for c in drained] == [
         ("z topic", "related", "answer about z topic"),
         ("a topic", "scenario", "answer about a topic"),
@@ -204,7 +195,6 @@ def test_queue_pop_order():
         ("a topic", "related", "second need"),
         ("b topic", "memory_gap", "answer about b topic"),
     ]
-    assert len(queue) == 0
 
 
 def test_queue_matches_sort_oracle():
@@ -219,27 +209,17 @@ def test_queue_matches_sort_oracle():
         )
         for i in range(40)
     ]
-    queue = CandidateQueue()
-    queue.extend(items)
-    got = pop_all(queue)
+    got = sorted(items, key=candidate_order)
     rank = {"scenario": 0, "related": 1, "memory_gap": 2}
     expected = sorted(items, key=lambda c: (-c.confidence, rank[c.source], c.topic, c.need))
     assert got == expected
 
 
-def test_queue_interleaved_push_pop():
-    queue = CandidateQueue()
-    queue.push(cand("m topic", 0.5))
-    queue.push(cand("n topic", 0.9))
-    assert queue.pop().topic == "n topic"
-    queue.push(cand("o topic", 0.7))
-    assert [c.topic for c in pop_all(queue)] == ["o topic", "m topic"]
-
-
 def test_scenario_candidates_outrank_memory_gaps():
     # Scenario candidates carry predictor confidence 0.9; gap candidates are
-    # fixed at 0.70, so a scenario candidate always pops first.
-    queue = CandidateQueue()
-    queue.push(cand("gap topic", RunConfig.memory_gap_confidence, source="memory_gap"))
-    queue.push(cand("real topic", 0.9, source="scenario"))
-    assert queue.pop().source == "scenario"
+    # fixed at 0.70, so a scenario candidate always comes first.
+    items = [
+        cand("gap topic", RunConfig.memory_gap_confidence, source="memory_gap"),
+        cand("real topic", 0.9, source="scenario"),
+    ]
+    assert sorted(items, key=candidate_order)[0].source == "scenario"

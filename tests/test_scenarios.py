@@ -151,9 +151,10 @@ def test_composition_stats_finance(finance_scenario):
 
 
 def test_stratify_levels(finance_scenario, sweep_scenario):
-    assert stratify(finance_scenario).opportunity.value == "low"
-    assert stratify(sweep_scenario).opportunity.value == "high"
-    assert stratify(sweep_scenario).fragmentation.value == "low"
+    assert stratify(composition_stats(finance_scenario)).opportunity.value == "low"
+    sweep = stratify(composition_stats(sweep_scenario))
+    assert sweep.opportunity.value == "high"
+    assert sweep.fragmentation.value == "low"
 
 
 def test_generated_scenarios_are_valid_and_fresh():
