@@ -64,9 +64,11 @@ def _run_idle_window(
     """One idle window: predict, gate, acquire, decide delivery.
 
     Candidates are taken in ``candidate_order`` until ``budget_k`` of them
-    have gated ``SEARCH_NOW``. Returns (notification, push_verdict,
-    queued_for_next_turn).
+    have gated ``SEARCH_NOW``; with no budget, nothing is predicted. Returns
+    (notification, push_verdict, queued_for_next_turn).
     """
+    if budget_k == 0:
+        return None, None, []
     if condition is Condition.DIRECTED_IDLE:
         candidates = generate_candidates(history, memory, backends.predict)
     else:

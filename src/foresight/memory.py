@@ -29,12 +29,16 @@ records' rows as it drops any removed row. The base builds its artifact
 topics index from the active artifacts' topics.
 
 A fork copies the dicts, lists, sets, stamp heap and both index matrices of
-its origin and shares the records. A fork of a base borrows the base's
-matrices instead, spare columns and all, unless another fork holds them:
-when units run one after another, a unit copies the matrices only while
-the previous unit's memory is still alive. No record is written after it is
-stored, so a fork and its origin share every record safely: a replace, a
-retire and a merge into an existing record each store a new record under
+its origin and shares the records. A fork of a base borrows an idle buffer
+from each of the base's index free lists instead: the base's own matrix,
+or a copy of it that an earlier fork made and gave back. It copies the
+base's matrix only when no buffer is idle. A copy given back while another
+buffer is idle is freed, and the base's own matrix, given back, takes the
+place of an idle copy, so a base keeps at most one idle buffer, and a copy
+only while its own matrix is lent. When each unit's memory lives until the
+next unit's restore, two buffers take turns. No record is written after it
+is stored, so a fork and its origin share every record safely: a replace,
+a retire and a merge into an existing record each store a new record under
 the same id.
 
 ``detect_gaps`` scans no records. Each write keeps its three gap sources up
@@ -207,12 +211,18 @@ class SimilarityIndex:
     hands each restored record a view of its column as its embedding.
 
     A ``fork`` of the index gets a copy of the matrix with room of its own,
-    or borrows the spare columns of an index that adds no more rows
-    (``_lend_room``), one fork at a time. A borrower fills them as ``add``
-    fills any unused column; its loan ends when it lets go of the matrix,
-    by dying or by growing into a new one, and since nothing views a spare
-    column, nothing reads what it wrote before the next borrower fills
-    them again.
+    unless the index adds no more rows and lends whole buffers (``_lend``):
+    then the fork takes an idle buffer from its free list, which starts
+    with the index's own matrix, or else a copy of that matrix that joins
+    the list once its fork is done with it. A buffer's first ``n`` columns
+    hold this index's rows and are never written; a borrower fills the
+    columns past them as ``add`` fills any unused column. It gives the
+    buffer back when it lets go of its view, by dying or by growing into a
+    new matrix (``_give_back``): a copy goes back on the list only if no
+    other buffer is idle, or else is freed, and the own matrix goes back in
+    place of an idle copy. So at most one buffer is idle, and since nothing
+    views a spare column, nothing reads what one borrower wrote before the
+    next fills it again.
 
     The matrix is built by the first query that finds more than
     ``SMALL_INDEX_ROWS`` keys, or by ``from_snapshot`` whatever the number
@@ -223,7 +233,7 @@ class SimilarityIndex:
     way a score is the same exact value.
     """
 
-    __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq", "_room")
+    __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq", "_idle")
 
     def __init__(self, records: dict[str, MemoryRecord], vector_of: Callable[[MemoryRecord], np.ndarray]) -> None:
         self._records = records
@@ -236,9 +246,9 @@ class SimilarityIndex:
         # removed row. A list until the matrix is built, where a row's entry
         # is None until the first search after its add; then an array.
         self._sq: list[Optional[float]] | np.ndarray = []
-        # One entry while the matrix's spare columns are free to lend; empty
-        # for an index that may still add rows.
-        self._room: list[None] = []
+        # The free list: the idle buffers a fork may borrow, at most one;
+        # None for an index that may still add rows.
+        self._idle: Optional[list[np.ndarray]] = None
 
     def __len__(self) -> int:
         return len(self._row)
@@ -284,9 +294,8 @@ class SimilarityIndex:
     def fork(self, records: dict[str, MemoryRecord]) -> "SimilarityIndex":
         """A copy of this index over ``records``, a copy of its records.
 
-        Its matrix has room for more: this matrix with its spare columns on
-        loan, when this index lends them and no other fork holds them, or
-        else a copy with room of its own.
+        Its matrix has room for more: a buffer from this index's free list,
+        when it lends buffers, or else a copy with room of its own.
         """
         twin = SimilarityIndex(records, self._vector_of)
         twin._keys = self._keys.copy()
@@ -295,34 +304,33 @@ class SimilarityIndex:
             twin._sq = self._sq.copy()
             return twin
         n = len(self._keys)
-        try:
-            self._room.pop()
-        except IndexError:
+        if self._idle is None:
             twin._matrix = _with_room(n)
             twin._matrix[:, :n] = self._matrix[:, :n]
         else:
-            # The loan ends when the borrower lets go of this view.
-            twin._matrix = self._matrix.view()
-            weakref.finalize(twin._matrix, self._room.append, None)
+            try:
+                buffer = self._idle.pop()
+            except IndexError:
+                buffer = self._matrix.copy()
+            # The buffer comes back when the borrower lets go of this view.
+            twin._matrix = buffer.view()
+            weakref.finalize(twin._matrix, _give_back, self._idle, buffer, self._matrix)
         twin._sq = np.empty(twin._matrix.shape[1])
         twin._sq[:n] = self._sq[:n]
         return twin
 
-    def _lend_room(self) -> None:
-        """Lets forks borrow the matrix's spare columns, one at a time.
+    def _lend(self) -> None:
+        """Lets forks borrow whole buffers of the matrix's shape.
 
         Only for an index that adds no more rows, such as a restored base's:
-        it never writes those columns, and a borrower writes them only
-        while no other fork holds them.
+        it never writes the columns past its rows, and a borrower writes
+        them only in a buffer no other fork holds.
         """
-        self._room.append(None)
+        self._idle = [self._matrix]
 
-    def search(self, query: np.ndarray, threshold: float, k: Optional[int] = None) -> list[tuple[str, float]]:
-        """``(key, cosine)`` of the ``k`` best rows at or above ``threshold``.
-
-        Best first, ties by ascending key; every row that qualifies when
-        ``k`` is None.
-        """
+    def search(self, query: np.ndarray, threshold: float, k: int) -> list[tuple[str, float]]:
+        """``(key, cosine)`` of the ``k`` best rows at or above ``threshold``,
+        best first, ties by ascending key."""
         if self._matrix is None and len(self._row) <= SMALL_INDEX_ROWS:
             records, vector_of, sq, qq = self._records, self._vector_of, self._sq, float(query.dot(query))
             hits = []
@@ -337,7 +345,7 @@ class SimilarityIndex:
         else:
             scores = self._scores(query)
             rows = (scores >= threshold).nonzero()[0]
-            if k is not None and 0 < k < len(rows):
+            if 0 < k < len(rows):
                 # Rows below the k-th best score cannot be among the k best.
                 passing = scores[rows]
                 rows = rows[passing >= np.partition(passing, len(rows) - k)[len(rows) - k]]
@@ -357,6 +365,19 @@ class SimilarityIndex:
         counts = query[buckets]
         dots = counts @ self._matrix[buckets, :n]
         return dots / np.sqrt(sq * float(counts.dot(counts)))
+
+
+def _give_back(idle: list[np.ndarray], buffer: np.ndarray, own: np.ndarray) -> None:
+    """Puts a lent ``buffer`` back on the free list ``idle`` of the index
+    whose matrix is ``own``.
+
+    A copy goes back only while no other buffer is idle; else nothing keeps
+    it and it is freed. ``own`` always goes back, in place of an idle copy,
+    which is freed: the index keeps its own matrix anyway."""
+    if buffer is own:
+        idle[:] = [own]
+    elif not idle:
+        idle.append(buffer)
 
 
 def _with_room(columns: int) -> np.ndarray:
@@ -694,13 +715,16 @@ class MemoryState:
         """The memory that ``to_snapshot`` gave ``snapshot``, with ``clock``.
 
         Every call returns a ``fork`` of a base memory, whose records and
-        filled columns are never written. The last base is kept with a
-        private copy of the snapshot content it came from and the two
-        thresholds. A call with equal thresholds and a snapshot that
-        compares equal to that copy forks it again; any other call builds a
-        new base and keeps it instead. So a batch of units that start from
-        one snapshot embeds and checks it once, and a snapshot edited in
-        place since it was last restored is restored anew.
+        filled columns are never written. The last base is kept with the
+        two thresholds and a private deep copy of the records, counter and
+        profile of the snapshot it came from. A call with equal thresholds
+        and a snapshot whose parts pass the type checks of ``_plain_parts``
+        and compare equal to that copy forks it again, with no other check;
+        any other call checks the snapshot in full, builds a new base and
+        keeps it instead. So a batch of units that start from one snapshot
+        embeds and checks it once, a hit raises what a miss would, and a
+        snapshot edited in place since it was last restored is restored
+        anew.
 
         A snapshot holds content and nothing else. Any other form raises
         ``ValueError`` naming the problem: a snapshot that is not an object,
@@ -718,25 +742,29 @@ class MemoryState:
         record's embedding is a read-only view of that column, which the
         records of every fork share. It builds its topics index from the
         active artifacts' topics. Each index then drops the rows of the
-        retired records, and lends its spare columns to one fork at a time;
-        the other forks copy its matrix. A base runs the support searches
-        of its research facts, so a fork starts with every fact settled.
+        retired records, and lends whole buffers from a free list that
+        starts with its own matrix: a fork borrows the idle buffer, or
+        copies the matrix when none is idle, and gives the buffer back when
+        done. At most one buffer stays idle: a copy given back while another
+        buffer is idle is freed, and the own matrix takes the place of an
+        idle copy. A base runs the support searches of its research facts,
+        so a fork starts with every fact settled.
         """
         global _last_base
-        content = _snapshot_content(snapshot)
         key = (cls, near_dup_threshold, coverage_threshold)
+        parts = _plain_parts(snapshot)
         slot = _last_base
-        if slot is None or slot[0] != key or slot[1] != content:
-            base = cls._base(content, near_dup_threshold, coverage_threshold)
+        if slot is None or slot[0] != key or parts is None or parts != slot[1]:
+            base = cls._base(_snapshot_content(snapshot), near_dup_threshold, coverage_threshold)
             # Strings are shared, every container is copied: an edit of the
             # snapshot in place makes the next comparison fail.
-            slot = _last_base = (key, copy.deepcopy(content), base)
+            slot = _last_base = (key, copy.deepcopy(parts), base)
         return slot[2].fork(clock)
 
     @classmethod
     def _base(cls, stored: tuple, near_dup_threshold: float, coverage_threshold: float) -> "MemoryState":
         """The memory that ``stored``, a ``_snapshot_content``, holds, its
-        research facts searched, lending its index matrices' spare columns.
+        research facts searched, lending buffers of its index matrices.
         No record is written after it is stored, so its forks share every
         record safely."""
         rows, counter, profile = stored
@@ -794,8 +822,8 @@ class MemoryState:
         state._counter = counter
         state.profile = dict(profile)
         state._search_unchecked()
-        index._lend_room()
-        topics._lend_room()
+        index._lend()
+        topics._lend()
         return state
 
     def fork(self, clock: Optional[LogicalClock] = None) -> "MemoryState":
@@ -803,9 +831,10 @@ class MemoryState:
         nor the other way round.
 
         The fork copies the dicts, lists, sets, stamp heap and both index
-        matrices, each with room for more (or borrows them, from a base that
-        lends them), and shares the records: no record is written after it
-        is stored, so a fork and its origin share every record safely. The
+        matrices, each with room for more (or, from a base, borrows an idle
+        buffer of each, copying the base's matrix only when none is idle),
+        and shares the records: no record is written after it is stored, so
+        a fork and its origin share every record safely. The
         fork keeps time with ``clock``, or with a copy of this memory's
         clock.
         """
@@ -857,9 +886,31 @@ def _snapshot_content(snapshot: dict) -> tuple:
     if type(counter) is not int:
         raise ValueError("snapshot has no integer 'counter'")
     profile = snapshot.get("profile", {})
-    if type(profile) is not dict or not all(type(k) is str and type(v) is str for k, v in profile.items()):
+    if not _is_profile(profile):
         raise ValueError("snapshot 'profile' is not an object of strings")
     return rows, counter, profile
+
+
+def _plain_parts(snapshot: dict) -> Optional[tuple]:
+    """``snapshot``'s records, counter and profile, or None unless the
+    snapshot is a ``dict``, its records a ``list``, its counter an ``int``
+    and its profile passes ``_is_profile``.
+
+    These are the checks of ``_snapshot_content`` that an equal comparison
+    with the parts of a snapshot that passed them all does not repeat: an
+    ``OrderedDict``, a ``list`` subclass, a ``str`` subclass or ``True``
+    compares equal to the plain value it stands for."""
+    if type(snapshot) is not dict:
+        return None
+    parts = snapshot.get("records"), snapshot.get("counter"), snapshot.get("profile", {})
+    if type(parts[0]) is not list or type(parts[1]) is not int or not _is_profile(parts[2]):
+        return None
+    return parts
+
+
+def _is_profile(profile: object) -> bool:
+    """Whether ``profile`` is a ``dict`` of ``str`` to ``str``."""
+    return type(profile) is dict and all(type(k) is str and type(v) is str for k, v in profile.items())
 
 
 def _check_types(rows: list) -> None:
@@ -890,8 +941,9 @@ def _parse_time(rid: str, name: str, text: str) -> datetime:
 
 
 # The last base ``MemoryState.from_snapshot`` built: its class and
-# thresholds, a private copy of its snapshot content, and the base. It is
-# swapped as one tuple, so concurrent restores each read a whole slot.
+# thresholds, a private copy of its snapshot's records, counter and profile,
+# and the base. It is swapped as one tuple, so concurrent restores each read
+# a whole slot.
 _last_base: Optional[tuple[tuple, tuple, MemoryState]] = None
 
 

@@ -135,17 +135,17 @@ def test_zero_query_scores_every_row_zero_on_both_paths():
     for key in keys[:SMALL_INDEX_ROWS]:
         index.add(key)
     # At most SMALL_INDEX_ROWS keys: scored with ``cosine``, no matrix.
-    assert index.search(embed("!!!"), 0.0) == [(key, 0.0) for key in keys[:SMALL_INDEX_ROWS]]
+    assert index.search(embed("!!!"), 0.0, k=len(index)) == [(key, 0.0) for key in keys[:SMALL_INDEX_ROWS]]
     assert index._matrix is None
     for key in keys[SMALL_INDEX_ROWS:]:
         index.add(key)
     index.remove(keys[0])
     # Past it: the built matrix, where a removed row scores NaN and is left out.
-    hits = index.search(embed("!!!"), 0.0)
+    hits = index.search(embed("!!!"), 0.0, k=len(index))
     assert index._matrix is not None
     assert hits == [(key, 0.0) for key in keys[1:]]
     assert all(same_bits(score, 0.0) for _, score in hits)
-    assert index.search(embed("!!!"), 1e-300) == []
+    assert index.search(embed("!!!"), 1e-300, k=len(index)) == []
 
 
 @settings(deadline=None)
@@ -167,7 +167,7 @@ def test_index_scores_are_the_exact_integer_score(texts, queries, data):
 
     def check():
         for query in queries + ["q1 q2", "!!!"]:
-            hits = index.search(embed(query), 0.0)
+            hits = index.search(embed(query), 0.0, k=len(index))
             assert sorted(key for key, _ in hits) == sorted(live)
             for key, score in hits:
                 assert same_bits(score, reference_cosine(query, records[key]))
@@ -198,7 +198,7 @@ def test_index_grows_after_every_row_was_removed():
     index = SimilarityIndex(records, embed)
     for key in live:
         index.add(key)
-    index.search(embed("w1"), 0.0)  # builds the matrix
+    index.search(embed("w1"), 0.0, k=1)  # builds the matrix
     # Each new key replaces every live one, so the matrix fills up with
     # removed rows and grows while no row is live.
     for key in keys[SMALL_INDEX_ROWS + 1 :]:
@@ -206,8 +206,8 @@ def test_index_grows_after_every_row_was_removed():
             index.remove(old)
         index.add(key)
         live = [key]
-        assert index.search(embed("!!!"), 0.0) == [(key, 0.0)]
-        assert index.search(embed(records[key]), 0.0) == [(key, 1.0)]
+        assert index.search(embed("!!!"), 0.0, k=len(index)) == [(key, 0.0)]
+        assert index.search(embed(records[key]), 0.0, k=len(index)) == [(key, 1.0)]
 
 
 # ``embed`` is memoised: these check that the memo changes no bit and hands

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import SCENARIO_DIR
 from foresight.acquisition import Evidence, ValueScores
 from foresight.backends import ACTIVE_ROLES, Role, TokenLedger
 from foresight.config import RunConfig
@@ -12,6 +13,7 @@ from foresight.memory import ArbiterVerdict, MemoryState
 from foresight.metrics import AssistantReply, JudgeVerdict
 from foresight.oracles import OracleBackends
 from foresight.prediction import CandidateNeed
+from foresight.scenarios import parse_scenario
 from scripted_transport import ASSISTANT, scripted_backends
 
 
@@ -334,6 +336,20 @@ def test_budget_zero_disables_acquisition(finance_scenario):
     assert all(t.pushes == () for t in outcome.result.turns)
     assert outcome.metrics.anticipation_recall == 0.0
     assert all(r.kind != "artifact" for r in outcome.memory.active_records())
+
+
+def test_budget_zero_spends_what_reactive_spends_over_the_scenarios():
+    # With no budget an idle window predicts nothing, so it charges no role.
+    cfg = RunConfig(budget_k=0)
+    paths = sorted(SCENARIO_DIR.glob("*.json"))
+    assert paths
+    for path in paths:
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        spent = {
+            condition: run_scenario(scenario, condition, cfg).metrics.active_tokens
+            for condition in ("reactive", "undirected_idle", "directed_idle")
+        }
+        assert spent == dict.fromkeys(spent, spent["reactive"]), path.name
 
 
 def test_run_config_validation():

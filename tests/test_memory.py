@@ -366,7 +366,8 @@ def test_snapshot_round_trip_restores_every_field():
     assert (legacy.created_at, legacy.updated_at) == (EPOCH + timedelta(days=2), EPOCH + timedelta(days=3))
     # Both of its vectors come from its content.
     assert legacy.embedding.tobytes() == embed(legacy.content).tobytes()
-    assert restored.artifact_topics().search(embed("legacy topic"), 0.99) == [("legacy999999", 1.0)]
+    topics = restored.artifact_topics()
+    assert topics.search(embed("legacy topic"), 0.99, k=len(topics)) == [("legacy999999", 1.0)]
     assert restored.hash_index == {**state.hash_index, legacy.content_hash: "legacy999999"}
     assert restored.add_knowledge("entity_fact", "fresh text", no_arbiter).record_id == f"m{state._counter + 1:06d}"
 

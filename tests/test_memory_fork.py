@@ -7,10 +7,12 @@ bench's ``long_memory`` workload, against an uncached restore; against edits
 of the snapshot in place; and against writes to its origin.
 """
 
+import collections
 import dataclasses
 import json
 import sys
 import threading
+import weakref
 from datetime import timedelta
 from pathlib import Path
 
@@ -140,6 +142,41 @@ def test_a_hit_still_rejects_a_counter_that_is_not_an_integer():
         MemoryState.from_snapshot(snapshot)
 
 
+class RecordList(list):
+    pass
+
+
+class Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "alter, message",
+    [
+        (collections.OrderedDict, "snapshot is not an object"),
+        (lambda snapshot: {**snapshot, "records": RecordList(snapshot["records"])}, "no 'records' list"),
+        (
+            lambda snapshot: {**snapshot, "profile": {"persona": Text("planner")}},
+            "'profile' is not an object of strings",
+        ),
+    ],
+    ids=["ordered_dict", "list_subclass", "str_subclass"],
+)
+def test_a_hit_raises_what_a_miss_raises(alter, message):
+    snapshot = three_record_snapshot()
+    MemoryState.from_snapshot(snapshot)
+    base = kept_base()
+    altered = alter(snapshot)
+    assert altered == snapshot  # equal to the kept copy, and not plain
+    with pytest.raises(ValueError, match=message) as on_hit:
+        MemoryState.from_snapshot(altered)
+    assert kept_base() is base
+    memory_module._last_base = None
+    with pytest.raises(ValueError, match=message) as on_miss:
+        MemoryState.from_snapshot(altered)
+    assert str(on_hit.value) == str(on_miss.value)
+
+
 def writes(prefix):
     """As (kind, content, arbiter, outcome) steps: an add named by
     ``prefix``, its replace and its merge, then the shared memory's three
@@ -247,7 +284,24 @@ def steps_of(name):
     ]
 
 
-def test_a_base_lends_its_spare_columns_to_one_fork_at_a_time():
+def buffer(state):
+    """The buffer that ``state``'s index matrix views."""
+    return state._index._matrix.base
+
+
+def same_as_alone(state, prefix):
+    """Asserts that ``state``, restored from ``COMMON`` and given
+    ``writes(prefix)``, reads as a memory that made all those writes alone."""
+    alone = apply(MemoryState(), COMMON + writes(prefix))
+    assert state.to_snapshot() == alone.to_snapshot()
+    for query in (f"{prefix} one two three four", "alpha beta gamma", "first second"):
+        assert [(r.id, score) for r, score in state.vector_search(query, k=9)] == [
+            (r.id, score) for r, score in alone.vector_search(query, k=9)
+        ]
+
+
+def test_a_base_lends_a_released_copy_and_frees_a_second_idle_buffer():
+    memory_module._last_base = None  # a fresh base: only its own matrix is idle
     origin = apply(MemoryState(), COMMON)
     snapshot = json.loads(json.dumps(origin.to_snapshot()))
 
@@ -256,32 +310,92 @@ def test_a_base_lends_its_spare_columns_to_one_fork_at_a_time():
 
     first = restore()
     base = kept_base()
-    matrix, n = base._index._matrix, len(base._index._keys)
+    matrix, n, idle = base._index._matrix, len(base._index._keys), base._index._idle
     filled = matrix[:, :n].copy()
-    assert np.shares_memory(first._index._matrix, matrix)
+    assert buffer(first) is matrix and idle == []
 
-    # While the first fork holds the loan, the next one copies.
+    # While the first fork holds the base's own matrix, the next one copies it.
     second = restore()
+    copied = weakref.ref(buffer(second))
     assert not np.shares_memory(second._index._matrix, matrix)
-    for state, prefix in ((first, "first"), (second, "second")):
-        apply(state, writes(prefix))
-    for state, prefix in ((first, "first"), (second, "second")):
-        alone = apply(MemoryState(), COMMON + writes(prefix))
-        assert state.to_snapshot() == alone.to_snapshot()
-        for query in (f"{prefix} one two three four", "alpha beta gamma", "first second"):
-            assert [(r.id, score) for r, score in state.vector_search(query, k=9)] == [
-                (r.id, score) for r, score in alone.vector_search(query, k=9)
-            ]
+    apply(first, writes("first"))
+    apply(second, writes("second"))
+    same_as_alone(first, "first")
+    same_as_alone(second, "second")
 
-    # Once the borrower is gone, the loan passes to the next fork, which
+    # Once the borrower is gone, its buffer passes to the next fork, which
     # fills the same spare columns; the filled ones never change.
     del first
+    assert [b is matrix for b in idle] == [True]
     third = restore()
-    assert np.shares_memory(third._index._matrix, matrix)
+    assert buffer(third) is matrix and idle == []
     apply(third, writes("third"))
-    assert third.to_snapshot() == apply(MemoryState(), COMMON + writes("third")).to_snapshot()
+    same_as_alone(third, "third")
+
+    # A released copy is lent to the next fork in the same way.
+    del second
+    assert [b is copied() for b in idle] == [True]
+    fourth = restore()
+    assert buffer(fourth) is copied() and idle == []
+    apply(fourth, writes("fourth"))
+    same_as_alone(fourth, "fourth")
+
+    # With both buffers held, a fifth fork copies again. Its copy is idle
+    # once it is gone, so the copy given back next is freed.
+    fifth = restore()
+    extra = weakref.ref(buffer(fifth))
+    assert extra() is not matrix and extra() is not copied()
+    del fifth
+    assert [b is extra() for b in idle] == [True]
+    del fourth
+    assert copied() is None
+    assert [b is extra() for b in idle] == [True]
+    # The base's own matrix goes back in place of the idle copy, which is
+    # freed: the base keeps its matrix anyway.
+    del third
+    assert extra() is None
+    assert [b is matrix for b in idle] == [True]
     assert matrix[:, :n].tobytes() == filled.tobytes()
     assert base.to_snapshot() == snapshot
+
+
+def test_units_that_each_restore_while_the_last_is_alive_share_two_buffers():
+    # As the bench's long_memory runs: a unit's memory lives until the next
+    # unit's restore has returned and that unit has run.
+    memory_module._last_base = None  # a fresh base: only its own matrix is idle
+    origin = apply(MemoryState(), COMMON)
+    snapshot = json.loads(json.dumps(origin.to_snapshot()))
+
+    def restore():
+        return MemoryState.from_snapshot(snapshot, clock=LogicalClock(start=origin.clock.now()))
+
+    previous = None
+    for unit in range(10):
+        prefix = f"unit{unit}"
+        memory = apply(restore(), writes(prefix))
+        if previous is None:
+            base = kept_base()
+            own = base._index._matrix
+            buffers = {id(own): own}
+        assert kept_base() is base
+        buffers.setdefault(id(buffer(memory)), buffer(memory))
+        assert len(base._index._idle) <= 1
+        # The same restore and writes with no base kept.
+        slot, memory_module._last_base = memory_module._last_base, None
+        uncached = apply(restore(), writes(prefix))
+        assert kept_base() is not base
+        memory_module._last_base = slot
+        assert memory.to_snapshot() == uncached.to_snapshot()
+        for query in (f"{prefix} one two three four", "alpha beta gamma", "kappa lambda mu"):
+            assert [(r.id, score) for r, score in memory.vector_search(query, k=9)] == [
+                (r.id, score) for r, score in uncached.vector_search(query, k=9)
+            ]
+        previous = memory
+    # The base's own matrix and one copy of it; once every unit is gone,
+    # the own matrix alone is idle.
+    assert len(buffers) == 2
+    del memory, previous
+    assert [b is own for b in base._index._idle] == [True]
 
 
 def test_no_record_is_written_after_it_is_stored(monkeypatch, tmp_path):
@@ -309,4 +423,5 @@ def test_no_record_is_written_after_it_is_stored(monkeypatch, tmp_path):
     assert all(type(record) is frozen for record in kept_base().records.values())
 
     test_a_fork_and_its_origin_each_write_their_own_copies()
-    test_a_base_lends_its_spare_columns_to_one_fork_at_a_time()
+    test_a_base_lends_a_released_copy_and_frees_a_second_idle_buffer()
+    test_units_that_each_restore_while_the_last_is_alive_share_two_buffers()
