@@ -41,6 +41,11 @@ is stored, so a fork and its origin share every record safely: a replace,
 a retire and a merge into an existing record each store a new record under
 the same id.
 
+A base's answers are memoised: each base index keeps, per query and
+threshold, every one of its rows that qualifies, computed once and shared
+by its forks. A fork's search with a threshold above 0 keeps the rows of
+that answer it still holds and scores only the rows it wrote itself.
+
 ``detect_gaps`` scans no records. Each write keeps its three gap sources up
 to date: the ids of active records whose content holds ``TBD``, a min-heap
 of ``(updated_at, id)`` stamps, and, for each research fact not built by a
@@ -62,6 +67,7 @@ import itertools
 import json
 import logging
 import operator
+import threading
 import weakref
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -86,6 +92,15 @@ SMALL_INDEX_ROWS = 4
 # is no room at all, so without this floor a memory growing from empty would
 # rebuild its matrix on nearly every add; from 64 rows on, the eighth rules.
 MIN_SPARE_COLUMNS = 8
+
+# The most queries a lending base memoises per index; past it the oldest
+# entry goes first. A round of the bench's ``long_memory`` asks its base's
+# main index 228-240 distinct queries (seeds 1-3) and its artifact topics
+# index 116-121, the same ones every round, and an entry holds one hit or
+# none, about 0.5 KB. Oldest-first eviction with fewer entries than a
+# round's queries would drop each one before the next round reads it, so
+# the cap is about twice the larger count: at most 0.25 MB per index.
+BASE_MEMO_SIZE = 512
 
 # A stored record's fields, in ``MemoryRecord`` order without the
 # embedding; every one is required, and no other is allowed.
@@ -224,6 +239,15 @@ class SimilarityIndex:
     views a spare column, nothing reads what one borrower wrote before the
     next fills it again.
 
+    A lending index memoises its answers for its forks (``_BaseMemo``),
+    since its rows never change. A fork, and a fork of a fork, keeps that
+    memo while its first columns are the base's. Its search with a
+    threshold above 0 then takes the base's qualifying rows from the memo,
+    drops those it has removed, and scores only its own rows, past the
+    base's. Growing into a new matrix drops the memo, since the live rows
+    then move to other columns. The base's own searches, searches at
+    threshold 0 and every other index score every row.
+
     The matrix is built by the first query that finds more than
     ``SMALL_INDEX_ROWS`` keys, or by ``from_snapshot`` whatever the number
     of keys, and kept up to date from then on. Until then each
@@ -233,7 +257,7 @@ class SimilarityIndex:
     way a score is the same exact value.
     """
 
-    __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq", "_idle")
+    __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq", "_idle", "_memo")
 
     def __init__(self, records: dict[str, MemoryRecord], vector_of: Callable[[MemoryRecord], np.ndarray]) -> None:
         self._records = records
@@ -249,6 +273,9 @@ class SimilarityIndex:
         # The free list: the idle buffers a fork may borrow, at most one;
         # None for an index that may still add rows.
         self._idle: Optional[list[np.ndarray]] = None
+        # The answers of the lending base whose first columns this index
+        # holds, shared by the base and its forks; None for any other index.
+        self._memo: Optional[_BaseMemo] = None
 
     def __len__(self) -> int:
         return len(self._row)
@@ -272,6 +299,7 @@ class SimilarityIndex:
         self._keys = keys
         self._row = dict(zip(keys, range(len(keys))))
         self._matrix = matrix
+        self._memo = None  # the base's columns are not the first ones now
         self._sq = np.empty(matrix.shape[1])
         self._sq[: len(keys)] = np.where(sq == 0.0, 1.0, sq)
 
@@ -295,11 +323,14 @@ class SimilarityIndex:
         """A copy of this index over ``records``, a copy of its records.
 
         Its matrix has room for more: a buffer from this index's free list,
-        when it lends buffers, or else a copy with room of its own.
+        when it lends buffers, or else a copy with room of its own. It
+        shares this index's memo of a base's answers, if any, so its
+        searches score only the rows it writes.
         """
         twin = SimilarityIndex(records, self._vector_of)
         twin._keys = self._keys.copy()
         twin._row = self._row.copy()
+        twin._memo = self._memo
         if self._matrix is None:
             twin._sq = self._sq.copy()
             return twin
@@ -324,9 +355,11 @@ class SimilarityIndex:
 
         Only for an index that adds no more rows, such as a restored base's:
         it never writes the columns past its rows, and a borrower writes
-        them only in a buffer no other fork holds.
+        them only in a buffer no other fork holds. Its forks share its
+        memoised answers (``_BaseMemo``).
         """
         self._idle = [self._matrix]
+        self._memo = _BaseMemo(self._matrix, self._sq[: len(self._keys)])
 
     def search(self, query: np.ndarray, threshold: float, k: int) -> list[tuple[str, float]]:
         """``(key, cosine)`` of the ``k`` best rows at or above ``threshold``,
@@ -342,6 +375,8 @@ class SimilarityIndex:
                 score = cosine(query, vec, qq, vv)
                 if score >= threshold:
                     hits.append((key, score))
+        elif self._memo is not None and self._idle is None and threshold > 0:
+            hits = self._fork_hits(query, threshold)
         else:
             scores = self._scores(query)
             rows = (scores >= threshold).nonzero()[0]
@@ -363,8 +398,76 @@ class SimilarityIndex:
         if not len(buckets):
             return sq * 0.0  # 0.0 for every live row, as ``cosine`` says
         counts = query[buckets]
-        dots = counts @ self._matrix[buckets, :n]
-        return dots / np.sqrt(sq * float(counts.dot(counts)))
+        return _cosines(counts, self._matrix[buckets, :n], sq)
+
+    def _fork_hits(self, query: np.ndarray, threshold: float) -> list[tuple[str, float]]:
+        """``(key, cosine)`` of every live row at or above ``threshold > 0``,
+        for a fork of a lending base: the base's memoised rows that this
+        fork still holds, and this fork's own rows, scored here."""
+        buckets = query.nonzero()[0]
+        if not len(buckets):
+            return []  # every row scores 0.0
+        counts = query[buckets]
+        keys, row_of, memo = self._keys, self._row, self._memo
+        hits = [
+            (keys[row], score)
+            for row, score in memo.answers(buckets, counts, threshold)
+            if row_of.get(keys[row]) == row
+        ]
+        n_base, n = memo.n, len(keys)
+        if n > n_base:
+            scores = _cosines(counts, self._matrix[buckets, n_base:n], self._sq[n_base:n])
+            rows = (scores >= threshold).nonzero()[0]
+            hits += zip([keys[n_base + row] for row in rows.tolist()], scores[rows].tolist())
+        return hits
+
+
+class _BaseMemo:
+    """The answers of a lending base's index, shared by its forks.
+
+    For a query's nonzero buckets and counts and a threshold, each entry
+    holds every ``(row, score)`` of the base's rows at or above the
+    threshold, in row order: not only the best ``k``, so a row that a fork
+    removed cannot hide one it still holds. An entry is computed once, from
+    the base's own columns and squared norms, which no index writes, so it
+    holds for every fork whatever the fork wrote. At most
+    ``BASE_MEMO_SIZE`` entries are kept, and the oldest goes first.
+    Forks in several threads share it: entries are added and evicted under
+    a lock, and a query that two threads miss at once is computed twice,
+    to the same entry.
+    """
+
+    __slots__ = ("n", "_columns", "_sq", "_entries", "_lock", "__weakref__")
+
+    def __init__(self, matrix: np.ndarray, sq: np.ndarray) -> None:
+        self.n = len(sq)  # the base's rows, the first columns of its forks
+        self._columns = matrix[:, : self.n]
+        self._sq = sq
+        self._entries: dict[tuple, list[tuple[int, float]]] = {}
+        self._lock = threading.Lock()
+
+    def answers(self, buckets: np.ndarray, counts: np.ndarray, threshold: float) -> list[tuple[int, float]]:
+        """Every ``(row, score)`` of the base at or above ``threshold`` for
+        the query whose nonzero ``buckets`` hold ``counts``."""
+        key = (buckets.tobytes(), counts.tobytes(), threshold)
+        entries = self._entries
+        hits = entries.get(key)
+        if hits is None:
+            scores = _cosines(counts, self._columns[buckets], self._sq)
+            rows = (scores >= threshold).nonzero()[0]
+            hits = list(zip(rows.tolist(), scores[rows].tolist()))
+            with self._lock:
+                while len(entries) >= BASE_MEMO_SIZE:
+                    del entries[next(iter(entries))]  # the oldest
+                entries[key] = hits
+        return hits
+
+
+def _cosines(counts: np.ndarray, columns: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """``cosine`` of a query with each of ``columns``, the query's bucket
+    rows of some index columns, whose squared norms are ``sq``; ``counts``
+    are the query's nonzero counts."""
+    return counts @ columns / np.sqrt(sq * float(counts.dot(counts)))
 
 
 def _give_back(idle: list[np.ndarray], buffer: np.ndarray, own: np.ndarray) -> None:
@@ -834,7 +937,9 @@ class MemoryState:
         matrices, each with room for more (or, from a base, borrows an idle
         buffer of each, copying the base's matrix only when none is idle),
         and shares the records: no record is written after it is stored, so
-        a fork and its origin share every record safely. The
+        a fork and its origin share every record safely. A fork of a base
+        shares the base's memoised answers, and its searches score only
+        the rows it wrote. The
         fork keeps time with ``clock``, or with a copy of this memory's
         clock.
         """

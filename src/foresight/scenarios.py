@@ -153,20 +153,20 @@ def _extras(obj: dict, known: tuple[str, ...]) -> dict:
     return {k: v for k, v in obj.items() if k not in known}
 
 
-def parse_scenario(data: bytes | str) -> Scenario:
-    """Parse scenario JSON. Unknown fields are preserved for round-tripping.
+def parse_scenario(data: bytes) -> Scenario:
+    """Parse scenario JSON, as the bytes of a file. Unknown fields are
+    preserved for round-tripping.
 
     Raises ScenarioParseError for bytes that are not UTF-8 or malformed
     JSON, and ScenarioSchemaError for missing or mistyped required fields.
     Validation is a separate step.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ScenarioParseError(f"not UTF-8: byte {exc.start}: {exc.reason}") from exc
     try:
-        doc = json.loads(data)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"not UTF-8: byte {exc.start}: {exc.reason}") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -264,7 +264,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Inverse of parse_scenario; parse(serialize(s)) == s."""
+    """Inverse of parse_scenario; parse(serialize(s).encode()) == s."""
     doc: dict[str, Any] = {
         "scenario_id": scenario.scenario_id,
         "domain": scenario.domain,
@@ -482,14 +482,9 @@ def _stats_unchecked(scenario: Scenario) -> CompositionStats:
     )
 
 
-def composition_stats(scenario: Scenario, report: Optional[ValidationReport] = None) -> CompositionStats:
-    """Structural counts for a valid scenario.
-
-    ``report`` is the scenario's ``validate_scenario`` report when the
-    caller already holds it; without one the scenario is validated here.
-    """
-    if report is None:
-        report = validate_scenario(scenario)
+def composition_stats(scenario: Scenario, report: ValidationReport) -> CompositionStats:
+    """Structural counts for a valid scenario, given its ``validate_scenario``
+    report."""
     # CROSS_GROUP/AUDITABLE are stratification concerns, not integrity ones;
     # stats still require the integrity checks to pass.
     hard = [v for v in report.violations if v.code not in ("CROSS_GROUP", "AUDITABLE")]

@@ -158,12 +158,12 @@ def two_branch_scenario() -> Scenario:
 
 @pytest.fixture(scope="session")
 def finance_scenario() -> Scenario:
-    return parse_scenario((SCENARIO_DIR / "finance_basic_01.json").read_text(encoding="utf-8"))
+    return parse_scenario((SCENARIO_DIR / "finance_basic_01.json").read_bytes())
 
 
 @pytest.fixture(scope="session")
 def sweep_scenario() -> Scenario:
-    return parse_scenario((SCENARIO_DIR / "budget_sweep_01.json").read_text(encoding="utf-8"))
+    return parse_scenario((SCENARIO_DIR / "budget_sweep_01.json").read_bytes())
 
 
 @pytest.fixture(autouse=True)

@@ -45,7 +45,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _load(name: str):
-    return parse_scenario((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+    return parse_scenario((SCENARIO_DIR / name).read_bytes())
 
 
 @contextlib.contextmanager
@@ -347,7 +347,7 @@ def test_criterion_6_closed_loop_superiority():
         for i in range(25):
             scenario = make_scenario(rng, f"accept_{i:02d}")
             assert validate_scenario(scenario).valid
-            assert composition_stats(scenario).cross_group_links >= 2
+            assert composition_stats(scenario, validate_scenario(scenario)).cross_group_links >= 2
 
             directed = run_scenario(scenario, Condition.DIRECTED_IDLE)
             reactive = run_scenario(scenario, Condition.REACTIVE)

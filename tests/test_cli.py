@@ -179,7 +179,7 @@ def test_stats_validates_each_scenario_once_and_allows_stratification_violations
         need["predictable_after"] = None
     loose = tmp_path / "loose.json"
     loose.write_text(json.dumps(doc), encoding="utf-8")
-    report = scenarios.validate_scenario(scenarios.parse_scenario(loose.read_text(encoding="utf-8")))
+    report = scenarios.validate_scenario(scenarios.parse_scenario(loose.read_bytes()))
     codes = {v.code for v in report.violations}
     assert codes and codes <= {"CROSS_GROUP", "AUDITABLE"}
 

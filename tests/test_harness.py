@@ -344,7 +344,7 @@ def test_budget_zero_spends_what_reactive_spends_over_the_scenarios():
     paths = sorted(SCENARIO_DIR.glob("*.json"))
     assert paths
     for path in paths:
-        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        scenario = parse_scenario(path.read_bytes())
         spent = {
             condition: run_scenario(scenario, condition, cfg).metrics.active_tokens
             for condition in ("reactive", "undirected_idle", "directed_idle")

@@ -15,7 +15,7 @@ from foresight.memory import ArbiterVerdict, MemoryState
 from foresight.scenarios import parse_scenario
 from scripted_transport import ASSISTANT, chat_body, scripted_backends
 
-_BUNDLED = [parse_scenario(p.read_text(encoding="utf-8")) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+_BUNDLED = [parse_scenario(p.read_bytes()) for p in sorted(SCENARIO_DIR.glob("*.json"))]
 _GENERATED = [make_scenario(random.Random(i), f"http_{i:02d}") for i in range(40)]
 
 

@@ -21,7 +21,7 @@ import pytest
 
 from foresight import harness
 from foresight import memory as memory_module
-from foresight.embedding import embed
+from foresight.embedding import cosine, embed
 from foresight.memory import AddOutcome, ArbiterVerdict, LogicalClock, MemoryRecord, MemoryState, content_hash
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -425,3 +425,164 @@ def test_no_record_is_written_after_it_is_stored(monkeypatch, tmp_path):
     test_a_fork_and_its_origin_each_write_their_own_copies()
     test_a_base_lends_a_released_copy_and_frees_a_second_idle_buffer()
     test_units_that_each_restore_while_the_last_is_alive_share_two_buffers()
+
+
+# -- the base's memoised answers -------------------------------------------------
+
+# Record 0 is the one the forks rewrite; the others score 4/5, 3/5, 2/5 and
+# less with it, so each threshold below splits them differently.
+BASE_TEXTS = [
+    "alpha beta gamma delta epsilon",
+    "alpha beta gamma delta zeta",
+    "alpha beta gamma eta theta",
+    "alpha beta iota kappa lambda",
+    "alpha mu nu xi omicron",
+    "pi rho sigma tau upsilon",
+    "phi chi psi omega vega",
+]
+QUERIES = [BASE_TEXTS[0], "alpha beta gamma", "pi rho sigma tau", "!!!"]
+THRESHOLDS = (0.0, 0.3, 0.8, 0.88)
+# Near record 0 (5 of its 6 tokens are record 0's), and no other.
+REWRITE = "alpha beta gamma delta epsilon omega"
+
+
+def memoised_snapshot():
+    state = MemoryState()
+    for text in BASE_TEXTS:
+        assert state.add_knowledge("entity_fact", text, verdict("skip")).outcome is AddOutcome.ADDED
+    return json.loads(json.dumps(state.to_snapshot()))
+
+
+def brute_force(state, query, threshold, k):
+    qvec = embed(query)
+    scored = [(r.id, cosine(qvec, r.embedding)) for r in state.active_records()]
+    return sorted([hit for hit in scored if hit[1] >= threshold], key=lambda hit: (-hit[1], hit[0]))[:k]
+
+
+def assert_exact(state, queries=QUERIES):
+    for query in queries:
+        for threshold in THRESHOLDS:
+            for k in (1, 2, len(state._index)):
+                got = [(r.id, score) for r, score in state.vector_search(query, k=k, threshold=threshold)]
+                assert got == brute_force(state, query, threshold, k), (query, threshold, k)
+
+
+@pytest.mark.parametrize("action", ["replace", "merge"])
+def test_a_fork_that_rewrote_a_base_row_first_leaves_it_to_the_next_fork(action):
+    memory_module._last_base = None  # a fresh base with an empty memo
+    snapshot = memoised_snapshot()
+    first, second = MemoryState.from_snapshot(snapshot), MemoryState.from_snapshot(snapshot)
+    memo = kept_base()._index._memo
+    assert first._index._memo is second._index._memo is memo
+
+    rid = first.vector_search(BASE_TEXTS[0], k=1)[0][0].id
+    assert first.add_knowledge("entity_fact", REWRITE, verdict(action)).outcome.value == action + "d"
+    # The fork that dropped the base row searches every query first, and
+    # fills the memo; the other fork reads those entries and still finds it.
+    assert_exact(first)
+    assert (rid, 1.0) not in [(r.id, score) for r, score in first.vector_search(BASE_TEXTS[0], 9, 0.88)]
+    # The rewrite's near-duplicate search, and each query with tokens at
+    # each threshold above 0.
+    assert len(memo._entries) == 1 + 3 * 3
+    assert_exact(second)
+    assert [(r.id, score) for r, score in second.vector_search(BASE_TEXTS[0], 1, 0.88)] == [(rid, 1.0)]
+
+
+@pytest.mark.parametrize("action", ["replace", "merge"])
+def test_a_fork_grown_past_its_spare_columns_scans_its_own_matrix(action):
+    memory_module._last_base = None
+    snapshot = memoised_snapshot()
+    MemoryState.from_snapshot(snapshot).vector_search(BASE_TEXTS[1], k=1, threshold=0.3)  # memoised
+    fork = MemoryState.from_snapshot(snapshot)
+    lent = fork._index._matrix
+    # Rewriting record 0 first moves its key behind every other base key, so
+    # the grown matrix holds the base's rows in other columns.
+    fork.add_knowledge("entity_fact", REWRITE, verdict(action))
+    for i in range(lent.shape[1]):
+        fork.add_knowledge("entity_fact", f"grow{i} words{i} here{i}", verdict("skip"))
+    assert fork._index._matrix.base is not lent.base
+    assert fork._index._memo is None
+    assert_exact(fork, QUERIES + [BASE_TEXTS[1], "grow3 words3 here3"])
+
+
+def memo_key(query, threshold):
+    vec = embed(query)
+    buckets = vec.nonzero()[0]
+    return buckets.tobytes(), vec[buckets].tobytes(), threshold
+
+
+def test_the_memo_keeps_at_most_its_cap_and_stays_exact(monkeypatch):
+    monkeypatch.setattr(memory_module, "BASE_MEMO_SIZE", 3)
+    memory_module._last_base = None
+    snapshot = memoised_snapshot()
+    fork = MemoryState.from_snapshot(snapshot)
+    fork.add_knowledge("entity_fact", REWRITE, verdict("replace"))
+    entries = kept_base()._index._memo._entries
+    for query in BASE_TEXTS:
+        fork.vector_search(query, k=2, threshold=0.3)
+        assert len(entries) <= 3
+    # The oldest went first: the last three queries are kept.
+    assert list(entries) == [memo_key(query, 0.3) for query in BASE_TEXTS[-3:]]
+    # Answers read again after their entries were evicted are still exact.
+    assert_exact(fork, QUERIES + BASE_TEXTS)
+    assert_exact(MemoryState.from_snapshot(snapshot), QUERIES + BASE_TEXTS)
+    assert len(entries) == 3
+
+
+def test_the_memo_is_freed_with_its_base():
+    memory_module._last_base = None
+    snapshot = memoised_snapshot()
+    fork = MemoryState.from_snapshot(snapshot)
+    fork.vector_search(BASE_TEXTS[0], k=1, threshold=0.3)
+    base = kept_base()
+    memos = [weakref.ref(base._index._memo), weakref.ref(base._topics._memo)]
+    del base
+
+    # Another snapshot takes the slot; the fork still holds the memo it reads.
+    other = three_record_snapshot()
+    MemoryState.from_snapshot(other)
+    assert kept_base().to_snapshot() == other
+    assert [memo() is not None for memo in memos] == [True, True]
+    assert_exact(fork)
+    del fork
+    assert [memo() for memo in memos] == [None, None]
+
+
+def test_forks_in_threads_share_one_memo_that_keeps_its_cap(monkeypatch):
+    # More threads than cores, each with forks of one base, read a memo
+    # too small for their queries, so entries are added and evicted at once.
+    monkeypatch.setattr(memory_module, "BASE_MEMO_SIZE", 4)
+    memory_module._last_base = None
+    snapshot = memoised_snapshot()
+    queries = BASE_TEXTS + ["alpha beta", "alpha gamma eta", "pi rho sigma", "beta gamma delta"]
+    MemoryState.from_snapshot(snapshot)
+    entries = kept_base()._index._memo._entries
+    failures = []
+
+    def search(worker):
+        for i in range(300):
+            fork = MemoryState.from_snapshot(snapshot)
+            if (worker + i) % 2:
+                fork.add_knowledge("entity_fact", REWRITE, verdict("replace"))
+            for query in queries[i % 3 :: 2]:
+                threshold = THRESHOLDS[1 + (worker + i) % 3]
+                try:
+                    got = [(r.id, score) for r, score in fork.vector_search(query, 9, threshold)]
+                    if got != brute_force(fork, query, threshold, 9) or len(entries) > 4:
+                        failures.append((worker, i, query))
+                except Exception as exc:  # a thread's failure must fail the test
+                    failures.append((worker, i, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=search, args=(worker,)) for worker in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(entries) == 4
