@@ -23,6 +23,17 @@ batch runs each scenario under every condition in a row. The memo is a
 cache, not a store: a restore copies each record's vector into its index
 matrix, so no restored memory holds on to a memo entry.
 
+``query_form`` keeps, beside it, each text's sparse form as an index
+search reads it: the nonzero buckets of ``embed(text)``, their counts, the
+squared norm and a key naming the form, in an LRU of its own with
+``EMBED_MEMO_SIZE`` entries. Only the matrix and fork paths of
+``memory.SimilarityIndex`` read it, so a text searched again skips the
+nonzero scan, the gather, the norm and the key bytes, and a memory too
+small for a matrix builds no form. Its arrays are read-only, like
+``embed``'s vectors. A form is built by a search's first miss, not with
+the vector, so a text that is embedded but never searched pays nothing
+for it.
+
 ``token_counts`` is memoised the same way, in an LRU of its own with
 ``EMBED_MEMO_SIZE`` entries: each text's token multiset as a read-only
 mapping shared by every caller, so writing into one raises ``TypeError``.
@@ -41,7 +52,7 @@ import math
 import re
 from collections import Counter
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -88,6 +99,32 @@ def embed(text: str) -> np.ndarray:
     return vec
 
 
+class QueryForm(NamedTuple):
+    """The sparse form of ``embed(text)``: its nonzero ``buckets``, in
+    ascending order, and their ``counts``, both read-only; ``sq``, the
+    vector's squared norm; and ``key``, bytes that two texts share exactly
+    when their vectors are equal."""
+
+    buckets: np.ndarray
+    counts: np.ndarray
+    sq: float
+    key: bytes
+
+
+@functools.lru_cache(maxsize=EMBED_MEMO_SIZE)
+def query_form(text: str) -> QueryForm:
+    """The ``QueryForm`` of ``text``, shared by every caller that asks for
+    the same text."""
+    vec = embed(text)
+    buckets = vec.nonzero()[0]
+    counts = vec[buckets]
+    buckets.flags.writeable = False
+    counts.flags.writeable = False
+    # Equal lengths split the key, so equal keys mean equal vectors.
+    key = buckets.tobytes() + counts.tobytes()
+    return QueryForm(buckets, counts, float(counts.dot(counts)), key)
+
+
 def cosine(u: np.ndarray, v: np.ndarray, uu: Optional[float] = None, vv: Optional[float] = None) -> float:
     """``u.v / sqrt((u.u) * (v.v))`` for count vectors, or 0.0 when either is zero.
 
@@ -106,4 +143,4 @@ def cosine(u: np.ndarray, v: np.ndarray, uu: Optional[float] = None, vv: Optiona
     return float(u.dot(v)) / math.sqrt(nn)
 
 
-__all__ = ["DEFAULT_DIM", "cosine", "embed", "token_counts", "tokenize"]
+__all__ = ["DEFAULT_DIM", "QueryForm", "cosine", "embed", "query_form", "token_counts", "tokenize"]

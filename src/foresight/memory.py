@@ -12,10 +12,12 @@ weak-support search in ``detect_gaps``, and the artifact topics read by
 ``prediction.filter_candidates``) is one ``SimilarityIndex.search``. The
 index keeps every active record's token counts as one column of a
 bucket-major float64 matrix, so a query's dot products with all of them are
-one matrix-vector product over the query's nonzero buckets. Embeddings are
-integer token counts, so the index computes the same exact score as
-``cosine``, bit for bit: its answer is final, and reads return exactly what
-a loop of ``cosine`` calls over every active record would.
+one matrix-vector product over the query's nonzero buckets. A search takes
+the query's text and reads its sparse form from ``query_form``, computed
+once per text. Embeddings are integer token counts, so the index computes
+the same exact score as ``cosine``, bit for bit: its answer is final, and
+reads return exactly what a loop of ``cosine`` calls over every active
+record would.
 
 The index writes each column once and never again, even when it grows into
 a new matrix. That is what lets ``load`` / ``from_snapshot`` share it. They
@@ -41,17 +43,19 @@ is stored, so a fork and its origin share every record safely: a replace,
 a retire and a merge into an existing record each store a new record under
 the same id.
 
-A base's answers are memoised: each base index keeps, per query and
-threshold, every one of its rows that qualifies, computed once and shared
-by its forks. A fork's search with a threshold above 0 keeps the rows of
-that answer it still holds and scores only the rows it wrote itself.
+A base's answers are memoised: each base index keeps, per query form key
+and threshold, every one of its rows that qualifies, computed once and
+shared by its forks. A fork's search with a threshold above 0 keeps the
+rows of that answer it still holds and scores only the rows it wrote
+itself.
 
 ``detect_gaps`` scans no records. Each write keeps its three gap sources up
 to date: the ids of active records whose content holds ``TBD``, a min-heap
 of ``(updated_at, id)`` stamps, and, for each research fact not built by a
 merge, an active record that supports it (its witness) or none. A write
 marks a fact for a new search when the fact itself or its witness changes,
-and tests its new vector only against the facts that are weak right now.
+and tests its new vector only against the facts that are weak right now,
+whose squared norms are kept with them.
 
 A snapshot holds each record's content and the fields around it, and
 nothing else: no vector, since a restore embeds the content, and no key
@@ -77,7 +81,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from foresight.config import RunConfig
-from foresight.embedding import DEFAULT_DIM, cosine, embed
+from foresight.embedding import DEFAULT_DIM, QueryForm, cosine, embed, query_form
 
 logger = logging.getLogger(__name__)
 
@@ -206,11 +210,11 @@ class SimilarityIndex:
     Keys are record ids; ``vector_of(record)`` gives a key's token counts.
     Once built, the index is one float64 matrix of shape
     ``(DEFAULT_DIM, capacity)`` with one row's vector per column, plus each
-    row's squared norm. A query is scored from its nonzero buckets only: its
-    dot products with every row are one product of those buckets' counts
-    with the same rows of the matrix, and its squared norm is the sum of
-    those counts' squares. Every sum is of integers below 2**53, exact in
-    any order, so each score is ``cosine``'s exact value.
+    row's squared norm. A query is scored from its ``query_form`` only: its
+    dot products with every row are one product of its nonzero buckets'
+    counts with the same rows of the matrix, and its squared norm is the
+    one the form holds. Every sum is of integers below 2**53, exact in any
+    order, so each score is ``cosine``'s exact value.
 
     Columns are written once:
 
@@ -251,10 +255,11 @@ class SimilarityIndex:
     The matrix is built by the first query that finds more than
     ``SMALL_INDEX_ROWS`` keys, or by ``from_snapshot`` whatever the number
     of keys, and kept up to date from then on. Until then each
-    query scores every key with ``cosine``, handing it the query's squared
-    norm, computed once per search, and the row's, computed by the first
-    search after its ``add`` and kept for as long as the row lives. Either
-    way a score is the same exact value.
+    query scores every key with ``cosine`` against ``embed`` of its text,
+    builds no form, and hands ``cosine`` the query's squared norm, computed
+    once per search, and the row's, computed by the first search after its
+    ``add`` and kept for as long as the row lives. Either way a score is the
+    same exact value.
     """
 
     __slots__ = ("_records", "_vector_of", "_row", "_keys", "_matrix", "_sq", "_idle", "_memo")
@@ -361,10 +366,14 @@ class SimilarityIndex:
         self._idle = [self._matrix]
         self._memo = _BaseMemo(self._matrix, self._sq[: len(self._keys)])
 
-    def search(self, query: np.ndarray, threshold: float, k: int) -> list[tuple[str, float]]:
-        """``(key, cosine)`` of the ``k`` best rows at or above ``threshold``,
-        best first, ties by ascending key."""
+    def search(self, text: str, threshold: float, k: int) -> list[tuple[str, float]]:
+        """``(key, cosine)`` of the ``k`` best rows at or above ``threshold``
+        for the query ``embed(text)``, best first, ties by ascending key.
+
+        The small path embeds ``text``; the matrix and fork paths read its
+        ``query_form``, kept once per text."""
         if self._matrix is None and len(self._row) <= SMALL_INDEX_ROWS:
+            query = embed(text)
             records, vector_of, sq, qq = self._records, self._vector_of, self._sq, float(query.dot(query))
             hits = []
             for key, row in self._row.items():
@@ -376,9 +385,9 @@ class SimilarityIndex:
                 if score >= threshold:
                     hits.append((key, score))
         elif self._memo is not None and self._idle is None and threshold > 0:
-            hits = self._fork_hits(query, threshold)
+            hits = self._fork_hits(query_form(text), threshold)
         else:
-            scores = self._scores(query)
+            scores = self._scores(query_form(text))
             rows = (scores >= threshold).nonzero()[0]
             if 0 < k < len(rows):
                 # Rows below the k-th best score cannot be among the k best.
@@ -388,35 +397,33 @@ class SimilarityIndex:
             hits = zip([keys[row] for row in rows.tolist()], scores[rows].tolist())
         return sorted(hits, key=lambda hit: (-hit[1], hit[0]))[:k]
 
-    def _scores(self, query: np.ndarray) -> np.ndarray:
-        """Every row's score: ``cosine`` with ``query``, NaN for removed rows."""
+    def _scores(self, form: QueryForm) -> np.ndarray:
+        """Every row's score: ``cosine`` with the query of ``form``, NaN for
+        removed rows."""
         if self._matrix is None:
             self._build()
         n = len(self._keys)
         sq = self._sq[:n]
-        buckets = query.nonzero()[0]
-        if not len(buckets):
+        if not len(form.buckets):
             return sq * 0.0  # 0.0 for every live row, as ``cosine`` says
-        counts = query[buckets]
-        return _cosines(counts, self._matrix[buckets, :n], sq)
+        return _cosines(form.counts, self._matrix[form.buckets, :n], sq, form.sq)
 
-    def _fork_hits(self, query: np.ndarray, threshold: float) -> list[tuple[str, float]]:
+    def _fork_hits(self, form: QueryForm, threshold: float) -> list[tuple[str, float]]:
         """``(key, cosine)`` of every live row at or above ``threshold > 0``,
         for a fork of a lending base: the base's memoised rows that this
         fork still holds, and this fork's own rows, scored here."""
-        buckets = query.nonzero()[0]
+        buckets = form.buckets
         if not len(buckets):
             return []  # every row scores 0.0
-        counts = query[buckets]
         keys, row_of, memo = self._keys, self._row, self._memo
         hits = [
             (keys[row], score)
-            for row, score in memo.answers(buckets, counts, threshold)
+            for row, score in memo.answers(form, threshold)
             if row_of.get(keys[row]) == row
         ]
         n_base, n = memo.n, len(keys)
         if n > n_base:
-            scores = _cosines(counts, self._matrix[buckets, n_base:n], self._sq[n_base:n])
+            scores = _cosines(form.counts, self._matrix[buckets, n_base:n], self._sq[n_base:n], form.sq)
             rows = (scores >= threshold).nonzero()[0]
             hits += zip([keys[n_base + row] for row in rows.tolist()], scores[rows].tolist())
         return hits
@@ -425,13 +432,14 @@ class SimilarityIndex:
 class _BaseMemo:
     """The answers of a lending base's index, shared by its forks.
 
-    For a query's nonzero buckets and counts and a threshold, each entry
-    holds every ``(row, score)`` of the base's rows at or above the
-    threshold, in row order: not only the best ``k``, so a row that a fork
-    removed cannot hide one it still holds. An entry is computed once, from
-    the base's own columns and squared norms, which no index writes, so it
-    holds for every fork whatever the fork wrote. At most
-    ``BASE_MEMO_SIZE`` entries are kept, and the oldest goes first.
+    Each entry, keyed by a query's ``QueryForm.key`` and a threshold
+    (texts that embed to one vector share it), holds every ``(row, score)``
+    of the base's rows at or above the threshold, in row order: not only
+    the best ``k``, so a row that a fork removed cannot hide one it still
+    holds. An entry is computed once, from the base's own columns and
+    squared norms, which no index writes, so it holds for every fork
+    whatever the fork wrote. At most ``BASE_MEMO_SIZE`` entries are kept,
+    and the oldest goes first.
     Forks in several threads share it: entries are added and evicted under
     a lock, and a query that two threads miss at once is computed twice,
     to the same entry.
@@ -446,14 +454,14 @@ class _BaseMemo:
         self._entries: dict[tuple, list[tuple[int, float]]] = {}
         self._lock = threading.Lock()
 
-    def answers(self, buckets: np.ndarray, counts: np.ndarray, threshold: float) -> list[tuple[int, float]]:
+    def answers(self, form: QueryForm, threshold: float) -> list[tuple[int, float]]:
         """Every ``(row, score)`` of the base at or above ``threshold`` for
-        the query whose nonzero ``buckets`` hold ``counts``."""
-        key = (buckets.tobytes(), counts.tobytes(), threshold)
+        the query of ``form``."""
+        key = (form.key, threshold)
         entries = self._entries
         hits = entries.get(key)
         if hits is None:
-            scores = _cosines(counts, self._columns[buckets], self._sq)
+            scores = _cosines(form.counts, self._columns[form.buckets], self._sq, form.sq)
             rows = (scores >= threshold).nonzero()[0]
             hits = list(zip(rows.tolist(), scores[rows].tolist()))
             with self._lock:
@@ -463,11 +471,12 @@ class _BaseMemo:
         return hits
 
 
-def _cosines(counts: np.ndarray, columns: np.ndarray, sq: np.ndarray) -> np.ndarray:
+def _cosines(counts: np.ndarray, columns: np.ndarray, sq: np.ndarray, qq: float) -> np.ndarray:
     """``cosine`` of a query with each of ``columns``, the query's bucket
     rows of some index columns, whose squared norms are ``sq``; ``counts``
-    are the query's nonzero counts."""
-    return counts @ columns / np.sqrt(sq * float(counts.dot(counts)))
+    are the query's nonzero counts and ``qq`` its squared norm, held by its
+    ``QueryForm``."""
+    return counts @ columns / np.sqrt(sq * qq)
 
 
 def _give_back(idle: list[np.ndarray], buffer: np.ndarray, own: np.ndarray) -> None:
@@ -536,7 +545,8 @@ class MemoryState:
         self._incomplete: set[str] = set()  # active ids whose content holds "TBD"
         # Each research fact not built by a merge is in exactly one of these.
         self._unchecked: set[str] = set()  # to search for support on the next detect_gaps
-        self._weak: set[str] = set()  # no other active record supports it
+        # No other active record supports it; each with its squared norm.
+        self._weak: dict[str, float] = {}
         self._witness: dict[str, str] = {}  # fact id -> an active record that supports it
 
     @property
@@ -668,9 +678,11 @@ class MemoryState:
         if self._weak:
             threshold, records, vec = self.coverage_threshold, self.records, record.embedding
             vv = float(vec.dot(vec))
-            supported = [fact for fact in self._weak if cosine(vec, records[fact].embedding, vv) >= threshold]
+            supported = [
+                fact for fact, ff in self._weak.items() if cosine(vec, records[fact].embedding, vv, ff) >= threshold
+            ]
             for fact in supported:
-                self._weak.remove(fact)
+                del self._weak[fact]
                 self._witness[fact] = rid
 
     def _unindex(self, record: MemoryRecord) -> None:
@@ -689,7 +701,7 @@ class MemoryState:
     def _forget_fact(self, rid: str) -> None:
         """Stops checking ``rid``'s support, until ``_reindex`` marks it again."""
         self._unchecked.discard(rid)
-        self._weak.discard(rid)
+        self._weak.pop(rid, None)
         self._witness.pop(rid, None)
 
     # -- read paths -------------------------------------------------------
@@ -700,7 +712,7 @@ class MemoryState:
         """Top-k active records by ``cosine(embed(query), record.embedding)``
         at or above ``threshold``, best first, ties by ascending id."""
         records = self.records
-        return [(records[rid], score) for rid, score in self._index.search(embed(query), threshold, k)]
+        return [(records[rid], score) for rid, score in self._index.search(query, threshold, k)]
 
     def artifact_topics(self) -> SimilarityIndex:
         """Index of ``embed(artifact_topic(record))`` by id over active artifacts.
@@ -734,14 +746,18 @@ class MemoryState:
     # -- gap detection ------------------------------------------------------
 
     def _search_unchecked(self) -> None:
-        """Gives each marked research fact a witness, or puts it in the weak set."""
+        """Gives each marked research fact a witness, or puts it in the weak
+        set with its squared norm."""
         records, threshold = self.records, self.coverage_threshold
         for fact in self._unchecked:
-            # The fact itself is one of the two best hits if it qualifies.
-            hits = self._index.search(records[fact].embedding, threshold, k=2)
+            # The fact's content embeds to its own vector, so the fact is
+            # one of the two best hits if it qualifies.
+            record = records[fact]
+            hits = self._index.search(record.content, threshold, k=2)
             witness = next((rid for rid, _ in hits if rid != fact), None)
             if witness is None:
-                self._weak.add(fact)
+                vec = record.embedding
+                self._weak[fact] = float(vec.dot(vec))
             else:
                 self._witness[fact] = witness
         self._unchecked.clear()
@@ -953,7 +969,7 @@ class MemoryState:
         twin._stamps = self._stamps.copy()
         twin._incomplete = set(self._incomplete)
         twin._unchecked = set(self._unchecked)
-        twin._weak = set(self._weak)
+        twin._weak = dict(self._weak)
         twin._witness = dict(self._witness)
         return twin
 

@@ -105,7 +105,7 @@ def filter_candidates(raw: Sequence[CandidateNeed], memory: MemoryState) -> list
 
     topics = memory.artifact_topics()
     if len(topics):
-        survivors = [c for c in survivors if not topics.search(embed(c.topic), threshold, k=1)]
+        survivors = [c for c in survivors if not topics.search(c.topic, threshold, k=1)]
 
     # Collapse near-identical topics, keeping the max-confidence
     # representative; each topic's squared norm is computed once, not per pair.

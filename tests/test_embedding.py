@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foresight.embedding import DEFAULT_DIM, EMBED_MEMO_SIZE, _bucket, cosine, embed, token_counts, tokenize
+from foresight.embedding import (
+    DEFAULT_DIM,
+    EMBED_MEMO_SIZE,
+    _bucket,
+    cosine,
+    embed,
+    query_form,
+    token_counts,
+    tokenize,
+)
 from foresight.memory import SMALL_INDEX_ROWS, MemoryState, SimilarityIndex
 from foresight.prediction import CandidateNeed, filter_candidates
 
@@ -135,17 +144,17 @@ def test_zero_query_scores_every_row_zero_on_both_paths():
     for key in keys[:SMALL_INDEX_ROWS]:
         index.add(key)
     # At most SMALL_INDEX_ROWS keys: scored with ``cosine``, no matrix.
-    assert index.search(embed("!!!"), 0.0, k=len(index)) == [(key, 0.0) for key in keys[:SMALL_INDEX_ROWS]]
+    assert index.search("!!!", 0.0, k=len(index)) == [(key, 0.0) for key in keys[:SMALL_INDEX_ROWS]]
     assert index._matrix is None
     for key in keys[SMALL_INDEX_ROWS:]:
         index.add(key)
     index.remove(keys[0])
     # Past it: the built matrix, where a removed row scores NaN and is left out.
-    hits = index.search(embed("!!!"), 0.0, k=len(index))
+    hits = index.search("!!!", 0.0, k=len(index))
     assert index._matrix is not None
     assert hits == [(key, 0.0) for key in keys[1:]]
     assert all(same_bits(score, 0.0) for _, score in hits)
-    assert index.search(embed("!!!"), 1e-300, k=len(index)) == []
+    assert index.search("!!!", 1e-300, k=len(index)) == []
 
 
 @settings(deadline=None)
@@ -167,7 +176,7 @@ def test_index_scores_are_the_exact_integer_score(texts, queries, data):
 
     def check():
         for query in queries + ["q1 q2", "!!!"]:
-            hits = index.search(embed(query), 0.0, k=len(index))
+            hits = index.search(query, 0.0, k=len(index))
             assert sorted(key for key, _ in hits) == sorted(live)
             for key, score in hits:
                 assert same_bits(score, reference_cosine(query, records[key]))
@@ -198,7 +207,7 @@ def test_index_grows_after_every_row_was_removed():
     index = SimilarityIndex(records, embed)
     for key in live:
         index.add(key)
-    index.search(embed("w1"), 0.0, k=1)  # builds the matrix
+    index.search("w1", 0.0, k=1)  # builds the matrix
     # Each new key replaces every live one, so the matrix fills up with
     # removed rows and grows while no row is live.
     for key in keys[SMALL_INDEX_ROWS + 1 :]:
@@ -206,8 +215,8 @@ def test_index_grows_after_every_row_was_removed():
             index.remove(old)
         index.add(key)
         live = [key]
-        assert index.search(embed("!!!"), 0.0, k=len(index)) == [(key, 0.0)]
-        assert index.search(embed(records[key]), 0.0, k=len(index)) == [(key, 1.0)]
+        assert index.search("!!!", 0.0, k=len(index)) == [(key, 0.0)]
+        assert index.search(records[key], 0.0, k=len(index)) == [(key, 1.0)]
 
 
 # ``embed`` is memoised: these check that the memo changes no bit and hands
@@ -245,6 +254,51 @@ def test_embed_vectors_are_read_only():
     with pytest.raises(ValueError):
         vec += 1.0
     assert vec.tobytes() == loop_embed("alpha beta gamma").tobytes()
+
+
+# ``query_form`` is memoised too: one form per text, shared by every index
+# search that reads it, so nobody may write into one.
+
+
+@pytest.mark.parametrize("text", ["!!!", "alpha", "alpha beta gamma alpha"])
+def test_query_form_is_the_sparse_form_of_embed(text):
+    vec = embed(text)
+    form = query_form(text)
+    buckets = vec.nonzero()[0]
+    assert form.buckets.tobytes() == buckets.tobytes() and form.buckets.dtype == buckets.dtype
+    assert form.counts.tobytes() == vec[buckets].tobytes()
+    assert same_bits(form.sq, float(vec @ vec))
+    assert query_form(text) is form
+    for array in (form.buckets, form.counts):
+        with pytest.raises(ValueError):
+            array[...] = 0
+        with pytest.raises(ValueError):
+            array += 1
+    assert form.buckets.tobytes() == buckets.tobytes()
+    assert form.counts.tobytes() == vec[buckets].tobytes()
+
+
+def test_reordered_texts_share_a_form_key_and_a_base_memo_entry():
+    first, second = query_form("a b"), query_form("b a")
+    assert first is not second and first.key == second.key
+    # One more "a": the same buckets with other counts, so another key.
+    assert query_form("a a b").key != first.key
+    records = {f"k{i}": text for i, text in enumerate(["a b", "a b c", "b c d", "c d e", "d e f", "a e"])}
+    index = SimilarityIndex(records, embed)
+    for key in records:
+        index.add(key)
+    index._build()
+    index._lend()
+    fork = index.fork(dict(records))
+    hits = fork.search("a b", 0.3, k=len(fork))
+    entries = index._memo._entries
+    assert list(entries) == [(first.key, 0.3)]
+    assert fork.search("b a", 0.3, k=len(fork)) == hits
+    assert list(entries) == [(first.key, 0.3)]
+    scored = [(key, cosine(embed("b a"), embed(text))) for key, text in records.items()]
+    want = sorted([hit for hit in scored if hit[1] >= 0.3], key=lambda hit: (-hit[1], hit[0]))
+    assert len(want) > 1
+    assert [(key, score.hex()) for key, score in hits] == [(key, score.hex()) for key, score in want]
 
 
 @given(text=TEXTS)

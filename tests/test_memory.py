@@ -367,7 +367,7 @@ def test_snapshot_round_trip_restores_every_field():
     # Both of its vectors come from its content.
     assert legacy.embedding.tobytes() == embed(legacy.content).tobytes()
     topics = restored.artifact_topics()
-    assert topics.search(embed("legacy topic"), 0.99, k=len(topics)) == [("legacy999999", 1.0)]
+    assert topics.search("legacy topic", 0.99, k=len(topics)) == [("legacy999999", 1.0)]
     assert restored.hash_index == {**state.hash_index, legacy.content_hash: "legacy999999"}
     assert restored.add_knowledge("entity_fact", "fresh text", no_arbiter).record_id == f"m{state._counter + 1:06d}"
 

@@ -21,7 +21,7 @@ import pytest
 
 from foresight import harness
 from foresight import memory as memory_module
-from foresight.embedding import cosine, embed
+from foresight.embedding import cosine, embed, query_form
 from foresight.memory import AddOutcome, ArbiterVerdict, LogicalClock, MemoryRecord, MemoryState, content_hash
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -506,9 +506,7 @@ def test_a_fork_grown_past_its_spare_columns_scans_its_own_matrix(action):
 
 
 def memo_key(query, threshold):
-    vec = embed(query)
-    buckets = vec.nonzero()[0]
-    return buckets.tobytes(), vec[buckets].tobytes(), threshold
+    return query_form(query).key, threshold
 
 
 def test_the_memo_keeps_at_most_its_cap_and_stays_exact(monkeypatch):

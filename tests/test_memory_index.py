@@ -136,7 +136,7 @@ def assert_reads_match(state, queries, topics):
     # lets many more artifacts through, so the index is checked there too.
     for topic, _ in topics:
         want = brute_force_topic_search(state, topic, 0.5)[:1]
-        assert state.artifact_topics().search(embed(topic), 0.5, k=1) == want
+        assert state.artifact_topics().search(topic, 0.5, k=1) == want
 
 
 # -- strategies ----------------------------------------------------------------
@@ -201,8 +201,17 @@ def assert_gaps_match_after_write(data, state):
     now = state.clock.now()
     # The stricter staleness first: the second call must see the stamps the
     # first one took off the heap.
+    assert_weak_norms_held(state)
     for staleness in (timedelta(seconds=data.draw(st.integers(0, 4), label="staleness")), timedelta(hours=1)):
         assert state.detect_gaps(now, staleness) == oracle_detect_gaps(state, now, staleness)
+        assert_weak_norms_held(state)
+
+
+def assert_weak_norms_held(state):
+    """Each weak research fact is held with its embedding's squared norm."""
+    for fact, norm in state._weak.items():
+        vec = state.records[fact].embedding
+        assert norm.hex() == float(vec @ vec).hex(), fact
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -330,6 +339,7 @@ def gap_reasons(state, staleness=timedelta(hours=1)):
     for window in (timedelta(0), staleness):
         gaps = state.detect_gaps(now, window)
         assert gaps == oracle_detect_gaps(state, now, window)
+        assert_weak_norms_held(state)
     return [(gap.related_record_ids[0], gap.reason) for gap in gaps]
 
 
@@ -342,11 +352,34 @@ def test_gap_sources_follow_each_kind_of_write(fillers):
     state = MemoryState(coverage_threshold=0.80)
     for i in range(fillers):
         state.add_knowledge("entity_fact", f"filler{i} x{i}", verdict("skip"))
+    fact = state.add_knowledge("research_fact", "f0 f1 f2 f3 f4", verdict("skip")).record_id
+    assert gap_reasons(state) == [(fact, "weakly_supported")]
+    write_each_kind(state, fact)
+
+
+def test_weak_fact_norms_follow_each_kind_of_write_on_a_fork_of_a_restored_base():
+    memory_module._last_base = None
+    build = MemoryState(coverage_threshold=0.80)
+    for i in range(SMALL_INDEX_ROWS + 1):
+        build.add_knowledge("entity_fact", f"filler{i} x{i}", verdict("skip"))
+    fact = build.add_knowledge("research_fact", "f0 f1 f2 f3 f4", verdict("skip")).record_id
+    snapshot = json.loads(json.dumps(build.to_snapshot()))
+    state = MemoryState.from_snapshot(snapshot, coverage_threshold=0.80, clock=build.clock)
+    # The base searched the fact and found it weak; the fork holds its norm.
+    assert state._index._memo is not None and not state._unchecked
+    base = memory_module._last_base[2]
+    assert list(state._weak) == [fact] and state._weak is not base._weak
+    assert gap_reasons(state) == [(fact, "weakly_supported")]
+    write_each_kind(state, fact)
+    assert base._weak == {fact: 5.0}
+
+
+def write_each_kind(state, fact):
+    """Adds, replaces, merges and retires around ``fact``, a weak research
+    fact of ``state``, checking the gaps after each write."""
     add = lambda kind, content, action="skip", merged=None: state.add_knowledge(
         kind, content, verdict(action, merged)
     )
-    fact = add("research_fact", "f0 f1 f2 f3 f4").record_id
-    assert gap_reasons(state) == [(fact, "weakly_supported")]
     # 4 of 5 tokens shared: cosine 0.8, support without a near-duplicate.
     witness = add("entity_fact", "f0 f1 f2 f3 g0").record_id
     assert gap_reasons(state) == []
@@ -628,7 +661,7 @@ def test_restored_topics_index_grows_past_its_spare_columns():
     for query in queries:
         for threshold in (0.0, 0.5, 0.85):
             want = brute_force_topic_search(loaded, query, threshold)
-            assert topics.search(embed(query), threshold, k=len(topics)) == want
+            assert topics.search(query, threshold, k=len(topics)) == want
 
 
 # -- write-once columns --------------------------------------------------------
@@ -751,9 +784,9 @@ def test_search_keeps_each_row_norm_across_remove_and_re_add(data, most_live):
             index.add(key)
             free.remove(key)
             live.append(key)
-        query = embed(data.draw(texts, label="query"))
+        query = data.draw(texts, label="query")
         threshold = data.draw(st.sampled_from((0.0, 0.5, 0.8)), label="threshold")
-        scored = [(key, cosine(query, embed(records[key]))) for key in live]
+        scored = [(key, cosine(embed(query), embed(records[key]))) for key in live]
         want = sorted([hit for hit in scored if hit[1] >= threshold], key=lambda hit: (-hit[1], hit[0]))
         got = index.search(query, threshold, k=len(index))
         assert [(key, score.hex()) for key, score in got] == [(key, score.hex()) for key, score in want]
